@@ -16,8 +16,6 @@ from .geometry import (
     element_position,
     euclidean_feed_distance,
     projection_grid,
-    projection_in,
-    projection_out,
     wavelength_from_frequency,
 )
 from .masks import (
@@ -31,7 +29,6 @@ from .masks import (
     farfield_steering_mask,
     nearfield_compensation,
     nearfield_steering_mask,
-    phase_mask_to_json,
     quantize_1bit,
     recenter_phases,
     snell_gradient,
@@ -54,14 +51,12 @@ from .linkbudget import (
     L_PE_1BIT_DB,
     LinkReport,
     LinkScenario,
-    f_combine,
     f_combine_grid,
     geometric_accumulation,
     integrate_psd,
     phase_error_loss,
     received_power,
     required_cascade_mask,
-    rx_distance,
     snr_ceiling,
     unit_cell_gain,
 )

@@ -137,6 +137,9 @@ def cmd_localize(config_path, truths, seed, out) -> None:
         raise ConfigError(f"cannot parse --truths {truths!r}: {exc}") from exc
     if not truth_values:
         raise ConfigError("--truths must name at least one angle")
+    names = [f"{t:g}" for t in truth_values]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"--truths {truths!r} gives two angles the same output file")
     sweep = cfg.sweep
     for t in truth_values:
         if not (sweep.start_deg <= t <= sweep.stop_deg):

@@ -22,7 +22,7 @@ from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import LinkScenario
 from .localization import NoiseModel
-from .masks import Codebook, CodingMask, build_codebook
+from .masks import Codebook, CodingMask, build_codebook, codebook_angles
 from .patterns import FeedSpec, UnitCellReflection
 
 ENV_PREFIX = "RISIM"
@@ -329,6 +329,7 @@ def _build(doc: dict) -> ScenarioConfig:
 def _validate(cfg: ScenarioConfig) -> None:
     """Construct every domain object once so range violations surface as
     configuration errors naming the section."""
+    s = cfg.sweep
     checks = (
         ("frequency_hz", lambda: wavelength_from_frequency(cfg.frequency_hz)),
         ("geometry", cfg.array_geometry),
@@ -336,15 +337,14 @@ def _validate(cfg: ScenarioConfig) -> None:
         ("feed", cfg.feed_spec),
         ("link", cfg.link_scenario),
         ("sweep", cfg.noise_model),
+        ("sweep", lambda: codebook_angles(s.start_deg, s.stop_deg, s.step_deg)),
     )
     for section, build in checks:
         try:
             build()
         except DomainError as exc:
             raise ConfigError(f"invalid config section {section}: {exc}") from exc
-    if cfg.sweep.step_deg <= 0 or cfg.sweep.start_deg > cfg.sweep.stop_deg:
-        raise ConfigError("invalid config section sweep: empty or non-positive angle range")
-    if not (0.0 <= cfg.sweep.start_deg and cfg.sweep.stop_deg < 90.0):
+    if not (0.0 <= s.start_deg and s.stop_deg < 90.0):
         raise ConfigError("invalid config section sweep: angles must lie in [0, 90)")
     if cfg.cell.q_e < 0:
         raise ConfigError("invalid config section cell: q_e must be >= 0")

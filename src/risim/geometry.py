@@ -109,16 +109,12 @@ class Point3:
         return np.array([self.x, self.y, self.z])
 
 
-def _check_indices(geom: ArrayGeometry, m: int, n: int) -> None:
+def element_position(geom: ArrayGeometry, m: int, n: int) -> Point3:
+    """Position of element (m, n), 1-based, corner origin."""
     if not (1 <= m <= geom.m_count) or not (1 <= n <= geom.n_count):
         raise DomainError(
             f"element index ({m}, {n}) outside 1..{geom.m_count} x 1..{geom.n_count}"
         )
-
-
-def element_position(geom: ArrayGeometry, m: int, n: int) -> Point3:
-    """Position of element (m, n), 1-based, corner origin."""
-    _check_indices(geom, m, n)
     p = geom.periodicity_m
     return Point3((m - 1) * p, (n - 1) * p, 0.0)
 
@@ -148,18 +144,6 @@ def projection_grid(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     ph = math.radians(direction.phi_deg)
     X, Y = element_grid(geom)
     return math.sin(th) * (X * math.cos(ph) + Y * math.sin(ph))
-
-
-def projection_in(geom: ArrayGeometry, m: int, n: int, incidence: Direction) -> float:
-    """Projection of element (m, n) onto the incidence direction, meters."""
-    _check_indices(geom, m, n)
-    return float(projection_grid(geom, incidence)[m - 1, n - 1])
-
-
-def projection_out(geom: ArrayGeometry, m: int, n: int, reflection: Direction) -> float:
-    """Projection of element (m, n) onto the reflection direction, meters."""
-    _check_indices(geom, m, n)
-    return float(projection_grid(geom, reflection)[m - 1, n - 1])
 
 
 def euclidean_feed_distance(feed: Point3, elem: Point3) -> float:

@@ -62,6 +62,10 @@ class LinkScenario:
         for v in (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm):
             if not math.isfinite(v):
                 raise DomainError("powers and gains must be finite")
+        if not all(math.isfinite(q) and q >= 0 for q in (self.q_t, self.q_r)):
+            raise DomainError(
+                f"horn taper exponents must be finite and >= 0, got q_t={self.q_t}, q_r={self.q_r}"
+            )
         object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
@@ -106,11 +110,6 @@ class LinkReport:
         return "\n".join(f"{name:<{width}}  {value:>10.3f}" for name, value in rows)
 
 
-def rx_distance(rx: Point3, elem: Point3) -> float:
-    """Euclidean distance from the receiver phase center to an element."""
-    return math.dist((rx.x, rx.y, rx.z), (elem.x, elem.y, elem.z))
-
-
 def _off_axis_cos(geom: ArrayGeometry, node: Point3) -> np.ndarray:
     """cos(angle between node->element and node->array-center), per element.
 
@@ -130,41 +129,45 @@ def f_combine_grid(scenario: LinkScenario) -> np.ndarray:
     """Combined normalized radiation taper of both horns and the element
     aperture, per element, in [0, 1]."""
     geom = scenario.geom
-    r_t = distance_grid(geom, scenario.feed)
-    r_r = distance_grid(geom, scenario.rx)
+    return _taper(scenario, distance_grid(geom, scenario.feed), distance_grid(geom, scenario.rx))
+
+
+def _taper(scenario: LinkScenario, r_t: np.ndarray, r_r: np.ndarray) -> np.ndarray:
     cos_in = scenario.feed.z / r_t
     cos_out = scenario.rx.z / r_r
-    cos_t = _off_axis_cos(geom, scenario.feed)
-    cos_r = _off_axis_cos(geom, scenario.rx)
+    cos_t = _off_axis_cos(scenario.geom, scenario.feed)
+    cos_r = _off_axis_cos(scenario.geom, scenario.rx)
     return (cos_t**scenario.q_t) * cos_in * cos_out * (cos_r**scenario.q_r)
 
 
-def f_combine(scenario: LinkScenario, m: int, n: int) -> float:
-    """Combined taper for element (m, n), 1-based."""
-    geom = scenario.geom
-    if not (1 <= m <= geom.m_count) or not (1 <= n <= geom.n_count):
-        raise DomainError(
-            f"element index ({m}, {n}) outside 1..{geom.m_count} x 1..{geom.n_count}"
-        )
-    return float(f_combine_grid(scenario)[m - 1, n - 1])
+def _two_hop_terms(scenario: LinkScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element two-hop amplitude sqrt(taper)/(r_feed * r_rx) and path
+    phase k0*(r_feed + r_rx); every accounting mode reduces these two."""
+    r_t = distance_grid(scenario.geom, scenario.feed)
+    r_r = distance_grid(scenario.geom, scenario.rx)
+    amp = np.sqrt(_taper(scenario, r_t, r_r)) / (r_t * r_r)
+    return amp, 2 * np.pi / scenario.wavelength * (r_t + r_r)
+
+
+def _single_pass_sums(amp: np.ndarray, path: np.ndarray, bits: np.ndarray) -> list[float]:
+    """|sum of amp * exp(j*(applied - path))| per stacked (K, M, N) bit grid,
+    applied = 180 degrees per set bit. One contiguous row sum and a scalar
+    abs per mask keep row k bit-identical to mask k alone."""
+    applied = np.radians(bits.reshape(len(bits), -1) * 180.0)
+    terms = amp.reshape(-1) * np.exp(1j * (applied - path.reshape(-1)))
+    return [float(abs(s)) for s in terms.sum(axis=1)]
 
 
 def geometric_accumulation(scenario: LinkScenario) -> float:
     """Coherent two-hop amplitude sum at ideal (perfectly matched) phasing:
     sum of sqrt(taper)/(r_feed * r_rx) over all elements."""
-    geom = scenario.geom
-    r_t = distance_grid(geom, scenario.feed)
-    r_r = distance_grid(geom, scenario.rx)
-    return float((np.sqrt(f_combine_grid(scenario)) / (r_t * r_r)).sum())
+    return float(_two_hop_terms(scenario)[0].sum())
 
 
 def required_cascade_mask(scenario: LinkScenario) -> PhaseMask:
     """Continuous phase that exactly cancels the two-hop path phase
     k0*(r_feed + r_rx) for the scenario's node positions."""
-    k0 = 2 * np.pi / scenario.wavelength
-    geom = scenario.geom
-    total = distance_grid(geom, scenario.feed) + distance_grid(geom, scenario.rx)
-    return PhaseMask(geom, wrap_deg(np.degrees(k0 * total)))
+    return PhaseMask(scenario.geom, wrap_deg(np.degrees(_two_hop_terms(scenario)[1])))
 
 
 def phase_error_loss(required: PhaseMask, applied: CodingMask) -> float:
@@ -199,58 +202,12 @@ def integrate_psd(psd_per_subcarrier_dbm: float, n_subcarriers: int) -> float:
     return psd_per_subcarrier_dbm + 10.0 * math.log10(n_subcarriers)
 
 
-def _quantized_accumulation(scenario: LinkScenario) -> float:
-    """Accumulation with the mask's two-state phases inside the sum."""
-    geom = scenario.geom
-    k0 = 2 * np.pi / scenario.wavelength
-    r_t = distance_grid(geom, scenario.feed)
-    r_r = distance_grid(geom, scenario.rx)
-    applied = np.radians(scenario.mask.phases_deg())
-    psi = applied - k0 * (r_t + r_r)
-    terms = np.sqrt(f_combine_grid(scenario)) / (r_t * r_r) * np.exp(1j * psi)
-    return float(abs(terms.sum()))
-
-
-def received_power(scenario: LinkScenario, quantization: str = "analytic") -> LinkReport:
-    """Received carrier power and its full dB accounting.
-
-    quantization selects how 1-bit phasing enters:
-      - "analytic": ideal-phasing sum scaled by the closed-form 1-bit loss
-        (2/pi)^2; the default, reproducing the headline budget numbers.
-      - "mask": ideal-phasing sum scaled by the phase-error loss of the
-        scenario mask against the exact cascade-cancelling phase.
-      - "single_pass": the mask's two-state phases inside the sum, no
-        separate loss factor.
-      - "none": ideal continuous phasing, no loss.
-    """
-    if quantization not in _ACCOUNTING_MODES:
-        raise ConfigError(
-            f"unknown quantization mode {quantization!r}, expected one of {_ACCOUNTING_MODES}"
-        )
-    if quantization in ("mask", "single_pass") and scenario.mask is None:
-        raise ConfigError(f"quantization mode {quantization!r} requires a scenario mask")
-
-    if quantization == "single_pass":
-        acc = _quantized_accumulation(scenario)
-        lpe_db = 0.0
-    else:
-        acc = geometric_accumulation(scenario)
-        if quantization == "analytic":
-            lpe_db = L_PE_1BIT_DB
-        elif quantization == "mask":
-            lpe_db = phase_error_loss(required_cascade_mask(scenario), scenario.mask)
-        else:
-            lpe_db = 0.0
-
+def _received_dbm(scenario: LinkScenario, lpe_db: float, accs) -> list[float]:
+    """Received power, dBm, for each accumulation: linear-domain evaluation
+    of the printed product formula."""
     gu_db = unit_cell_gain(scenario.cell_dx, scenario.cell_dy, scenario.wavelength)
-    spreading_db = 10.0 * math.log10(
-        scenario.wavelength**2 * scenario.cell_dx * scenario.cell_dy / (64 * math.pi**3)
-    )
-    hw_items = dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
-    hw_db = -sum(hw_items.values())
-
-    # linear-domain evaluation of the printed product formula
-    p_r_mw = (
+    hw_db = -sum(scenario.hardware_loss_db.values()) if scenario.include_hardware_loss else 0
+    scale = (
         10.0 ** (scenario.tx_power_dbm / 10.0)
         * 10.0 ** (scenario.gain_tx_dbi / 10.0)
         * 10.0 ** (scenario.gain_rx_dbi / 10.0)
@@ -260,10 +217,56 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         * scenario.cell_dy
         / (64 * math.pi**3)
         * 10.0 ** (lpe_db / 10.0)
-        * acc**2
-        * 10.0 ** (hw_db / 10.0)
     )
-    received_dbm = 10.0 * math.log10(p_r_mw)
+    return [10.0 * math.log10(scale * acc**2 * 10.0 ** (hw_db / 10.0)) for acc in accs]
+
+
+def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarray:
+    """Single-pass received power, dBm, under each of K stacked (K, M, N) bit
+    grids in place of the scenario mask. received_power(..., "single_pass")
+    is the K = 1 case, so entry k equals it with mask k bit for bit."""
+    accs = _single_pass_sums(*_two_hop_terms(scenario), bits)
+    return np.array(_received_dbm(scenario, 0.0, accs))
+
+
+def received_power(scenario: LinkScenario, quantization: str = "analytic") -> LinkReport:
+    """Received carrier power and its full dB accounting.
+
+    Every mode reduces one set of per-element two-hop terms (amplitude and
+    path phase); quantization selects how 1-bit phasing enters:
+      - "analytic": ideal-phasing sum scaled by the closed-form 1-bit loss
+        (2/pi)^2; the default, reproducing the headline budget numbers.
+      - "mask": ideal-phasing sum scaled by the phase-error loss of the
+        scenario mask against the exact cascade-cancelling phase.
+      - "single_pass": the mask's two-state phases inside the sum, no
+        separate loss factor; the one-mask case of single_pass_power_dbm.
+      - "none": ideal continuous phasing, no loss.
+    """
+    if quantization not in _ACCOUNTING_MODES:
+        raise ConfigError(
+            f"unknown quantization mode {quantization!r}, expected one of {_ACCOUNTING_MODES}"
+        )
+    if quantization in ("mask", "single_pass") and scenario.mask is None:
+        raise ConfigError(f"quantization mode {quantization!r} requires a scenario mask")
+
+    amp, path = _two_hop_terms(scenario)
+    lpe_db = 0.0
+    if quantization == "single_pass":
+        (acc,) = _single_pass_sums(amp, path, scenario.mask.bits[None])
+    else:
+        acc = float(amp.sum())
+        if quantization == "analytic":
+            lpe_db = L_PE_1BIT_DB
+        elif quantization == "mask":
+            lpe_db = phase_error_loss(required_cascade_mask(scenario), scenario.mask)
+
+    gu_db = unit_cell_gain(scenario.cell_dx, scenario.cell_dy, scenario.wavelength)
+    spreading_db = 10.0 * math.log10(
+        scenario.wavelength**2 * scenario.cell_dx * scenario.cell_dy / (64 * math.pi**3)
+    )
+    hw_items = dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
+    hw_db = -sum(hw_items.values())
+    (received_dbm,) = _received_dbm(scenario, lpe_db, [acc])
 
     terms = {
         "tx_power_dbm": scenario.tx_power_dbm,

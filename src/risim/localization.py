@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Direction, Point3
-from .linkbudget import LinkScenario, received_power
+from .linkbudget import LinkScenario, single_pass_power_dbm
 from .masks import Codebook
 
 
@@ -24,8 +24,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "gaussian_db"):
             raise DomainError(f"unknown noise kind {self.kind!r}")
-        if self.sigma_db < 0:
-            raise DomainError(f"sigma_db must be >= 0, got {self.sigma_db}")
+        if not (math.isfinite(self.sigma_db) and self.sigma_db >= 0):
+            raise DomainError(f"sigma_db must be finite and >= 0, got {self.sigma_db}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,22 +68,20 @@ def simulate_sweep(
     noise: NoiseModel = NoiseModel(),
     seed: int | None = None,
 ) -> SweepTrace:
-    """Sequentially apply every codebook mask and record the RSSI toward the
-    true user position.
+    """Apply every codebook mask and record the RSSI toward the true user
+    position.
 
     Each entry's RSSI is the single-pass received power (the entry's
     two-state phases inside the coherent sum), which is the only accounting
-    in which the applied mask discriminates entries. Deterministic for a
-    fixed seed.
+    in which the applied mask discriminates entries. The two-hop terms are
+    computed once and all entries are scored in one batched row sum, the
+    same kernel received_power(..., "single_pass") runs for one mask, so
+    every entry equals that direct recompute bit for bit. Deterministic for
+    a fixed seed.
     """
     rx = ue_point(true_ue, scenario)
-    base = scenario.with_rx(rx)
-    rssi = np.array(
-        [
-            received_power(base.with_mask(entry.mask), quantization="single_pass").received_power_dbm
-            for entry in codebook.entries
-        ]
-    )
+    bits = np.stack([entry.mask.bits for entry in codebook.entries])
+    rssi = single_pass_power_dbm(scenario.with_rx(rx), bits)
     if noise.kind == "gaussian_db" and noise.sigma_db > 0:
         rng = np.random.default_rng(seed)
         rssi = rssi + rng.normal(0.0, noise.sigma_db, len(rssi))

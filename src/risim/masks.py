@@ -9,6 +9,7 @@ phase to the two-state 0/180 degree alphabet.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,12 @@ from .geometry import (
     Direction,
     Point3,
     distance_grid,
+    element_grid,
     projection_grid,
 )
+
+# codebooks are synthesized and swept as stacked K x M x N arrays
+MAX_CODEBOOK_ENTRIES = 10_000
 
 
 def wrap_deg(phases_deg):
@@ -61,9 +66,7 @@ class CodingMask:
         shape = (self.geom.m_count, self.geom.n_count)
         if bits.shape != shape:
             raise DomainError(f"bit grid shape {bits.shape} does not match {shape}")
-        if bits.dtype == bool:
-            bits = bits.astype(np.uint8)
-        if not np.isin(bits, (0, 1)).all():
+        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
             raise DomainError("bit grid entries must be 0 or 1")
         object.__setattr__(self, "bits", bits.astype(np.uint8))
 
@@ -120,10 +123,7 @@ def snell_gradient(
 
 
 def nearfield_compensation(
-    geom: ArrayGeometry,
-    feed: Point3,
-    reflection: Direction,
-    wavelength: float,
+    geom: ArrayGeometry, feed: Point3, reflection: Direction, wavelength: float
 ) -> PhaseMask:
     """Continuous phase that collimates a close-in spherical feed wavefront
     into a plane wave along the reflection direction.
@@ -132,13 +132,24 @@ def nearfield_compensation(
     raw wrap retains the common distance offset; steering pipelines rotate
     it out before quantization (see recenter_phases).
     """
+    return PhaseMask(geom, _compensation_deg(geom, feed, [reflection], wavelength)[0])
+
+
+def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
+    """nearfield_compensation toward each of K directions, shape (K, M, N)."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     if not (feed.z > 0):
         raise DomainError(f"feed must sit off the surface (z > 0), got z={feed.z}")
     k0 = 2 * np.pi / wavelength
-    phase_rad = k0 * distance_grid(geom, feed) - k0 * projection_grid(geom, reflection)
-    return PhaseMask(geom, wrap_deg(np.degrees(phase_rad)))
+    X, Y = element_grid(geom)
+    # projection_grid's scalar trig and operation order, so row k matches it bitwise
+    angles = [(math.radians(s.theta_deg), math.radians(s.phi_deg)) for s in steers]
+    sin_th, cos_ph, sin_ph = np.array(
+        [(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in angles]
+    ).T[:, :, None, None]
+    proj = sin_th * (X * cos_ph + Y * sin_ph)
+    return wrap_deg(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj))
 
 
 def recenter_phases(mask: PhaseMask) -> PhaseMask:
@@ -149,15 +160,23 @@ def recenter_phases(mask: PhaseMask) -> PhaseMask:
     splits it evenly across the two bins and minimizes the pointing bias of
     quantized spherical-compensation masks.
     """
-    ph = np.radians(mask.phases_deg)
-    mean = np.angle(np.mean(np.exp(1j * ph)))
-    return PhaseMask(mask.geom, wrap_deg(np.degrees(ph - mean)))
+    return PhaseMask(mask.geom, _recentered_deg(mask.phases_deg[None])[0])
+
+
+def _recentered_deg(phases_deg: np.ndarray) -> np.ndarray:
+    """recenter_phases on each of K stacked (K, M, N) grids."""
+    ph = np.radians(phases_deg)
+    mean = np.angle(np.mean(np.exp(1j * ph.reshape(len(ph), -1)), axis=1))
+    return wrap_deg(np.degrees(ph - mean[:, None, None]))
 
 
 def quantize_1bit(mask: PhaseMask) -> CodingMask:
     """Two-state quantization: bit 1 exactly when phase is in [90, 270)."""
-    ph = mask.phases_deg
-    return CodingMask(mask.geom, (ph >= 90.0) & (ph < 270.0))
+    return CodingMask(mask.geom, _one_bit(mask.phases_deg))
+
+
+def _one_bit(phases_deg: np.ndarray) -> np.ndarray:
+    return (phases_deg >= 90.0) & (phases_deg < 270.0)
 
 
 def farfield_steering_mask(
@@ -171,57 +190,53 @@ def farfield_steering_mask(
 
 
 def nearfield_steering_mask(
-    geom: ArrayGeometry,
-    feed: Point3,
-    steer: Direction,
-    wavelength: float,
+    geom: ArrayGeometry, feed: Point3, steer: Direction, wavelength: float
 ) -> CodingMask:
-    """1-bit mask collimating a near-field feed toward `steer`.
+    """1-bit mask collimating a near-field feed toward `steer`: the
+    one-direction case of the codebook synthesis.
 
     The continuous compensation is recentered before quantization; the raw
     distance offset otherwise biases the quantized beam by a few degrees.
     """
-    return quantize_1bit(recenter_phases(nearfield_compensation(geom, feed, steer, wavelength)))
+    return CodingMask(geom, _nearfield_bits(geom, feed, [steer], wavelength)[0])
+
+
+def _nearfield_bits(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
+    """Steering bits toward each of K directions, shape (K, M, N). Every
+    stage is elementwise or a per-row reduction, so row k is bit-identical
+    to direction k alone."""
+    return _one_bit(_recentered_deg(_compensation_deg(geom, feed, steers, wavelength)))
+
+
+def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
+    """Steer angles start, start+step, ..., <= stop; the range and its entry
+    count are checked before anything is allocated."""
+    if not all(math.isfinite(v) for v in (start_deg, stop_deg, step_deg)):
+        raise DomainError(f"codebook range {start_deg}..{stop_deg} step {step_deg} must be finite")
+    if step_deg <= 0:
+        raise DomainError(f"codebook step must be > 0, got {step_deg}")
+    if start_deg > stop_deg:
+        raise DomainError(f"empty codebook range [{start_deg}, {stop_deg}]")
+    # np.arange returns ceil(span) angles
+    if (stop_deg + step_deg / 2 - start_deg) / step_deg > MAX_CODEBOOK_ENTRIES:
+        raise DomainError(f"step {step_deg:g} gives more than {MAX_CODEBOOK_ENTRIES} codebook entries")
+    return np.arange(start_deg, stop_deg + step_deg / 2, step_deg)
 
 
 def build_codebook(
-    geom: ArrayGeometry,
-    feed: Point3,
-    wavelength: float,
-    start_deg: float,
-    stop_deg: float,
-    step_deg: float,
+    geom: ArrayGeometry, feed: Point3, wavelength: float,
+    start_deg: float, stop_deg: float, step_deg: float,
 ) -> Codebook:
     """Steering codebook at start, start+step, ..., <= stop.
 
     Each entry is the quantized near-field compensation toward that angle,
     which is the mask maximizing received power for a user in that
-    direction.
+    direction. All entries are synthesized in one batched pass over one
+    feed-distance grid; entry k equals nearfield_steering_mask bit for bit.
     """
-    if step_deg <= 0:
-        raise DomainError(f"codebook step must be > 0, got {step_deg}")
-    if start_deg > stop_deg:
-        raise DomainError(f"empty codebook range [{start_deg}, {stop_deg}]")
-    angles = np.arange(start_deg, stop_deg + step_deg / 2, step_deg)
-    entries = tuple(
-        CodebookEntry(
-            Direction(float(a)),
-            nearfield_steering_mask(geom, feed, Direction(float(a)), wavelength),
-        )
-        for a in angles
-    )
-    return Codebook(entries)
-
-
-def phase_mask_to_json(mask: PhaseMask) -> str:
-    """JSON document with the geometry and the degree grid (outer list over m)."""
-    doc = {
-        "m_count": mask.geom.m_count,
-        "n_count": mask.geom.n_count,
-        "periodicity_m": mask.geom.periodicity_m,
-        "phases_deg": mask.phases_deg.tolist(),
-    }
-    return json.dumps(doc, indent=2)
+    steers = [Direction(float(a)) for a in codebook_angles(start_deg, stop_deg, step_deg)]
+    bits = _nearfield_bits(geom, feed, steers, wavelength)
+    return Codebook(tuple(CodebookEntry(d, CodingMask(geom, b)) for d, b in zip(steers, bits)))
 
 
 def coding_mask_to_json(mask: CodingMask) -> str:

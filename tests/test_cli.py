@@ -102,6 +102,34 @@ def test_localize_unparseable_truths_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_localize_colliding_truth_files_exit_2(runner, tmp_path):
+    out = tmp_path / "loc"
+    result = runner.invoke(main, ["localize", "--truths", "30,30.0000001", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--truths" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "env, section",
+    [
+        ({"RISIM_SWEEP_NOISE_KIND": "gaussian_db", "RISIM_SWEEP_SIGMA_DB": "nan"}, "sweep"),
+        ({"RISIM_LINK_Q_T": "-5"}, "link"),
+        ({"RISIM_LINK_Q_R": "nan"}, "link"),
+        ({"RISIM_SWEEP_STEP_DEG": "inf"}, "sweep"),
+        ({"RISIM_SWEEP_STEP_DEG": "nan"}, "sweep"),
+        ({"RISIM_SWEEP_STEP_DEG": "1e-9"}, "sweep"),
+    ],
+)
+def test_localize_invalid_env_value_exits_2_naming_section(runner, tmp_path, env, section):
+    result = runner.invoke(
+        main, ["localize", "--truths", "30", "--out", str(tmp_path / "x")], env=env
+    )
+    assert result.exit_code == 2
+    assert f"invalid config section {section}" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_localize_seeded_noise_deterministic(runner, tmp_path):
     noisy = tmp_path / "noisy.yaml"
     noisy.write_text(FULL_SECTIONS.replace("sweep: {}", "sweep: {noise_kind: gaussian_db, sigma_db: 1.0}"))

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,8 +12,6 @@ from risim import (
     element_position,
     euclidean_feed_distance,
     projection_grid,
-    projection_in,
-    projection_out,
     wavelength_from_frequency,
 )
 
@@ -44,37 +41,30 @@ def test_element_position_rejects_bad_indices(board):
 
 def test_projection_in_zero_at_normal_incidence(board):
     for m, n in ((1, 1), (7, 3), (16, 10)):
-        assert projection_in(board, m, n, Direction(0.0)) == 0.0
+        assert projection_grid(board, Direction(0.0))[m - 1, n - 1] == 0.0
 
 
 def test_projection_in_pinned_value(board):
     # p * sin(30) * ((3-1)*cos(0) + 0) = 0.016 * 0.5 * 2
-    assert projection_in(board, 3, 1, Direction(30.0, 0.0)) == pytest.approx(0.016)
+    assert projection_grid(board, Direction(30.0, 0.0))[2, 0] == pytest.approx(0.016)
 
 
 def test_projection_near_grazing_is_finite(board):
-    val = projection_in(board, 16, 10, Direction(90.0 - 1e-9, 123.0))
+    val = projection_grid(board, Direction(90.0 - 1e-9, 123.0))[15, 9]
     assert math.isfinite(val)
 
 
 def test_projection_out_pinned_value(board):
     expected = 0.016 * math.sin(math.radians(45.0))
-    assert projection_out(board, 2, 1, Direction(45.0, 0.0)) == pytest.approx(expected)
+    assert projection_grid(board, Direction(45.0, 0.0))[1, 0] == pytest.approx(expected)
     assert expected == pytest.approx(0.011314, abs=1e-6)
 
 
 def test_projection_out_phi90_depends_only_on_n(board):
     d = Direction(37.0, 90.0)
     for n in (1, 4, 10):
-        vals = {round(projection_out(board, m, n, d), 15) for m in (1, 5, 16)}
+        vals = {round(float(projection_grid(board, d)[m - 1, n - 1]), 15) for m in (1, 5, 16)}
         assert len(vals) == 1
-
-
-def test_projection_in_equals_out_for_same_direction(board):
-    d = Direction(28.0, 213.0)
-    grid_in = projection_grid(board, d)
-    assert np.array_equal(grid_in, projection_grid(board, d))
-    assert projection_in(board, 5, 7, d) == projection_out(board, 5, 7, d)
 
 
 def test_feed_distance_boresight():

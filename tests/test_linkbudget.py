@@ -14,7 +14,7 @@ from risim import (
     PhaseMask,
     Point3,
     element_position,
-    f_combine,
+    euclidean_feed_distance,
     f_combine_grid,
     geometric_accumulation,
     integrate_psd,
@@ -22,7 +22,6 @@ from risim import (
     quantize_1bit,
     received_power,
     required_cascade_mask,
-    rx_distance,
     snr_ceiling,
     unit_cell_gain,
 )
@@ -34,9 +33,9 @@ def bench(cfg):
 
 
 def test_rx_distance_examples():
-    assert rx_distance(Point3(0.0, 0.0, 5.0), Point3(0.0, 0.0, 0.0)) == 5.0
-    assert rx_distance(Point3(3.0, 0.0, 4.0), Point3(0.0, 0.0, 0.0)) == 5.0
-    assert rx_distance(Point3(1.0, 2.0, 3.0), Point3(1.0, 2.0, 3.0)) == 0.0
+    assert euclidean_feed_distance(Point3(0.0, 0.0, 5.0), Point3(0.0, 0.0, 0.0)) == 5.0
+    assert euclidean_feed_distance(Point3(3.0, 0.0, 4.0), Point3(0.0, 0.0, 0.0)) == 5.0
+    assert euclidean_feed_distance(Point3(1.0, 2.0, 3.0), Point3(1.0, 2.0, 3.0)) == 0.0
 
 
 def test_f_combine_range_and_center_dominance(bench):
@@ -46,16 +45,6 @@ def test_f_combine_range_and_center_dominance(bench):
     # the taper peaks near the middle of the aperture, not at a corner
     assert grid[7:9, 4:6].max() > grid[0, 0]
     assert grid[7:9, 4:6].max() > grid[15, 9]
-
-
-def test_f_combine_scalar_matches_grid(bench):
-    grid = f_combine_grid(bench)
-    assert f_combine(bench, 1, 1) == grid[0, 0]
-    assert f_combine(bench, 16, 10) == grid[15, 9]
-    with pytest.raises(DomainError):
-        f_combine(bench, 0, 1)
-    with pytest.raises(DomainError):
-        f_combine(bench, 1, 11)
 
 
 def test_f_combine_single_element_on_axis():
@@ -72,7 +61,7 @@ def test_f_combine_single_element_on_axis():
         gain_tx_dbi=0.0,
         gain_rx_dbi=0.0,
     )
-    assert f_combine(sc, 1, 1) == pytest.approx(1.0, rel=1e-12)
+    assert f_combine_grid(sc)[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert geometric_accumulation(sc) == pytest.approx(1.0 / (0.3 * 5.0), rel=1e-12)
 
 
@@ -101,7 +90,7 @@ def test_required_cascade_mask_cancels_path_phase(bench):
     req = required_cascade_mask(bench)
     k0 = 2 * math.pi / bench.wavelength
     pos = element_position(bench.geom, 3, 7)
-    total = rx_distance(bench.feed, pos) + rx_distance(bench.rx, pos)
+    total = euclidean_feed_distance(bench.feed, pos) + euclidean_feed_distance(bench.rx, pos)
     assert req.phases_deg[2, 6] == pytest.approx(math.degrees(k0 * total) % 360.0, abs=1e-9)
 
 
@@ -305,6 +294,15 @@ def test_scenario_validation():
         LinkScenario(
             geom, Point3(0, 0, 0.3), Point3(0, 0, 5.0), 0.0545, 0.016, 0.016, math.nan, 0.0, 0.0
         )
+
+
+@pytest.mark.parametrize("field", ["q_t", "q_r"])
+@pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+def test_scenario_rejects_bad_horn_exponents(bench, field, value):
+    from dataclasses import replace
+
+    with pytest.raises(DomainError, match="taper exponents"):
+        replace(bench, **{field: value})
 
 
 def test_with_rx_and_with_mask_builders(bench, board):

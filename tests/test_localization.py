@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,12 @@ def test_noise_model_validation():
     with pytest.raises(DomainError):
         NoiseModel("gaussian_db", -0.1)
     assert NoiseModel().kind == "none"
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_noise_model_rejects_non_finite_sigma(sigma):
+    with pytest.raises(DomainError, match="sigma_db"):
+        NoiseModel("gaussian_db", sigma)
 
 
 def test_trace_validation():

@@ -21,6 +21,8 @@ from risim import (
     wrap_deg,
 )
 
+from risim.masks import MAX_CODEBOOK_ENTRIES, codebook_angles
+
 from conftest import LAMBDA_BENCH
 
 
@@ -193,6 +195,24 @@ def test_codebook_rejects_empty_range(board):
         build_codebook(board, feed, LAMBDA_BENCH, 40.0, 30.0, 1.5)
     with pytest.raises(DomainError):
         build_codebook(board, feed, LAMBDA_BENCH, 0.0, 60.0, 0.0)
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, 1e-9])
+def test_codebook_bound_checked_before_allocation(board, monkeypatch, step):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("codebook angles allocated for an out-of-bounds range")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(DomainError, match="codebook"):
+        build_codebook(board, Point3(0.12, 0.072, 0.3), LAMBDA_BENCH, 0.0, 60.0, step)
+
+
+def test_codebook_entry_count_limit_is_exact():
+    assert len(codebook_angles(0.0, MAX_CODEBOOK_ENTRIES - 1.0, 1.0)) == MAX_CODEBOOK_ENTRIES
+    with pytest.raises(DomainError, match="more than"):
+        codebook_angles(0.0, float(MAX_CODEBOOK_ENTRIES), 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        codebook_angles(math.nan, 60.0, 1.5)
 
 
 def test_phase_mask_validation(board):
