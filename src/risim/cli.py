@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -98,20 +100,11 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
             "frequency_hz": cfg.frequency_hz,
         },
     )
+    # strict JSON: metrics a degenerate or delta-like cut leaves undefined are null
+    doc = {"mode": mode, "steer_deg": steer, **asdict(metrics)}
+    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in doc.items()}
     with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "mode": mode,
-                "steer_deg": steer,
-                "main_lobe_deg": metrics.main_lobe_deg,
-                "peak_db_raw": metrics.peak_db_raw,
-                "mirror_lobe_db": metrics.mirror_lobe_db,
-                "sidelobe_level_db": metrics.sidelobe_level_db,
-                "degenerate": metrics.degenerate,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     click.echo(
         f"{mode} cut steered to {steer:g} deg: main lobe {metrics.main_lobe_deg:g} deg, "

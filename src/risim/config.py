@@ -23,7 +23,7 @@ from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import LinkScenario
 from .localization import NoiseModel
 from .masks import Codebook, CodingMask, build_codebook, codebook_angles
-from .patterns import FeedSpec, UnitCellReflection
+from .patterns import FeedSpec, UnitCellReflection, check_exponent
 
 ENV_PREFIX = "RISIM"
 
@@ -334,6 +334,7 @@ def _validate(cfg: ScenarioConfig) -> None:
         ("frequency_hz", lambda: wavelength_from_frequency(cfg.frequency_hz)),
         ("geometry", cfg.array_geometry),
         ("cell", cfg.unit_cell),
+        ("cell", lambda: check_exponent("q_e", cfg.cell.q_e)),
         ("feed", cfg.feed_spec),
         ("link", cfg.link_scenario),
         ("sweep", cfg.noise_model),
@@ -346,8 +347,6 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"invalid config section {section}: {exc}") from exc
     if not (0.0 <= s.start_deg and s.stop_deg < 90.0):
         raise ConfigError("invalid config section sweep: angles must lie in [0, 90)")
-    if cfg.cell.q_e < 0:
-        raise ConfigError("invalid config section cell: q_e must be >= 0")
 
 
 def parse_config(text: str | None = None, env=None) -> ScenarioConfig:

@@ -107,11 +107,8 @@ def rmse(estimates_deg, truths_deg) -> float:
 
 def write_sweep_csv(trace: SweepTrace, path, comments: dict | None = None) -> None:
     """CSV trace: `#`-prefixed context lines, then steer_deg,rssi_dbm rows."""
-    lines = []
-    for key, value in (comments or {}).items():
-        lines.append(f"# {key} = {value}")
+    lines = [f"# {key} = {value}" for key, value in (comments or {}).items()]
     lines.append("steer_deg,rssi_dbm")
-    for angle, rssi in zip(trace.steer_deg, trace.rssi_dbm):
-        lines.append(f"{angle:.4f},{rssi:.9f}")
+    lines.extend(map("%.4f,%.9f".__mod__, zip(trace.steer_deg.tolist(), trace.rssi_dbm.tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

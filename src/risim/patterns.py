@@ -34,6 +34,9 @@ class UnitCellReflection:
         for mag in (self.magnitude_state0, self.magnitude_state1):
             if not (0.0 < mag <= 1.0):
                 raise DomainError(f"reflection magnitude must be in (0, 1], got {mag}")
+        for phase in (self.phase_state0_deg, self.phase_state1_deg):
+            if not math.isfinite(phase):
+                raise DomainError(f"reflection phase must be finite, got {phase}")
 
     @classmethod
     def measured(cls) -> "UnitCellReflection":
@@ -47,6 +50,12 @@ class UnitCellReflection:
         return complex(c0), complex(c1)
 
 
+def check_exponent(name: str, value: float) -> None:
+    """Cosine-power taper exponents (feed q_f, element q_e) are finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class FeedSpec:
     """Feed phase center and its cosine-power illumination exponent."""
@@ -57,8 +66,7 @@ class FeedSpec:
     def __post_init__(self) -> None:
         if not (self.position.z > 0):
             raise DomainError(f"feed must sit off the surface (z > 0), got z={self.position.z}")
-        if self.q_f < 0:
-            raise DomainError(f"q_f must be >= 0, got {self.q_f}")
+        check_exponent("q_f", self.q_f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,20 +132,27 @@ def _normalize(phi_plane_deg: float, theta_deg: np.ndarray, field: np.ndarray) -
     return PatternCut(phi_plane_deg, theta_deg, field, gain_db)
 
 
-def _observation_phase(
-    geom: ArrayGeometry, phi_plane_deg: float, theta_deg: np.ndarray, wavelength: float
+def _cut_field(
+    geom: ArrayGeometry, phi_plane_deg: float, theta: np.ndarray, wavelength: float, base
 ) -> np.ndarray:
-    """k0 * (observation projection) for every (theta sample, element).
+    """Per theta, the sum over elements of base * exp(j k0 sin(theta) w),
+    w being the element's coordinate along the cut plane.
 
-    Shape (T, M*N). Signed theta enters through sin(theta), so the
-    symmetric half of the cut is the exact floating-point mirror.
+    The complex exp runs once per distinct w (16 on the phi = 0 cut of the
+    16x10 board); np.take gathers it back to a C-contiguous (T, M*N) array,
+    so every element's exp input, product and row-sum order, and thus every
+    bit, match the dense formula. Product plus row sum (no matmul) keeps
+    cuts partition-independent; signed theta enters through sin(theta), so
+    the symmetric half of the cut is the exact floating-point mirror.
     """
     k0 = 2 * np.pi / wavelength
     ph = math.radians(phi_plane_deg)
     X, Y = element_grid(geom)
-    w = (X * math.cos(ph) + Y * math.sin(ph)).ravel()
-    sin_t = np.sin(np.radians(np.asarray(theta_deg, dtype=float)))
-    return k0 * sin_t[:, None] * w[None, :]
+    w, inv = np.unique((X * math.cos(ph) + Y * math.sin(ph)).ravel(), return_inverse=True)
+    sin_t = np.sin(np.radians(theta))
+    terms = np.take(np.exp(1j * (k0 * sin_t[:, None] * w[None, :])), inv, axis=1)
+    terms *= base
+    return terms.sum(axis=1)
 
 
 def array_factor_far(
@@ -153,7 +168,8 @@ def array_factor_far(
     incidence, evaluated along one azimuth cut.
 
     Each element contributes its reflection coefficient times the path
-    phase k0*(incidence projection - observation projection).
+    phase k0*(incidence projection - observation projection); the sum runs
+    in _cut_field, the cut kernel shared with pattern_nearfield.
     """
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
@@ -166,10 +182,7 @@ def array_factor_far(
     coeff = _mask_coefficients(mask, cell).ravel()
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
-    obs = _observation_phase(geom, phi_plane_deg, theta, wavelength)
-    # elementwise product + per-row sum keeps the reduction partition-
-    # independent (bit-identical under any grid split), unlike a matmul
-    field = (np.exp(1j * obs) * base[None, :]).sum(axis=1)
+    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base)
     return _normalize(phi_plane_deg, theta, field)
 
 
@@ -196,14 +209,14 @@ def pattern_nearfield(
     once for the aperture and once for the per-element observation angle,
     which coincide for a distant observer) times cos(theta_feed)^q_f / r
     (feed illumination and spherical spreading) times its reflection
-    coefficient and the path phase k0*(r - observation projection).
+    coefficient and the path phase k0*(r - observation projection). The sum
+    runs in _cut_field, the cut kernel shared with array_factor_far.
     """
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     if mask.geom != geom:
         raise DomainError("mask geometry does not match the array geometry")
-    if q_e < 0:
-        raise DomainError(f"q_e must be >= 0, got {q_e}")
+    check_exponent("q_e", q_e)
     theta = np.asarray(theta_grid_deg, dtype=float)
     if theta.size == 0:
         raise DomainError("theta grid must be nonempty")
@@ -213,8 +226,7 @@ def pattern_nearfield(
     amp = (cos_feed**feed.q_f) / r_feed
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
-    obs = _observation_phase(geom, phi_plane_deg, theta, wavelength)
-    field = (np.exp(1j * obs) * base[None, :]).sum(axis=1)
+    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base)
     envelope = np.clip(np.cos(np.radians(theta)), 0.0, None) ** (2.0 * q_e)
     return _normalize(phi_plane_deg, theta, envelope * field)
 
@@ -261,11 +273,10 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
 
 def write_pattern_csv(cut: PatternCut, path, comments: dict | None = None) -> None:
     """CSV cut: `#`-prefixed context lines, then theta_deg,gain_db,re,im rows."""
-    lines = []
-    for key, value in (comments or {}).items():
-        lines.append(f"# {key} = {value}")
+    lines = [f"# {key} = {value}" for key, value in (comments or {}).items()]
     lines.append("theta_deg,gain_db,re,im")
-    for th, g, f in zip(cut.theta_deg, cut.gain_db, cut.field):
-        lines.append(f"{th:.4f},{g:.6f},{f.real:.9e},{f.imag:.9e}")
+    f = cut.field
+    rows = zip(cut.theta_deg.tolist(), cut.gain_db.tolist(), f.real.tolist(), f.imag.tolist())
+    lines.extend(map("%.4f,%.6f,%.9e,%.9e".__mod__, rows))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -76,6 +76,46 @@ def test_bad_config_exits_2(runner, tmp_path):
     assert "missing config section: geometry" in result.stderr
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "env, mode, section",
+    [
+        ({"RISIM_CELL_Q_E": "nan"}, "near", "cell"),
+        ({"RISIM_FEED_Q_F": "nan"}, "near", "feed"),
+        ({"RISIM_CELL_PHASE_STATE1_DEG": "nan"}, "far", "cell"),
+        ({"RISIM_CELL_PHASE_STATE1_DEG": "nan"}, "near", "cell"),
+    ],
+)
+def test_pattern_nan_taper_or_phase_exits_2_naming_section(runner, tmp_path, env, mode, section):
+    out = tmp_path / "cut.csv"
+    result = runner.invoke(main, ["pattern", "--mode", mode, "--out", str(out)], env=env)
+    assert result.exit_code == 2
+    assert f"invalid config section {section}" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["far", "near"])
+def test_pattern_single_element_metrics_are_strict_json(runner, tmp_path, mode):
+    # a 1x1 far cut is flat (degenerate, NaN metrics); the 1x1 near cut is
+    # a single lobe with no sidelobe (-inf): both must be written as null
+    one = tmp_path / "one.yaml"
+    one.write_text(FULL_SECTIONS.replace("geometry: {}", "geometry: {m_count: 1, n_count: 1}"))
+    out = tmp_path / "one.csv"
+    result = invoke(runner, "pattern", "--config", str(one), "--mode", mode, "--out", str(out))
+    assert result.exit_code == 0
+    doc = strict_json((tmp_path / "one.metrics.json").read_text())
+    assert doc["sidelobe_level_db"] is None
+    assert doc["degenerate"] is (mode == "far")
+    if mode == "far":
+        assert doc["main_lobe_deg"] is None and doc["mirror_lobe_db"] is None
+
+
 def test_localize_noiseless_exact(runner, tmp_path):
     out = tmp_path / "loc"
     result = invoke(runner, "localize", "--truths", "30,45", "--out", str(out))

@@ -1,0 +1,205 @@
+"""Bit-exact equivalence of the shared cut kernel and the CSV writers.
+
+Far and near cuts evaluate one complex exponential per distinct in-plane
+element coordinate and gather it back to every element. Each field sample
+must equal a test-local copy (oracle) of the dense (T, M*N) formula the
+kernel replaced, bit for bit, and the writers must emit the bytes of the
+per-row f-string formatters they replaced.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from risim import (
+    ArrayGeometry,
+    CodingMask,
+    Direction,
+    FeedSpec,
+    PatternCut,
+    PhaseMask,
+    Point3,
+    SweepTrace,
+    UnitCellReflection,
+    array_factor_far,
+    default_theta_grid,
+    distance_grid,
+    element_grid,
+    farfield_steering_mask,
+    nearfield_steering_mask,
+    pattern_nearfield,
+    projection_grid,
+    write_pattern_csv,
+    write_sweep_csv,
+)
+from risim.patterns import _cut_field, _mask_coefficients
+
+from conftest import LAMBDA_BENCH
+
+GRID = default_theta_grid()
+CELL = UnitCellReflection.measured()
+
+
+def oracle_cut_field(geom, phi_plane_deg, theta, wavelength, base):
+    """Dense per-(theta, element) phase, exp and row sum, as computed before
+    the shared kernel."""
+    k0 = 2 * np.pi / wavelength
+    ph = math.radians(phi_plane_deg)
+    X, Y = element_grid(geom)
+    w = (X * math.cos(ph) + Y * math.sin(ph)).ravel()
+    sin_t = np.sin(np.radians(np.asarray(theta, dtype=float)))
+    obs = k0 * sin_t[:, None] * w[None, :]
+    return (np.exp(1j * obs) * base[None, :]).sum(axis=1)
+
+
+def far_base(geom, mask, incidence, wavelength):
+    k0 = 2 * np.pi / wavelength
+    coeff = _mask_coefficients(mask, CELL).ravel()
+    return coeff * np.exp(-1j * k0 * projection_grid(geom, incidence).ravel())
+
+
+def near_base(geom, mask, feed, wavelength):
+    k0 = 2 * np.pi / wavelength
+    r = distance_grid(geom, feed.position)
+    amp = (feed.position.z / r) ** feed.q_f / r
+    return (amp * _mask_coefficients(mask, CELL) * np.exp(-1j * k0 * r)).ravel()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def old_pattern_csv(cut, comments):
+    lines = [f"# {key} = {value}" for key, value in comments.items()]
+    lines.append("theta_deg,gain_db,re,im")
+    for th, g, f in zip(cut.theta_deg, cut.gain_db, cut.field):
+        lines.append(f"{th:.4f},{g:.6f},{f.real:.9e},{f.imag:.9e}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def old_sweep_csv(trace, comments):
+    lines = [f"# {key} = {value}" for key, value in comments.items()]
+    lines.append("steer_deg,rssi_dbm")
+    for angle, rssi in zip(trace.steer_deg, trace.rssi_dbm):
+        lines.append(f"{angle:.4f},{rssi:.9f}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+phis = st.one_of(st.sampled_from([0.0, 90.0]), st.floats(min_value=0.0, max_value=359.9))
+
+
+@st.composite
+def cut_cases(draw):
+    edge_shapes = st.sampled_from([(1, 1), (1, 10), (16, 1), (16, 10)])
+    m, n = draw(edge_shapes | st.tuples(st.integers(1, 24), st.integers(1, 24)))
+    geom = ArrayGeometry(m, n, draw(st.floats(min_value=0.004, max_value=0.05)))
+    seed = draw(st.integers(min_value=0, max_value=2**30 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        mask = CodingMask(geom, rng.integers(0, 2, (m, n), dtype=np.uint8))
+    else:
+        mask = PhaseMask(geom, rng.uniform(0.0, 360.0, (m, n)))
+    # a sorted random subset of the signed grid, at least one sample
+    keep = rng.random(GRID.size) < draw(st.floats(min_value=0.0, max_value=1.0))
+    keep[rng.integers(GRID.size)] = True
+    return geom, mask, draw(phis), GRID[keep], rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cut_cases(), incidence=st.floats(min_value=0.0, max_value=80.0))
+def test_far_cut_equals_dense_oracle(case, incidence):
+    geom, mask, phi, theta, _ = case
+    inc = Direction(incidence, 30.0)
+    cut = array_factor_far(geom, mask, CELL, inc, phi, theta, LAMBDA_BENCH)
+    oracle = oracle_cut_field(geom, phi, theta, LAMBDA_BENCH, far_base(geom, mask, inc, LAMBDA_BENCH))
+    assert same_bits(cut.field, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=cut_cases(),
+    feed_z=st.floats(min_value=0.05, max_value=2.0),
+    q_f=st.floats(min_value=0.0, max_value=10.0),
+    q_e=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_near_cut_equals_dense_oracle(case, feed_z, q_f, q_e):
+    geom, mask, phi, theta, _ = case
+    feed = FeedSpec(Point3(0.1, 0.05, feed_z), q_f)
+    cut = pattern_nearfield(geom, mask, CELL, feed, q_e, phi, theta, LAMBDA_BENCH)
+    field = oracle_cut_field(geom, phi, theta, LAMBDA_BENCH, near_base(geom, mask, feed, LAMBDA_BENCH))
+    envelope = np.clip(np.cos(np.radians(theta)), 0.0, None) ** (2.0 * q_e)
+    assert same_bits(cut.field, envelope * field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cut_cases())
+def test_kernel_rows_are_partition_independent(case):
+    # any theta order or subset gives every sample the same bits
+    geom, mask, phi, theta, rng = case
+    base = far_base(geom, mask, Direction(20.0), LAMBDA_BENCH)
+    perm = rng.permutation(theta.size)
+    shuffled = _cut_field(geom, phi, theta[perm], LAMBDA_BENCH, base)
+    assert same_bits(shuffled, oracle_cut_field(geom, phi, theta[perm], LAMBDA_BENCH, base))
+    assert same_bits(shuffled, _cut_field(geom, phi, theta, LAMBDA_BENCH, base)[perm])
+
+
+def test_board_cuts_equal_dense_oracle(board, cfg):
+    # the CLI's own cuts: the 16x10 board, full grid, far and near steering
+    # masks. A deterministic guard against gathering with rot[:, inv]: that
+    # array is not C-contiguous, so its row sums round differently.
+    feed = cfg.feed_spec()
+    for steer in (Direction(0.0), Direction(30.0), Direction(45.0, 180.0)):
+        far = farfield_steering_mask(board, steer, LAMBDA_BENCH)
+        cut = array_factor_far(board, far, CELL, Direction(0.0), 0.0, GRID, LAMBDA_BENCH)
+        base = far_base(board, far, Direction(0.0), LAMBDA_BENCH)
+        assert same_bits(cut.field, oracle_cut_field(board, 0.0, GRID, LAMBDA_BENCH, base))
+        near = nearfield_steering_mask(board, feed.position, steer, LAMBDA_BENCH)
+        cut = pattern_nearfield(board, near, CELL, feed, 0.0, 0.0, GRID, LAMBDA_BENCH)
+        base = near_base(board, near, feed, LAMBDA_BENCH)
+        assert same_bits(cut.field, oracle_cut_field(board, 0.0, GRID, LAMBDA_BENCH, base))
+
+
+SPECIAL = [-math.inf, math.nan, -0.0, 0.0, 1e-300, -123.4567891, 5e5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gain=st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True), min_size=1, max_size=40),
+    parts=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=80, max_size=80),
+)
+def test_pattern_csv_bytes_equal_fstring_formatter(tmp_path_factory, gain, parts):
+    theta = np.linspace(-90.0, 90.0, len(gain))
+    field = np.array(parts[: 2 * len(gain)], dtype=float).view(complex)
+    cut = PatternCut(0.0, theta, field, np.array(gain))
+    comments = {"mode": "far", "steer_deg": -0.0, "frequency_hz": 5.5e9}
+    path = tmp_path_factory.mktemp("cut") / "cut.csv"
+    write_pattern_csv(cut, path, comments)
+    assert path.read_bytes() == old_pattern_csv(cut, comments)
+
+
+def test_pattern_csv_special_values(tmp_path):
+    theta = np.array([-90.0, -0.0, 45.5])
+    field = np.array([complex(-0.0, -0.0), complex(math.nan, math.inf), complex(-math.inf, 1e-310)])
+    cut = PatternCut(0.0, theta, field, np.array([-math.inf, math.nan, -0.0]))
+    write_pattern_csv(cut, tmp_path / "c.csv")
+    rows = (tmp_path / "c.csv").read_text().splitlines()
+    assert rows[1:] == [
+        "-90.0000,-inf,-0.000000000e+00,-0.000000000e+00",
+        "-0.0000,nan,nan,inf",
+        "45.5000,-0.000000,-inf,1.000000000e-310",
+    ]
+    assert (tmp_path / "c.csv").read_bytes() == old_pattern_csv(cut, {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    angles=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=40),
+    rssi=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=40, max_size=40),
+)
+def test_sweep_csv_bytes_equal_fstring_formatter(tmp_path_factory, angles, rssi):
+    trace = SweepTrace(np.array(angles), np.array(rssi[: len(angles)]))
+    comments = {"truth_deg": 30.0, "seed": 3, "noise": "none (sigma_db=0)"}
+    path = tmp_path_factory.mktemp("sweep") / "trace.csv"
+    write_sweep_csv(trace, path, comments)
+    assert path.read_bytes() == old_sweep_csv(trace, comments)

@@ -232,9 +232,24 @@ def test_cell_validation_and_measured_preset():
         UnitCellReflection(magnitude_state0=0.0)
     with pytest.raises(DomainError):
         UnitCellReflection(magnitude_state1=1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="phase must be finite"):
+            UnitCellReflection(phase_state0_deg=bad)
+        with pytest.raises(DomainError, match="phase must be finite"):
+            UnitCellReflection(phase_state1_deg=bad)
     measured = UnitCellReflection.measured()
     assert 20 * math.log10(measured.magnitude_state0) == pytest.approx(-3.0)
     assert measured.phase_state1_deg != 180.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_taper_exponents_rejected_unless_finite_nonnegative(board, bad):
+    with pytest.raises(DomainError, match="q_f must be finite and >= 0"):
+        FeedSpec(Point3(0.12, 0.072, 0.3), q_f=bad)
+    mask = CodingMask(board, np.zeros((16, 10), dtype=np.uint8))
+    feed = FeedSpec(Point3(0.12, 0.072, 0.3))
+    with pytest.raises(DomainError, match="q_e must be finite and >= 0"):
+        pattern_nearfield(board, mask, CELL, feed, bad, 0.0, GRID, LAMBDA_BENCH)
 
 
 def test_state_magnitudes_scale_pattern(board):
