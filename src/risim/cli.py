@@ -116,7 +116,7 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
 @main.command("localize")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Scenario YAML.")
 @click.option("--truths", default="30,45", show_default=True, help="Comma-separated true angles.")
-@click.option("--seed", type=int, default=None, help="Override the sweep seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the sweep seed.")
 @click.option("--out", default="localize", show_default=True, help="Output base path.")
 @_workflow
 def cmd_localize(config_path, truths, seed, out) -> None:

@@ -1,5 +1,6 @@
-"""Scenario configuration: YAML sections with defaults, strict unknown-key
-rejection, and environment-variable overrides.
+"""Scenario configuration. DEFAULTS is the one schema: a key's type comes from
+its default value and its RISIM_<SECTION>_<KEY> override name from its path;
+YAML keys and RISIM_* names outside it are rejected.
 
 A bare run (no file) uses the built-in defaults, which reproduce the
 reference bench setup: 5.5 GHz, 16x10 cells at 16 mm pitch, feed 0.3 m
@@ -11,7 +12,6 @@ keys inside a section are optional and default-filled.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -20,14 +20,12 @@ import yaml
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
-from .linkbudget import LinkScenario
+from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario
 from .localization import NoiseModel
 from .masks import Codebook, CodingMask, build_codebook, codebook_angles
 from .patterns import FeedSpec, UnitCellReflection, check_exponent
 
 ENV_PREFIX = "RISIM"
-
-SECTION_NAMES = ("geometry", "cell", "feed", "link", "sweep")
 
 DEFAULTS = {
     "frequency_hz": 5.5e9,
@@ -53,7 +51,7 @@ DEFAULTS = {
         "q_t": 7.0,
         "q_r": 7.0,
         "include_hardware_loss": False,
-        "hardware_loss_db": {"dielectric_and_diode": 3.0, "cables": 6.87},
+        "hardware_loss_db": dict(DEFAULT_HARDWARE_LOSS_DB),
     },
     "sweep": {
         "start_deg": 0.0,
@@ -64,12 +62,6 @@ DEFAULTS = {
         "seed": 0,
     },
 }
-
-_INT_KEYS = {("geometry", "m_count"), ("geometry", "n_count"), ("sweep", "seed")}
-_BOOL_KEYS = {("link", "include_hardware_loss")}
-_STR_KEYS = {("sweep", "noise_kind")}
-_VEC3_KEYS = {("feed", "position_m"), ("link", "rx_position_m")}
-_DICT_KEYS = {("link", "hardware_loss_db")}
 
 
 @dataclass(frozen=True)
@@ -155,14 +147,11 @@ class ScenarioConfig:
         return NoiseModel(self.sweep.noise_kind, self.sweep.sigma_db)
 
     def link_scenario(self, mask: CodingMask | None = None) -> LinkScenario:
-        p = self.geometry.periodicity_m
         return LinkScenario(
             geom=self.array_geometry(),
             feed=Point3(*self.feed.position_m),
             rx=self.rx_point(),
             wavelength=self.wavelength,
-            cell_dx=p,
-            cell_dy=p,
             tx_power_dbm=self.link.tx_power_dbm,
             gain_tx_dbi=self.link.gain_tx_dbi,
             gain_rx_dbi=self.link.gain_rx_dbi,
@@ -187,141 +176,101 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc["feed"]["position_m"] = list(doc["feed"]["position_m"])
-        doc["link"]["rx_position_m"] = list(doc["link"]["rx_position_m"])
-        doc["link"]["hardware_loss_db"] = dict(doc["link"]["hardware_loss_db"])
+        for name in _SECTIONS:
+            for key, value in doc[name].items():
+                if isinstance(value, tuple):  # back to the default's list or map
+                    doc[name][key] = type(DEFAULTS[name][key])(value)
         return doc
 
 
-def _require_number(path: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {path} must be a number, got {value!r}")
+_SECTIONS = dict(
+    geometry=GeometryConfig, cell=CellConfig, feed=FeedConfig, link=LinkConfig, sweep=SweepConfig
+)
+
+
+def _copy(doc: dict) -> dict:
+    """Copy of a document's mappings; lists are replaced, never mutated."""
+    return {k: _copy(v) if isinstance(v, dict) else v for k, v in doc.items()}
+
+
+def _check(path: str, default, value):
+    """Check a YAML value, or a parsed environment string, against its default's type."""
+    kind = type(default)
+    if kind in (bool, int, str):  # exact types: True is not an integer
+        if type(value) is not kind:
+            name = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
+            raise ConfigError(f"{path} must be {name}, got {value!r}")
+        return value
+    if kind is list:
+        if not isinstance(value, list) or len(value) != 3:
+            raise ConfigError(f"{path} must be a 3-element list, got {value!r}")
+        return [_check(f"{path}[{i}]", 0.0, v) for i, v in enumerate(value)]
+    if kind is dict:
+        if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+            raise ConfigError(f"{path} must map loss names to dB values")
+        return {k: _check(f"{path}.{k}", 0.0, v) for k, v in value.items()}
+    if type(value) not in (int, float):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
     return float(value)
 
 
-def _require_int(path: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {path} must be an integer, got {value!r}")
-    return value
+_BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False
+)
 
 
-def _require_bool(path: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {path} must be a boolean, got {value!r}")
-    return value
-
-
-def _require_vec3(path: str, value) -> list:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"config key {path} must be a 3-element list, got {value!r}")
-    return [_require_number(f"{path}[{i}]", v) for i, v in enumerate(value)]
-
-
-def _require_loss_dict(path: str, value) -> dict:
-    if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
-        raise ConfigError(f"config key {path} must map loss names to dB values")
-    return {k: _require_number(f"{path}.{k}", v) for k, v in value.items()}
-
-
-def _merge_section(section: str, defaults: dict, supplied: dict) -> dict:
-    if not isinstance(supplied, dict):
-        raise ConfigError(f"config section {section} must be a mapping")
-    merged = copy.deepcopy(defaults)
-    for key, value in supplied.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {section}.{key}")
-        path = (section, key)
-        if path in _DICT_KEYS:
-            merged[key] = _require_loss_dict(f"{section}.{key}", value)
-        elif path in _VEC3_KEYS:
-            merged[key] = _require_vec3(f"{section}.{key}", value)
-        elif path in _INT_KEYS:
-            merged[key] = _require_int(f"{section}.{key}", value)
-        elif path in _BOOL_KEYS:
-            merged[key] = _require_bool(f"{section}.{key}", value)
-        elif path in _STR_KEYS:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {section}.{key} must be a string")
-            merged[key] = value
-        else:
-            merged[key] = _require_number(f"{section}.{key}", value)
-    return merged
-
-
-def _parse_env_value(name: str, raw: str, kind: str):
+def _from_env(name: str, raw: str, default):
+    """Parse an environment string into the type of its default."""
+    kind = type(default)
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "vec3":
-            parts = [float(p) for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ValueError("expected 3 comma-separated numbers")
-            return parts
-        return raw
+        if kind is bool:
+            value = _BOOL_WORDS.get(raw.strip().lower())
+            if value is None:
+                raise ValueError(f"not a boolean: {raw!r}")
+        elif kind is list:
+            value = [float(p) for p in raw.split(",")]
+        else:
+            value = kind(raw)  # int, float or str
     except ValueError as exc:
         raise ConfigError(f"environment override {name} is invalid: {exc}") from exc
+    return _check(f"environment override {name}", default, value)
+
+
+def _overrides(doc: dict, prefix: str = ENV_PREFIX):
+    """(env name, mapping, key) for every value of a resolved document:
+    each key, and each ledger item, including items a YAML file added."""
+    for key, value in doc.items():
+        name = f"{prefix}_{key}".upper()
+        if isinstance(value, dict):
+            yield from _overrides(value, name)
+        else:
+            yield name, doc, key
 
 
 def _apply_env(doc: dict, env) -> None:
-    name = f"{ENV_PREFIX}_FREQUENCY_HZ"
-    if name in env:
-        doc["frequency_hz"] = _parse_env_value(name, env[name], "float")
-    for section in SECTION_NAMES:
-        for key in DEFAULTS[section]:
-            path = (section, key)
-            name = f"{ENV_PREFIX}_{section}_{key}".upper()
-            if path in _DICT_KEYS:
-                for item in doc[section][key]:
-                    item_name = f"{name}_{item}".upper()
-                    if item_name in env:
-                        doc[section][key][item] = _parse_env_value(
-                            item_name, env[item_name], "float"
-                        )
-                continue
-            if name not in env:
-                continue
-            if path in _INT_KEYS:
-                kind = "int"
-            elif path in _BOOL_KEYS:
-                kind = "bool"
-            elif path in _VEC3_KEYS:
-                kind = "vec3"
-            elif path in _STR_KEYS:
-                kind = "str"
-            else:
-                kind = "float"
-            doc[section][key] = _parse_env_value(name, env[name], kind)
+    """Apply RISIM_* overrides; any other RISIM_* name is a typo and an error.
+    A resolved value has its default's type, so it tells _from_env the kind."""
+    targets = {name: (mapping, key) for name, mapping, key in _overrides(doc)}
+    for name in sorted(n for n in env if n.startswith(f"{ENV_PREFIX}_")):
+        if name not in targets:
+            raise ConfigError(f"unknown environment override {name}")
+        mapping, key = targets[name]
+        mapping[key] = _from_env(name, env[name], mapping[key])
+
+
+def _frozen(value):
+    """Dataclass form of a resolved value: lists become tuples, maps (name, value) pairs."""
+    if isinstance(value, (list, dict)):
+        return tuple(value.items() if isinstance(value, dict) else value)
+    return value
 
 
 def _build(doc: dict) -> ScenarioConfig:
-    link = doc["link"]
-    cfg = ScenarioConfig(
-        frequency_hz=_require_number("frequency_hz", doc["frequency_hz"]),
-        geometry=GeometryConfig(**doc["geometry"]),
-        cell=CellConfig(**doc["cell"]),
-        feed=FeedConfig(tuple(doc["feed"]["position_m"]), doc["feed"]["q_f"]),
-        link=LinkConfig(
-            tx_power_dbm=link["tx_power_dbm"],
-            gain_tx_dbi=link["gain_tx_dbi"],
-            gain_rx_dbi=link["gain_rx_dbi"],
-            noise_floor_dbm=link["noise_floor_dbm"],
-            rx_position_m=tuple(link["rx_position_m"]),
-            q_t=link["q_t"],
-            q_r=link["q_r"],
-            include_hardware_loss=link["include_hardware_loss"],
-            hardware_loss_db=tuple(link["hardware_loss_db"].items()),
-        ),
-        sweep=SweepConfig(**doc["sweep"]),
-    )
+    sections = {
+        name: cls(**{k: _frozen(v) for k, v in doc[name].items()})
+        for name, cls in _SECTIONS.items()
+    }
+    cfg = ScenarioConfig(frequency_hz=doc["frequency_hz"], **sections)
     _validate(cfg)
     return cfg
 
@@ -347,12 +296,14 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"invalid config section {section}: {exc}") from exc
     if not (0.0 <= s.start_deg and s.stop_deg < 90.0):
         raise ConfigError("invalid config section sweep: angles must lie in [0, 90)")
+    if s.seed < 0:
+        raise ConfigError(f"invalid config section sweep: seed must be >= 0, got {s.seed}")
 
 
 def parse_config(text: str | None = None, env=None) -> ScenarioConfig:
     """Resolve a configuration from YAML text (None for pure defaults),
     then apply environment overrides (RISIM_<SECTION>_<KEY>)."""
-    doc = copy.deepcopy(DEFAULTS)
+    doc = _copy(DEFAULTS)
     if text is not None:
         try:
             supplied = yaml.safe_load(text)
@@ -362,15 +313,21 @@ def parse_config(text: str | None = None, env=None) -> ScenarioConfig:
             supplied = {}
         if not isinstance(supplied, dict):
             raise ConfigError("config document must be a mapping of sections")
-        for key in supplied:
-            if key != "frequency_hz" and key not in SECTION_NAMES:
+        for key, value in supplied.items():
+            if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key: {key}")
-        for section in SECTION_NAMES:
+            if key not in _SECTIONS:
+                doc[key] = _check(f"config key {key}", DEFAULTS[key], value)
+        for section in _SECTIONS:
             if section not in supplied:
                 raise ConfigError(f"missing config section: {section}")
-            doc[section] = _merge_section(section, DEFAULTS[section], supplied[section])
-        if "frequency_hz" in supplied:
-            doc["frequency_hz"] = _require_number("frequency_hz", supplied["frequency_hz"])
+            if not isinstance(supplied[section], dict):
+                raise ConfigError(f"config section {section} must be a mapping")
+            for key, value in supplied[section].items():
+                if key not in DEFAULTS[section]:
+                    raise ConfigError(f"unknown config key: {section}.{key}")
+                path = f"config key {section}.{key}"
+                doc[section][key] = _check(path, DEFAULTS[section][key], value)
     _apply_env(doc, env if env is not None else os.environ)
     return _build(doc)
 

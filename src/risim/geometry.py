@@ -105,9 +105,6 @@ class Point3:
             if not math.isfinite(v):
                 raise DomainError(f"coordinates must be finite, got {self!r}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def element_position(geom: ArrayGeometry, m: int, n: int) -> Point3:
     """Position of element (m, n), 1-based, corner origin."""

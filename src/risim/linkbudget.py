@@ -40,8 +40,6 @@ class LinkScenario:
     feed: Point3
     rx: Point3
     wavelength: float
-    cell_dx: float
-    cell_dy: float
     tx_power_dbm: float
     gain_tx_dbi: float
     gain_rx_dbi: float
@@ -55,18 +53,18 @@ class LinkScenario:
     )
 
     def __post_init__(self) -> None:
-        if not (self.wavelength > 0 and self.cell_dx > 0 and self.cell_dy > 0):
-            raise DomainError("wavelength and cell dimensions must be > 0")
+        if not self.wavelength > 0:
+            raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
         if not (self.feed.z > 0 and self.rx.z > 0):
             raise DomainError("feed and rx must sit off the surface (z > 0)")
-        for v in (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm):
-            if not math.isfinite(v):
-                raise DomainError("powers and gains must be finite")
+        object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
+        powers = (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm)
+        if not all(map(math.isfinite, (*powers, *self.hardware_loss_db.values()))):
+            raise DomainError("powers, gains and hardware loss items must be finite")
         if not all(math.isfinite(q) and q >= 0 for q in (self.q_t, self.q_r)):
             raise DomainError(
                 f"horn taper exponents must be finite and >= 0, got q_t={self.q_t}, q_r={self.q_r}"
             )
-        object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
         return replace(self, mask=mask)
@@ -181,11 +179,20 @@ def phase_error_loss(required: PhaseMask, applied: CodingMask) -> float:
     return float(20.0 * np.log10(abs(mean))) if abs(mean) > 0 else -math.inf
 
 
+def _log10(quantity: str, ratio: float) -> float:
+    """log10 of a power ratio, which must be a positive finite float."""
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"{quantity} leaves the float range (power ratio {ratio!r})")
+    return math.log10(ratio)
+
+
 def unit_cell_gain(cell_dx: float, cell_dy: float, wavelength: float) -> float:
     """Effective aperture gain of one unit cell, dBi: 4*pi*dx*dy/lambda^2."""
     if not (cell_dx > 0 and cell_dy > 0 and wavelength > 0):
         raise DomainError("cell dimensions and wavelength must be > 0")
-    return 10.0 * math.log10(4 * math.pi * cell_dx * cell_dy / wavelength**2)
+    area = wavelength**2  # 0.0 once the square underflows
+    ratio = 4 * math.pi * cell_dx * cell_dy / area if area else math.inf
+    return 10.0 * _log10("unit cell gain", ratio)
 
 
 def snr_ceiling(received_dbm: float, noise_floor_dbm: float) -> float:
@@ -205,20 +212,25 @@ def integrate_psd(psd_per_subcarrier_dbm: float, n_subcarriers: int) -> float:
 def _received_dbm(scenario: LinkScenario, lpe_db: float, accs) -> list[float]:
     """Received power, dBm, for each accumulation: linear-domain evaluation
     of the printed product formula."""
-    gu_db = unit_cell_gain(scenario.cell_dx, scenario.cell_dy, scenario.wavelength)
+    p = scenario.geom.periodicity_m
+    gu_db = unit_cell_gain(p, p, scenario.wavelength)
     hw_db = -sum(scenario.hardware_loss_db.values()) if scenario.include_hardware_loss else 0
-    scale = (
-        10.0 ** (scenario.tx_power_dbm / 10.0)
-        * 10.0 ** (scenario.gain_tx_dbi / 10.0)
-        * 10.0 ** (scenario.gain_rx_dbi / 10.0)
-        * (10.0 ** (gu_db / 10.0)) ** 2
-        * scenario.wavelength**2
-        * scenario.cell_dx
-        * scenario.cell_dy
-        / (64 * math.pi**3)
-        * 10.0 ** (lpe_db / 10.0)
-    )
-    return [10.0 * math.log10(scale * acc**2 * 10.0 ** (hw_db / 10.0)) for acc in accs]
+    try:
+        scale = (
+            10.0 ** (scenario.tx_power_dbm / 10.0)
+            * 10.0 ** (scenario.gain_tx_dbi / 10.0)
+            * 10.0 ** (scenario.gain_rx_dbi / 10.0)
+            * (10.0 ** (gu_db / 10.0)) ** 2
+            * scenario.wavelength**2
+            * p
+            * p
+            / (64 * math.pi**3)
+            * 10.0 ** (lpe_db / 10.0)
+        )
+        powers = [scale * acc**2 * 10.0 ** (hw_db / 10.0) for acc in accs]
+    except OverflowError:
+        powers = [math.inf]  # rejected below like any out-of-range ratio
+    return [10.0 * _log10("received power", pw) for pw in powers]
 
 
 def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarray:
@@ -260,10 +272,9 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         elif quantization == "mask":
             lpe_db = phase_error_loss(required_cascade_mask(scenario), scenario.mask)
 
-    gu_db = unit_cell_gain(scenario.cell_dx, scenario.cell_dy, scenario.wavelength)
-    spreading_db = 10.0 * math.log10(
-        scenario.wavelength**2 * scenario.cell_dx * scenario.cell_dy / (64 * math.pi**3)
-    )
+    p = scenario.geom.periodicity_m
+    gu_db = unit_cell_gain(p, p, scenario.wavelength)
+    spreading_db = 10.0 * _log10("spreading", scenario.wavelength**2 * p * p / (64 * math.pi**3))
     hw_items = dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
     hw_db = -sum(hw_items.values())
     (received_dbm,) = _received_dbm(scenario, lpe_db, [acc])
@@ -274,7 +285,7 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         "gain_rx_db": scenario.gain_rx_dbi,
         "unit_cell_gain_x2_db": 2.0 * gu_db,
         "spreading_db": spreading_db,
-        "accumulation_db": 20.0 * math.log10(acc),
+        "accumulation_db": 20.0 * _log10("accumulation", acc),
         "phase_error_loss_db": lpe_db,
         "hardware_loss_db": hw_db,
     }

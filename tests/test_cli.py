@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from risim import (
+    DEFAULTS,
     Direction,
     deserialize_frame,
     farfield_steering_mask,
@@ -258,3 +260,114 @@ def test_export_frame_rejects_other_boards(runner, tmp_path):
     result = runner.invoke(main, ["export-frame", "--config", str(cfgfile), "--out", str(tmp_path / "f.hex")])
     assert result.exit_code == 3
     assert "16x10" in result.stderr
+
+
+LOCALIZE_30 = ["localize", "--truths", "30"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "RISIM_SWEEP_STEPDEG",
+        "RISIM_LINK",
+        "RISIM_LINK_HARDWARE_LOSS_DB",
+        "RISIM_LINK_HARDWARE_LOSS_DB_CABEL",
+    ],
+)
+def test_unknown_env_name_exits_2_naming_it(runner, tmp_path, name):
+    result = runner.invoke(main, [*LOCALIZE_30, "--out", str(tmp_path / "x")], env={name: "3"})
+    assert result.exit_code == 2
+    assert f"unknown environment override {name}" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_yaml_added_ledger_item_gets_its_env_name(runner, tmp_path):
+    cfgfile = tmp_path / "ledger.yaml"
+    link = "link: {include_hardware_loss: true, hardware_loss_db: {connector: 1.0}}"
+    cfgfile.write_text(FULL_SECTIONS.replace("link: {}", link))
+    out = tmp_path / "ledger.json"
+    args = ["linkbudget", "--config", str(cfgfile), "--out", str(out)]
+    result = runner.invoke(main, args, env={"RISIM_LINK_HARDWARE_LOSS_DB_CONNECTOR": "2.5"})
+    assert result.exit_code == 0
+    assert json.loads(out.read_text())["hardware_loss_items_db"] == {"connector": 2.5}
+    result = runner.invoke(main, args, env={"RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "5"})
+    assert result.exit_code == 2
+    assert "RISIM_LINK_HARDWARE_LOSS_DB_CABLES" in result.output
+
+
+@pytest.mark.parametrize("kind", ["none", "gaussian_db"])
+def test_negative_seed_exits_2(runner, tmp_path, kind):
+    noise = {"RISIM_SWEEP_NOISE_KIND": kind, "RISIM_SWEEP_SIGMA_DB": "1"}
+    out = ["--out", str(tmp_path / "x")]
+    result = runner.invoke(main, [*LOCALIZE_30, *out], env={**noise, "RISIM_SWEEP_SEED": "-4"})
+    assert result.exit_code == 2
+    assert "invalid config section sweep: seed" in result.output
+    result = runner.invoke(main, [*LOCALIZE_30, "--seed", "-4", *out], env=noise)
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_non_finite_ledger_item_exits_2(runner, tmp_path, raw):
+    env = {"RISIM_LINK_INCLUDE_HARDWARE_LOSS": "1", "RISIM_LINK_HARDWARE_LOSS_DB_CABLES": raw}
+    result = runner.invoke(main, ["linkbudget", "--out", str(tmp_path / "lb.json")], env=env)
+    assert result.exit_code == 2
+    assert "invalid config section link: powers, gains and hardware loss items" in result.output
+
+
+@pytest.mark.parametrize("command", [["linkbudget"], LOCALIZE_30])
+@pytest.mark.parametrize(
+    "env, quantity",
+    [
+        ({"RISIM_LINK_Q_T": "1e8"}, "received power"),
+        ({"RISIM_LINK_TX_POWER_DBM": "1e8"}, "received power"),
+        (
+            {"RISIM_LINK_INCLUDE_HARDWARE_LOSS": "1", "RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "1e8"},
+            "received power",
+        ),
+        ({"RISIM_FREQUENCY_HZ": "1e300"}, "unit cell gain"),
+        ({"RISIM_FREQUENCY_HZ": "1e-300"}, "unit cell gain"),
+        ({"RISIM_GEOMETRY_PERIODICITY_M": "1e-300"}, "unit cell gain"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_power_out_of_float_range_exits_3(runner, tmp_path, command, env, quantity):
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 3
+    assert f"domain error: {quantity} leaves the float range" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+# every float key of DEFAULTS and every default ledger item, by env name;
+# step_deg is left out because it sizes the codebook arrays
+FUZZ_NAMES = ["RISIM_FREQUENCY_HZ"] + [
+    f"RISIM_{section}_{key}".upper()
+    for section, body in DEFAULTS.items()
+    if isinstance(body, dict)
+    for key, default in body.items()
+    if type(default) is float and key != "step_deg"
+]
+LEDGER = DEFAULTS["link"]["hardware_loss_db"]
+FUZZ_NAMES += [f"RISIM_LINK_HARDWARE_LOSS_DB_{item}".upper() for item in LEDGER]
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-310", "1e8", "1e300"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([["linkbudget"], LOCALIZE_30]),
+    overrides=st.dictionaries(
+        st.sampled_from(FUZZ_NAMES), st.sampled_from(FUZZ_VALUES), min_size=1, max_size=2
+    ),
+    lossy=st.booleans(),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extreme_float_overrides_exit_cleanly(command, overrides, lossy):
+    runner = CliRunner()
+    env = {**overrides, "RISIM_LINK_INCLUDE_HARDWARE_LOSS": str(lossy)}
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, command, env=env)
+        assert result.exit_code in (0, 2, 3), result.output
+        assert "Traceback" not in result.output
+        for path in Path().glob("*.json"):
+            strict_json(path.read_text())

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from risim import (
+    DEFAULTS,
     ConfigError,
     ScenarioConfig,
     load_config,
@@ -43,6 +46,8 @@ def test_defaults_reproduce_bench_setup():
 
 def test_bare_parse_equals_default_load():
     assert parse_config(None, env={}) == load_config(None, env={})
+    # only RISIM_* names are overrides; other environment names are left alone
+    assert parse_config(None, env={"RISIMX_A": "1", "PATH": "/bin"}) == parse_config(None, env={})
 
 
 def test_all_sections_empty_equals_defaults():
@@ -132,6 +137,11 @@ def test_domain_violations_name_their_section():
         parse_config(doc_with(cell="{q_e: -1.0}"), env={})
     with pytest.raises(ConfigError, match="invalid config section frequency_hz"):
         parse_config(doc_with(frequency_hz="0.0"), env={})
+    with pytest.raises(ConfigError, match="invalid config section sweep: seed"):
+        parse_config(doc_with(sweep="{seed: -4}"), env={})
+    for loss in (".nan", ".inf", "-.inf"):
+        with pytest.raises(ConfigError, match="invalid config section link"):
+            parse_config(doc_with(link=f"{{hardware_loss_db: {{cables: {loss}}}}}"), env={})
 
 
 def test_env_overrides_each_kind():
@@ -178,7 +188,7 @@ def test_builders(cfg):
     assert len(cfg.steering_codebook().entries) == 41
     scenario = cfg.link_scenario()
     assert scenario.mask is None
-    assert scenario.cell_dx == 0.016
+    assert scenario.geom.periodicity_m == 0.016
 
 
 def test_with_seed_changes_only_seed(cfg):
@@ -186,3 +196,57 @@ def test_with_seed_changes_only_seed(cfg):
     assert reseeded.sweep.seed == 99
     assert reseeded.sweep.step_deg == cfg.sweep.step_deg
     assert reseeded.geometry == cfg.geometry
+
+
+# every non-map key of DEFAULTS as a (section or None, key, default) triple
+SCALAR_KEYS = [(None, "frequency_hz", DEFAULTS["frequency_hz"])] + [
+    (section, key, default)
+    for section, body in DEFAULTS.items()
+    if isinstance(body, dict)
+    for key, default in body.items()
+    if not isinstance(default, dict)
+]
+
+
+def values_like(default):
+    """Values of the default's type, mostly near its scale, some invalid."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(min_value=-3, max_value=40)
+    if isinstance(default, str):
+        return st.sampled_from(["none", "gaussian_db", "uniform"])
+    if isinstance(default, list):
+        return st.lists(values_like(1.0), min_size=3, max_size=3)
+    scale = max(2.0 * abs(default), 1.0)
+    return st.floats(min_value=-0.1 * scale, max_value=scale) | st.just(default)
+
+
+def env_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "off"
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def outcome(text, env):
+    try:
+        return parse_config(text, env=env)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_yaml_and_env_values_resolve_alike(data):
+    keys = st.lists(st.sampled_from(SCALAR_KEYS), min_size=1, max_size=4, unique_by=lambda k: k[:2])
+    picked = data.draw(keys)
+    doc = {section: {} for section in DEFAULTS if isinstance(DEFAULTS[section], dict)}
+    env = {}
+    for section, key, default in picked:
+        value = data.draw(values_like(default))
+        (doc[section] if section else doc)[key] = value
+        env["_".join(filter(None, ("RISIM", section, key))).upper()] = env_text(value)
+    from_yaml = outcome(yaml.safe_dump(doc), {})
+    assert from_yaml == outcome(ALL_SECTIONS, env)

@@ -55,8 +55,6 @@ def test_f_combine_single_element_on_axis():
         feed=Point3(0.0, 0.0, 0.3),
         rx=Point3(0.0, 0.0, 5.0),
         wavelength=0.0545,
-        cell_dx=0.016,
-        cell_dy=0.016,
         tx_power_dbm=0.0,
         gain_tx_dbi=0.0,
         gain_rx_dbi=0.0,
@@ -77,8 +75,6 @@ def test_geometric_accumulation_grows_with_aperture(bench):
         feed=bench.feed,
         rx=bench.rx,
         wavelength=bench.wavelength,
-        cell_dx=0.016,
-        cell_dy=0.016,
         tx_power_dbm=bench.tx_power_dbm,
         gain_tx_dbi=12.0,
         gain_rx_dbi=12.0,
@@ -248,8 +244,6 @@ def test_accountings_coincide_for_single_element():
         feed=Point3(0.0, 0.0, 0.3),
         rx=Point3(0.0, 0.0, 5.0),
         wavelength=0.0545,
-        cell_dx=0.016,
-        cell_dy=0.016,
         tx_power_dbm=0.0,
         gain_tx_dbi=0.0,
         gain_rx_dbi=0.0,

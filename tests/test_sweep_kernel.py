@@ -45,7 +45,8 @@ def oracle_single_pass(scenario):
     psi = applied - k0 * (r_t + r_r)
     terms = np.sqrt(f_combine_grid(scenario)) / (r_t * r_r) * np.exp(1j * psi)
     acc = float(abs(terms.sum()))
-    gu_db = unit_cell_gain(scenario.cell_dx, scenario.cell_dy, scenario.wavelength)
+    p = scenario.geom.periodicity_m
+    gu_db = unit_cell_gain(p, p, scenario.wavelength)
     hw_items = dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
     hw_db = -sum(hw_items.values())
     p_r_mw = (
@@ -54,8 +55,8 @@ def oracle_single_pass(scenario):
         * 10.0 ** (scenario.gain_rx_dbi / 10.0)
         * (10.0 ** (gu_db / 10.0)) ** 2
         * scenario.wavelength**2
-        * scenario.cell_dx
-        * scenario.cell_dy
+        * p
+        * p
         / (64 * math.pi**3)
         * 10.0 ** (0.0 / 10.0)
         * acc**2
