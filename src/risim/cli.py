@@ -175,7 +175,7 @@ def cmd_localize(config_path, truths, seed, out) -> None:
         "seed": sweep.seed,
     }
     with open(f"{out}.summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     for truth, est, err in zip(truth_values, estimates, errors):
         click.echo(f"truth {truth:6.2f} deg -> estimate {est:6.2f} deg (error {err:+.2f})")

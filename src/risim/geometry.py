@@ -20,8 +20,8 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 def wavelength_from_frequency(frequency_hz: float) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
-    if frequency_hz <= 0:
-        raise DomainError(f"frequency must be positive, got {frequency_hz}")
+    if not 0 < frequency_hz < math.inf:
+        raise DomainError(f"frequency must be positive and finite, got {frequency_hz}")
     return SPEED_OF_LIGHT / frequency_hz
 
 

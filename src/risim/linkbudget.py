@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -30,6 +31,9 @@ DEFAULT_HARDWARE_LOSS_DB = MappingProxyType(
 )
 
 _ACCOUNTING_MODES = ("analytic", "mask", "single_pass", "none")
+
+# received powers, dBm, whose mW value 10**(dBm/10) is a positive finite float
+_MW_FLOAT_RANGE_DBM = (10.0 * math.log10(math.ulp(0.0)), 10.0 * math.log10(sys.float_info.max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,16 +90,9 @@ class LinkReport:
     hardware_loss_items_db: dict
 
     def to_json(self) -> str:
-        doc = {
-            "quantization": self.quantization,
-            "accumulation_linear": self.accumulation_linear,
-            "phase_error_loss_db": self.phase_error_loss_db,
-            "received_power_dbm": self.received_power_dbm,
-            "snr_db": self.snr_db,
-            "terms_db": self.terms_db,
-            "hardware_loss_items_db": self.hardware_loss_items_db,
-        }
-        return json.dumps(doc, indent=2)
+        # the accounting mode leads; the fields follow in declaration order
+        doc = {"quantization": self.quantization, **asdict(self)}
+        return json.dumps(doc, indent=2, allow_nan=False)
 
     def table(self) -> str:
         """Aligned breakdown, one line per dB term."""
@@ -165,7 +162,11 @@ def geometric_accumulation(scenario: LinkScenario) -> float:
 def required_cascade_mask(scenario: LinkScenario) -> PhaseMask:
     """Continuous phase that exactly cancels the two-hop path phase
     k0*(r_feed + r_rx) for the scenario's node positions."""
-    return PhaseMask(scenario.geom, wrap_deg(np.degrees(_two_hop_terms(scenario)[1])))
+    return _cascade_mask(scenario.geom, _two_hop_terms(scenario)[1])
+
+
+def _cascade_mask(geom: ArrayGeometry, path: np.ndarray) -> PhaseMask:
+    return PhaseMask(geom, wrap_deg(np.degrees(path)))
 
 
 def phase_error_loss(required: PhaseMask, applied: CodingMask) -> float:
@@ -209,36 +210,43 @@ def integrate_psd(psd_per_subcarrier_dbm: float, n_subcarriers: int) -> float:
     return psd_per_subcarrier_dbm + 10.0 * math.log10(n_subcarriers)
 
 
-def _received_dbm(scenario: LinkScenario, lpe_db: float, accs) -> list[float]:
-    """Received power, dBm, for each accumulation: linear-domain evaluation
-    of the printed product formula."""
-    p = scenario.geom.periodicity_m
-    gu_db = unit_cell_gain(p, p, scenario.wavelength)
-    hw_db = -sum(scenario.hardware_loss_db.values()) if scenario.include_hardware_loss else 0
-    try:
-        scale = (
-            10.0 ** (scenario.tx_power_dbm / 10.0)
-            * 10.0 ** (scenario.gain_tx_dbi / 10.0)
-            * 10.0 ** (scenario.gain_rx_dbi / 10.0)
-            * (10.0 ** (gu_db / 10.0)) ** 2
-            * scenario.wavelength**2
-            * p
-            * p
-            / (64 * math.pi**3)
-            * 10.0 ** (lpe_db / 10.0)
-        )
-        powers = [scale * acc**2 * 10.0 ** (hw_db / 10.0) for acc in accs]
-    except OverflowError:
-        powers = [math.inf]  # rejected below like any out-of-range ratio
-    return [10.0 * _log10("received power", pw) for pw in powers]
+def _scalar_terms(scenario: LinkScenario) -> tuple[dict, dict]:
+    """The ledger terms ahead of the accumulation, in table order, and the
+    hardware loss items. Pure scalar work, so an out-of-range scalar fails
+    before any element grid."""
+    p, lam = scenario.geom.periodicity_m, scenario.wavelength
+    head = {
+        "tx_power_dbm": scenario.tx_power_dbm,
+        "gain_tx_db": scenario.gain_tx_dbi,
+        "gain_rx_db": scenario.gain_rx_dbi,
+        "unit_cell_gain_x2_db": 2.0 * unit_cell_gain(p, p, lam),
+        "spreading_db": 10.0 * _log10("spreading", lam**2 * p * p / (64 * math.pi**3)),
+    }
+    return head, dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
+
+
+def _ledger(head: dict, hw_items: dict, acc: float, lpe_db: float) -> tuple[dict, float]:
+    """Every dB term in table order and the received power, dBm, which is
+    their sum and nothing else; its mW value must be a positive finite float."""
+    terms = {
+        **head,
+        "accumulation_db": 20.0 * math.log10(acc) if acc > 0 else -math.inf,
+        "phase_error_loss_db": lpe_db,
+        "hardware_loss_db": -sum(hw_items.values()),
+    }
+    total = sum(terms.values())
+    if not _MW_FLOAT_RANGE_DBM[0] <= total <= _MW_FLOAT_RANGE_DBM[1]:
+        raise DomainError(f"received power leaves the float range ({total!r} dBm)")
+    return terms, total
 
 
 def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarray:
     """Single-pass received power, dBm, under each of K stacked (K, M, N) bit
     grids in place of the scenario mask. received_power(..., "single_pass")
     is the K = 1 case, so entry k equals it with mask k bit for bit."""
+    head, hw_items = _scalar_terms(scenario)
     accs = _single_pass_sums(*_two_hop_terms(scenario), bits)
-    return np.array(_received_dbm(scenario, 0.0, accs))
+    return np.array([_ledger(head, hw_items, acc, 0.0)[1] for acc in accs])
 
 
 def received_power(scenario: LinkScenario, quantization: str = "analytic") -> LinkReport:
@@ -261,6 +269,7 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
     if quantization in ("mask", "single_pass") and scenario.mask is None:
         raise ConfigError(f"quantization mode {quantization!r} requires a scenario mask")
 
+    head, hw_items = _scalar_terms(scenario)
     amp, path = _two_hop_terms(scenario)
     lpe_db = 0.0
     if quantization == "single_pass":
@@ -270,25 +279,8 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         if quantization == "analytic":
             lpe_db = L_PE_1BIT_DB
         elif quantization == "mask":
-            lpe_db = phase_error_loss(required_cascade_mask(scenario), scenario.mask)
-
-    p = scenario.geom.periodicity_m
-    gu_db = unit_cell_gain(p, p, scenario.wavelength)
-    spreading_db = 10.0 * _log10("spreading", scenario.wavelength**2 * p * p / (64 * math.pi**3))
-    hw_items = dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
-    hw_db = -sum(hw_items.values())
-    (received_dbm,) = _received_dbm(scenario, lpe_db, [acc])
-
-    terms = {
-        "tx_power_dbm": scenario.tx_power_dbm,
-        "gain_tx_db": scenario.gain_tx_dbi,
-        "gain_rx_db": scenario.gain_rx_dbi,
-        "unit_cell_gain_x2_db": 2.0 * gu_db,
-        "spreading_db": spreading_db,
-        "accumulation_db": 20.0 * _log10("accumulation", acc),
-        "phase_error_loss_db": lpe_db,
-        "hardware_loss_db": hw_db,
-    }
+            lpe_db = phase_error_loss(_cascade_mask(scenario.geom, path), scenario.mask)
+    terms, received_dbm = _ledger(head, hw_items, acc, lpe_db)
     return LinkReport(
         accumulation_linear=acc,
         phase_error_loss_db=lpe_db,

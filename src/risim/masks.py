@@ -176,6 +176,8 @@ def quantize_1bit(mask: PhaseMask) -> CodingMask:
 
 
 def _one_bit(phases_deg: np.ndarray) -> np.ndarray:
+    if not np.isfinite(phases_deg).all():
+        raise DomainError("phase grid contains non-finite entries")
     return (phases_deg >= 90.0) & (phases_deg < 270.0)
 
 

@@ -161,6 +161,8 @@ def test_localize_colliding_truth_files_exit_2(runner, tmp_path):
         ({"RISIM_SWEEP_STEP_DEG": "inf"}, "sweep"),
         ({"RISIM_SWEEP_STEP_DEG": "nan"}, "sweep"),
         ({"RISIM_SWEEP_STEP_DEG": "1e-9"}, "sweep"),
+        ({"RISIM_FREQUENCY_HZ": "nan"}, "frequency_hz"),
+        ({"RISIM_FREQUENCY_HZ": "inf"}, "frequency_hz"),
     ],
 )
 def test_localize_invalid_env_value_exits_2_naming_section(runner, tmp_path, env, section):
@@ -336,6 +338,33 @@ def test_power_out_of_float_range_exits_3(runner, tmp_path, command, env, quanti
     result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
     assert result.exit_code == 3
     assert f"domain error: {quantity} leaves the float range" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linkbudget_scalar_failure_comes_before_any_grid_warning(runner, tmp_path):
+    env = {"RISIM_GEOMETRY_PERIODICITY_M": "1e300"}
+    result = runner.invoke(main, ["linkbudget", "--out", str(tmp_path / "lb.json")], env=env)
+    assert result.exit_code == 3
+    assert result.output.splitlines() == [
+        "domain error: unit cell gain leaves the float range (power ratio inf)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, pitch",
+    [
+        (["export-frame", "--mode", "near", "--steer", "30"], "1e300"),
+        (["pattern", "--mode", "near"], "1e155"),
+        (["pattern", "--mode", "near"], "1e300"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nearfield_mask_with_non_finite_phases_exits_3(runner, tmp_path, command, pitch):
+    env = {"RISIM_GEOMETRY_PERIODICITY_M": pitch}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 3
+    assert "domain error: phase grid contains non-finite entries" in result.output
     assert list(tmp_path.iterdir()) == []
 
 

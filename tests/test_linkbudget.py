@@ -165,11 +165,10 @@ def test_received_power_no_quantization_exact_offset(bench):
 
 
 def test_received_power_terms_sum_to_total(bench):
-    for mode in ("analytic", "none"):
-        report = received_power(bench, mode)
-        assert sum(report.terms_db.values()) == pytest.approx(
-            report.received_power_dbm, abs=1e-6
-        )
+    sc = bench.with_mask(quantize_1bit(required_cascade_mask(bench)))
+    for mode in ("analytic", "mask", "single_pass", "none"):
+        report = received_power(sc, mode)
+        assert report.received_power_dbm == sum(report.terms_db.values())
 
 
 def test_received_power_tx_power_linearity(bench):

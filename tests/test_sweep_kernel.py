@@ -35,8 +35,9 @@ def rx_at(scenario, theta_deg, range_m):
 
 
 def oracle_single_pass(scenario):
-    """Per-mask single-pass accumulation and dBm, as computed one scenario
-    at a time before the batched kernel."""
+    """Per-mask single-pass accumulation, as computed one scenario at a time
+    before the batched kernel, and its dBm as the sum of the dB ledger terms
+    in table order."""
     geom = scenario.geom
     k0 = 2 * np.pi / scenario.wavelength
     r_t = distance_grid(geom, scenario.feed)
@@ -46,23 +47,18 @@ def oracle_single_pass(scenario):
     terms = np.sqrt(f_combine_grid(scenario)) / (r_t * r_r) * np.exp(1j * psi)
     acc = float(abs(terms.sum()))
     p = scenario.geom.periodicity_m
-    gu_db = unit_cell_gain(p, p, scenario.wavelength)
     hw_items = dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
-    hw_db = -sum(hw_items.values())
-    p_r_mw = (
-        10.0 ** (scenario.tx_power_dbm / 10.0)
-        * 10.0 ** (scenario.gain_tx_dbi / 10.0)
-        * 10.0 ** (scenario.gain_rx_dbi / 10.0)
-        * (10.0 ** (gu_db / 10.0)) ** 2
-        * scenario.wavelength**2
-        * p
-        * p
-        / (64 * math.pi**3)
-        * 10.0 ** (0.0 / 10.0)
-        * acc**2
-        * 10.0 ** (hw_db / 10.0)
-    )
-    return acc, 10.0 * math.log10(p_r_mw)
+    terms_db = [
+        scenario.tx_power_dbm,
+        scenario.gain_tx_dbi,
+        scenario.gain_rx_dbi,
+        2.0 * unit_cell_gain(p, p, scenario.wavelength),
+        10.0 * math.log10(scenario.wavelength**2 * p * p / (64 * math.pi**3)),
+        20.0 * math.log10(acc),
+        0.0,
+        -sum(hw_items.values()),
+    ]
+    return acc, sum(terms_db)
 
 
 def oracle_nearfield_bits(geom, feed, steer, wavelength):
@@ -148,3 +144,4 @@ def test_single_pass_equals_oracle(cfg, seed, theta, range_m, hardware, shape):
     acc, dbm = oracle_single_pass(scenario)
     assert report.accumulation_linear == acc
     assert report.received_power_dbm == dbm
+    assert report.received_power_dbm == sum(report.terms_db.values())
