@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,13 @@ class ArrayGeometry:
     @property
     def size(self) -> int:
         return self.m_count * self.n_count
+
+    @cached_property
+    def _lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        p = self.periodicity_m
+        X, Y = np.meshgrid(np.arange(self.m_count) * p, np.arange(self.n_count) * p, indexing="ij")
+        X.flags.writeable = Y.flags.writeable = False
+        return X, Y
 
     def center(self) -> "Point3":
         """Geometric center of the aperture, in the z=0 plane."""
@@ -117,17 +125,15 @@ def element_position(geom: ArrayGeometry, m: int, n: int) -> Point3:
 
 
 def element_grid(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized element coordinates.
+    """Vectorized element coordinates, computed once per geometry.
 
     Returns
     -------
-    (X, Y) : two (m_count, n_count) arrays with X[i, j] = i*p, Y[i, j] = j*p,
-        axis 0 indexing m (x direction) and axis 1 indexing n (y direction).
+    (X, Y) : two read-only (m_count, n_count) arrays with X[i, j] = i*p,
+        Y[i, j] = j*p, axis 0 indexing m (x direction) and axis 1 indexing
+        n (y direction).
     """
-    p = geom.periodicity_m
-    xs = np.arange(geom.m_count) * p
-    ys = np.arange(geom.n_count) * p
-    return np.meshgrid(xs, ys, indexing="ij")
+    return geom._lattice
 
 
 def projection_grid(geom: ArrayGeometry, direction: Direction) -> np.ndarray:

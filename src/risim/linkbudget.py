@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -69,6 +70,18 @@ class LinkScenario:
             raise DomainError(
                 f"horn taper exponents must be finite and >= 0, got q_t={self.q_t}, q_r={self.q_r}"
             )
+
+    @cached_property
+    def _two_hop_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element two-hop amplitude sqrt(taper)/(r_feed * r_rx) and path
+        phase k0*(r_feed + r_rx), read-only and computed once per scenario;
+        every accounting mode reduces these two."""
+        r_t = distance_grid(self.geom, self.feed)
+        r_r = distance_grid(self.geom, self.rx)
+        amp = np.sqrt(_taper(self, r_t, r_r)) / (r_t * r_r)
+        path = 2 * np.pi / self.wavelength * (r_t + r_r)
+        amp.flags.writeable = path.flags.writeable = False
+        return amp, path
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
         return replace(self, mask=mask)
@@ -135,15 +148,6 @@ def _taper(scenario: LinkScenario, r_t: np.ndarray, r_r: np.ndarray) -> np.ndarr
     return (cos_t**scenario.q_t) * cos_in * cos_out * (cos_r**scenario.q_r)
 
 
-def _two_hop_terms(scenario: LinkScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element two-hop amplitude sqrt(taper)/(r_feed * r_rx) and path
-    phase k0*(r_feed + r_rx); every accounting mode reduces these two."""
-    r_t = distance_grid(scenario.geom, scenario.feed)
-    r_r = distance_grid(scenario.geom, scenario.rx)
-    amp = np.sqrt(_taper(scenario, r_t, r_r)) / (r_t * r_r)
-    return amp, 2 * np.pi / scenario.wavelength * (r_t + r_r)
-
-
 def _single_pass_sums(amp: np.ndarray, path: np.ndarray, bits: np.ndarray) -> list[float]:
     """|sum of amp * exp(j*(applied - path))| per stacked (K, M, N) bit grid,
     applied = 180 degrees per set bit. One contiguous row sum and a scalar
@@ -156,13 +160,13 @@ def _single_pass_sums(amp: np.ndarray, path: np.ndarray, bits: np.ndarray) -> li
 def geometric_accumulation(scenario: LinkScenario) -> float:
     """Coherent two-hop amplitude sum at ideal (perfectly matched) phasing:
     sum of sqrt(taper)/(r_feed * r_rx) over all elements."""
-    return float(_two_hop_terms(scenario)[0].sum())
+    return float(scenario._two_hop_terms[0].sum())
 
 
 def required_cascade_mask(scenario: LinkScenario) -> PhaseMask:
     """Continuous phase that exactly cancels the two-hop path phase
     k0*(r_feed + r_rx) for the scenario's node positions."""
-    return _cascade_mask(scenario.geom, _two_hop_terms(scenario)[1])
+    return _cascade_mask(scenario.geom, scenario._two_hop_terms[1])
 
 
 def _cascade_mask(geom: ArrayGeometry, path: np.ndarray) -> PhaseMask:
@@ -245,7 +249,7 @@ def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarra
     grids in place of the scenario mask. received_power(..., "single_pass")
     is the K = 1 case, so entry k equals it with mask k bit for bit."""
     head, hw_items = _scalar_terms(scenario)
-    accs = _single_pass_sums(*_two_hop_terms(scenario), bits)
+    accs = _single_pass_sums(*scenario._two_hop_terms, bits)
     return np.array([_ledger(head, hw_items, acc, 0.0)[1] for acc in accs])
 
 
@@ -270,7 +274,7 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         raise ConfigError(f"quantization mode {quantization!r} requires a scenario mask")
 
     head, hw_items = _scalar_terms(scenario)
-    amp, path = _two_hop_terms(scenario)
+    amp, path = scenario._two_hop_terms
     lpe_db = 0.0
     if quantization == "single_pass":
         (acc,) = _single_pass_sums(amp, path, scenario.mask.bits[None])

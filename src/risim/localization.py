@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Direction, Point3
+from .geometry import Direction, Point3, euclidean_feed_distance
 from .linkbudget import LinkScenario, single_pass_power_dbm
 from .masks import Codebook
 
@@ -53,9 +53,7 @@ def ue_point(true_ue, scenario: LinkScenario) -> Point3:
         return true_ue
     if isinstance(true_ue, Direction):
         center = scenario.geom.center()
-        d = math.dist(
-            (scenario.rx.x, scenario.rx.y, scenario.rx.z), (center.x, center.y, center.z)
-        )
+        d = euclidean_feed_distance(scenario.rx, center)
         v = true_ue.unit_vector()
         return Point3(center.x + d * v[0], center.y + d * v[1], center.z + d * v[2])
     raise DomainError(f"true_ue must be a Direction or Point3, got {type(true_ue).__name__}")

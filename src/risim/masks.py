@@ -148,8 +148,10 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
     sin_th, cos_ph, sin_ph = np.array(
         [(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in angles]
     ).T[:, :, None, None]
-    proj = sin_th * (X * cos_ph + Y * sin_ph)
-    return wrap_deg(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj))
+    # an extreme pitch overflows to inf/NaN here; _one_bit then rejects the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = sin_th * (X * cos_ph + Y * sin_ph)
+        return wrap_deg(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj))
 
 
 def recenter_phases(mask: PhaseMask) -> PhaseMask:

@@ -368,6 +368,24 @@ def test_nearfield_mask_with_non_finite_phases_exits_3(runner, tmp_path, command
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, pitch",
+    [
+        (LOCALIZE_30, "1e300"),
+        (["pattern", "--mode", "near"], "1e155"),
+        (["pattern", "--mode", "near"], "1e300"),
+        (["export-frame", "--mode", "near", "--steer", "30"], "1e300"),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_phase_grid_prints_only_its_error(runner, tmp_path, command, pitch):
+    env = {"RISIM_GEOMETRY_PERIODICITY_M": pitch}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 3
+    assert result.output.splitlines() == ["domain error: phase grid contains non-finite entries"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # every float key of DEFAULTS and every default ledger item, by env name;
 # step_deg is left out because it sizes the codebook arrays
 FUZZ_NAMES = ["RISIM_FREQUENCY_HZ"] + [
