@@ -34,7 +34,7 @@ from .linkbudget import received_power
 
 
 def _workflow(func):
-    """Map domain/config failures to the documented exit codes."""
+    """Map domain/config failures, and unwritable outputs, to the documented exit codes."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -46,6 +46,9 @@ def _workflow(func):
         except DomainError as exc:
             click.echo(f"domain error: {exc}", err=True)
             sys.exit(3)
+        except OSError as exc:  # load_config maps its own read errors: this is an --out write
+            click.echo(f"config error: cannot write output: {exc}", err=True)
+            sys.exit(2)
 
     return wrapper
 
@@ -143,13 +146,15 @@ def cmd_localize(config_path, truths, seed, out) -> None:
     codebook = cfg.steering_codebook()
     scenario = cfg.link_scenario()
     noise = cfg.noise_model()
-    estimates = []
-    for i, truth in enumerate(truth_values):
-        # distinct deterministic substream per truth
-        truth_seed = sweep.seed + i
-        trace = simulate_sweep(codebook, Direction(truth), scenario, noise, seed=truth_seed)
-        est = estimate_angle(trace)
-        estimates.append(est)
+    # distinct deterministic substream per truth; every truth is swept before
+    # any file is written, so a failing truth leaves no partial output
+    seeds = [sweep.seed + i for i in range(len(truth_values))]
+    traces = [
+        simulate_sweep(codebook, Direction(truth), scenario, noise, seed=truth_seed)
+        for truth, truth_seed in zip(truth_values, seeds)
+    ]
+    estimates = [estimate_angle(trace) for trace in traces]
+    for truth, truth_seed, trace in zip(truth_values, seeds, traces):
         write_sweep_csv(
             trace,
             f"{out}.truth{truth:g}.csv",

@@ -16,8 +16,6 @@ import math
 import os
 from dataclasses import asdict, dataclass, replace
 
-import yaml
-
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario
@@ -305,6 +303,8 @@ def parse_config(text: str | None = None, env=None) -> ScenarioConfig:
     then apply environment overrides (RISIM_<SECTION>_<KEY>)."""
     doc = _copy(DEFAULTS)
     if text is not None:
+        import yaml  # only a supplied file needs PyYAML; a bare run skips its import
+
         try:
             supplied = yaml.safe_load(text)
         except yaml.YAMLError as exc:
@@ -347,6 +347,8 @@ def load_config(path: str | None = None, env=None) -> ScenarioConfig:
 def render_config(cfg: ScenarioConfig) -> str:
     """Emit the fully resolved configuration; parse_config(render_config(c))
     round-trips every value."""
+    import yaml
+
     return yaml.safe_dump(cfg.to_dict(), sort_keys=False)
 
 

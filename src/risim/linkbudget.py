@@ -150,10 +150,13 @@ def _taper(scenario: LinkScenario, r_t: np.ndarray, r_r: np.ndarray) -> np.ndarr
 
 def _single_pass_sums(amp: np.ndarray, path: np.ndarray, bits: np.ndarray) -> list[float]:
     """|sum of amp * exp(j*(applied - path))| per stacked (K, M, N) bit grid,
-    applied = 180 degrees per set bit. One contiguous row sum and a scalar
-    abs per mask keep row k bit-identical to mask k alone."""
-    applied = np.radians(bits.reshape(len(bits), -1) * 180.0)
-    terms = amp.reshape(-1) * np.exp(1j * (applied - path.reshape(-1)))
+    applied = 180 degrees per set bit. Each element's two possible terms are
+    computed once, one row per cell state, and gathered per grid; one
+    contiguous row sum and a scalar abs per mask keep row k bit-identical to
+    mask k alone. State 1 is its own exp: exp(j*(pi - p)) is not bitwise
+    -exp(-j*p)."""
+    table = amp.reshape(-1) * np.exp(1j * (np.radians([[0.0], [180.0]]) - path.reshape(-1)))
+    terms = np.where(bits.reshape(len(bits), -1), table[1], table[0])
     return [float(abs(s)) for s in terms.sum(axis=1)]
 
 

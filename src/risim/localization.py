@@ -83,6 +83,8 @@ def simulate_sweep(
     if noise.kind == "gaussian_db" and noise.sigma_db > 0:
         rng = np.random.default_rng(seed)
         rssi = rssi + rng.normal(0.0, noise.sigma_db, len(rssi))
+        if not np.isfinite(rssi).all():
+            raise DomainError(f"noisy RSSI is not finite (sigma_db={noise.sigma_db:g})")
     return SweepTrace(codebook.angles_deg(), rssi)
 
 

@@ -418,3 +418,39 @@ def test_extreme_float_overrides_exit_cleanly(command, overrides, lossy):
         assert "Traceback" not in result.output
         for path in Path().glob("*.json"):
             strict_json(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["linkbudget"], "missing/lb.json"),
+        (["pattern"], "missing/cut.csv"),
+        (LOCALIZE_30, "missing/loc"),
+        (["export-frame"], "missing/frame.hex"),
+        (["linkbudget"], ""),
+    ],
+)
+def test_unwritable_out_exits_2_naming_the_path(runner, tmp_path, command, out):
+    # "" makes --out the existing directory tmp_path itself
+    target = tmp_path / out
+    result = runner.invoke(main, [*command, "--out", str(target)])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.output.startswith("config error: cannot write output")
+    assert str(target.parent if out else target) in result.output
+
+
+@pytest.mark.parametrize(
+    "truths, seed, sigma",
+    # with seed 2 and sigma 6e307 truth 30 stays finite and truth 45 overflows
+    [("30", "0", "1e308"), ("30,45", "2", "6e307")],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_noisy_rssi_exits_3_writing_nothing(runner, tmp_path, truths, seed, sigma):
+    env = {"RISIM_SWEEP_NOISE_KIND": "gaussian_db", "RISIM_SWEEP_SIGMA_DB": sigma}
+    args = ["localize", "--truths", truths, "--seed", seed, "--out", str(tmp_path / "x")]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 3
+    message = f"domain error: noisy RSSI is not finite (sigma_db={float(sigma):g})"
+    assert result.output.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import risim
 from risim import (
     DEFAULTS,
     ConfigError,
@@ -67,6 +71,13 @@ def test_load_from_file(tmp_path):
     cfg = load_config(str(path), env={})
     assert cfg.sweep.step_deg == 3.0
     assert isinstance(cfg, ScenarioConfig)
+
+
+def test_bare_import_skips_yaml():
+    # PyYAML is needed only to parse a supplied file or render a config
+    src = str(Path(risim.__file__).resolve().parents[1])
+    code = "import sys, risim.cli; assert 'yaml' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
 
 
 def test_missing_file():

@@ -24,6 +24,7 @@ from risim import (
     simulate_sweep,
     unit_cell_gain,
 )
+from risim.linkbudget import _single_pass_sums
 
 from conftest import LAMBDA_BENCH
 
@@ -59,6 +60,14 @@ def oracle_single_pass(scenario):
         -sum(hw_items.values()),
     ]
     return acc, sum(terms_db)
+
+
+def oracle_stack_sums(amp, path, bits):
+    """Single-pass accumulation of K stacked bit grids with one complex exp
+    per (grid, element), as computed before the per-state phasor table."""
+    applied = np.radians(bits.reshape(len(bits), -1) * 180.0)
+    terms = amp.reshape(-1) * np.exp(1j * (applied - path.reshape(-1)))
+    return [float(abs(s)) for s in terms.sum(axis=1)]
 
 
 def oracle_nearfield_bits(geom, feed, steer, wavelength):
@@ -145,3 +154,31 @@ def test_single_pass_equals_oracle(cfg, seed, theta, range_m, hardware, shape):
     assert report.accumulation_linear == acc
     assert report.received_power_dbm == dbm
     assert report.received_power_dbm == sum(report.terms_db.values())
+
+
+SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 24)),
+    st.tuples(st.integers(1, 24), st.just(1)),
+    st.tuples(st.integers(1, 24), st.integers(1, 24)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**30 - 1),
+    k=st.integers(min_value=1, max_value=64),
+    shape=SHAPES,
+    pitch=st.floats(min_value=0.002, max_value=0.05),
+    theta=st.floats(min_value=0.0, max_value=80.0),
+    range_m=st.floats(min_value=0.5, max_value=20.0),
+)
+def test_stacked_sums_equal_per_exp_oracle(cfg, seed, k, shape, pitch, theta, range_m):
+    from dataclasses import replace
+
+    base = replace(cfg.link_scenario(), geom=ArrayGeometry(*shape, pitch))
+    amp, path = base.with_rx(rx_at(base, theta, range_m))._two_hop_terms
+    bits = np.random.default_rng(seed).integers(0, 2, (k, *shape), dtype=np.uint8)
+    bits[-1] = 1
+    bits[0] = 0  # with k = 1 the one grid is all zeros
+    assert _single_pass_sums(amp, path, bits) == oracle_stack_sums(amp, path, bits)
