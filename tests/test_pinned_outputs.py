@@ -21,7 +21,38 @@ from click.testing import CliRunner
 
 from risim.cli import main
 
+from risim.config import DEFAULTS, parse_config
+
 MANIFEST = Path(__file__).with_name("pinned_outputs.json")
+
+# every cell, feed, link and sweep key moved off its default, to a value no
+# sibling key shares, so two keys swapped in resolution change some output
+NONDEFAULT = {
+    "RISIM_FREQUENCY_HZ": "5.8e9",
+    "RISIM_CELL_MAGNITUDE_STATE0": "0.95",
+    "RISIM_CELL_MAGNITUDE_STATE1": "0.85",
+    "RISIM_CELL_PHASE_STATE0_DEG": "10.0",
+    "RISIM_CELL_PHASE_STATE1_DEG": "200.0",
+    "RISIM_CELL_Q_E": "0.65",
+    "RISIM_FEED_POSITION_M": "0.11,0.065,0.28",
+    "RISIM_FEED_Q_F": "6.5",
+    "RISIM_LINK_TX_POWER_DBM": "-5.5",
+    "RISIM_LINK_GAIN_TX_DBI": "11.0",
+    "RISIM_LINK_GAIN_RX_DBI": "13.5",
+    "RISIM_LINK_NOISE_FLOOR_DBM": "-91.0",
+    "RISIM_LINK_RX_POSITION_M": "3.3,0.05,3.1",
+    "RISIM_LINK_Q_T": "6.0",
+    "RISIM_LINK_Q_R": "8.0",
+    "RISIM_LINK_INCLUDE_HARDWARE_LOSS": "1",
+    "RISIM_LINK_HARDWARE_LOSS_DB_DIELECTRIC_AND_DIODE": "2.5",
+    "RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "4.25",
+    "RISIM_SWEEP_START_DEG": "5.0",
+    "RISIM_SWEEP_STOP_DEG": "55.0",
+    "RISIM_SWEEP_STEP_DEG": "1.25",
+    "RISIM_SWEEP_NOISE_KIND": "gaussian_db",
+    "RISIM_SWEEP_SIGMA_DB": "0.75",
+    "RISIM_SWEEP_SEED": "3",
+}
 
 # case name -> (CLI arguments before --out, --out file name, environment)
 CASES = {
@@ -41,7 +72,25 @@ CASES = {
         "linkbudget.json",
         {"RISIM_LINK_INCLUDE_HARDWARE_LOSS": "1"},
     ),
+    **{
+        f"nondefault-pattern-{mode}-30": (["pattern", "--mode", mode, "--steer=30"], "cut.csv", NONDEFAULT)
+        for mode in ("far", "near")
+    },
+    "nondefault-localize-20-40": (["localize", "--truths", "20,40"], "loc", NONDEFAULT),
+    "nondefault-linkbudget-hardware": (["linkbudget"], "linkbudget.json", NONDEFAULT),
 }
+
+
+def test_nondefault_case_moves_every_key():
+    resolved = parse_config(None, env=NONDEFAULT).to_dict()
+    assert resolved["frequency_hz"] != DEFAULTS["frequency_hz"]
+    for section in ("cell", "feed", "link", "sweep"):
+        values = resolved[section]
+        assert all(values[key] != DEFAULTS[section][key] for key in values), section
+        scalars = [repr(v) for v in values.values() if not isinstance(v, (dict, list))]
+        assert len(set(scalars)) == len(scalars), section
+    items = resolved["link"]["hardware_loss_db"]
+    assert all(items[name] != db for name, db in DEFAULTS["link"]["hardware_loss_db"].items())
 
 
 def output_hashes(root: Path) -> dict[str, str]:
