@@ -59,10 +59,9 @@ def _csv_and_json_paths(out: str) -> tuple[str, str]:
 
 
 def _steering_mask(cfg, mode: str, steer: Direction):
-    geom = cfg.array_geometry()
     if mode == "near":
-        return nearfield_steering_mask(geom, cfg.feed_spec().position, steer, cfg.wavelength)
-    return farfield_steering_mask(geom, steer, cfg.wavelength)
+        return nearfield_steering_mask(cfg.geometry, cfg.feed.position, steer, cfg.wavelength)
+    return farfield_steering_mask(cfg.geometry, steer, cfg.wavelength)
 
 
 @click.group()
@@ -81,16 +80,12 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
     cfg = load_config(config_path)
     steer_dir = Direction.from_signed_theta(steer)
     mask = _steering_mask(cfg, mode, steer_dir)
-    geom = cfg.array_geometry()
+    geom, cell = cfg.geometry, cfg.cell
     grid = default_theta_grid()
     if mode == "near":
-        cut = pattern_nearfield(
-            geom, mask, cfg.unit_cell(), cfg.feed_spec(), cfg.cell.q_e, 0.0, grid, cfg.wavelength
-        )
+        cut = pattern_nearfield(geom, mask, cell, cfg.feed, cell.q_e, 0.0, grid, cfg.wavelength)
     else:
-        cut = array_factor_far(
-            geom, mask, cfg.unit_cell(), Direction(0.0), 0.0, grid, cfg.wavelength
-        )
+        cut = array_factor_far(geom, mask, cell, Direction(0.0), 0.0, grid, cfg.wavelength)
     metrics = pattern_metrics(cut)
     csv_path, json_path = _csv_and_json_paths(out)
     write_pattern_csv(
@@ -144,8 +139,7 @@ def cmd_localize(config_path, truths, seed, out) -> None:
                 f"[{sweep.start_deg:g}, {sweep.stop_deg:g}]"
             )
     codebook = cfg.steering_codebook()
-    scenario = cfg.link_scenario()
-    noise = cfg.noise_model()
+    scenario, noise = cfg.link, sweep.noise
     # distinct deterministic substream per truth; every truth is swept before
     # any file is written, so a failing truth leaves no partial output
     seeds = [sweep.seed + i for i in range(len(truth_values))]
@@ -194,7 +188,7 @@ def cmd_localize(config_path, truths, seed, out) -> None:
 def cmd_linkbudget(config_path, out) -> None:
     """Received-power accounting for the configured scenario."""
     cfg = load_config(config_path)
-    report = received_power(cfg.link_scenario())
+    report = received_power(cfg.link)
     with open(out, "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")

@@ -1,26 +1,24 @@
 """Scenario configuration. DEFAULTS is the one schema: a key's type comes from
 its default value and its RISIM_<SECTION>_<KEY> override name from its path;
-YAML keys and RISIM_* names outside it are rejected.
-
-A bare run (no file) uses the built-in defaults, which reproduce the
-reference bench setup: 5.5 GHz, 16x10 cells at 16 mm pitch, feed 0.3 m
-above the array center, receiver 5 m out at 45 degrees, 12 dBi horns with
-q = 7 tapers, -7.87 dBm transmit power, -94 dBm noise floor, 0-60 degree
-codebook in 1.5 degree steps. A provided file must contain every section;
-keys inside a section are optional and default-filled.
+YAML keys and RISIM_* names outside it are rejected. The defaults reproduce
+the reference bench setup, so a bare run needs no file. A provided file must
+contain every section; keys inside a section are optional and default-filled.
+Each section resolves to its domain object, built once per resolution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+import re
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario
 from .localization import NoiseModel
-from .masks import Codebook, CodingMask, build_codebook, codebook_angles
+from .masks import Codebook, build_codebook, codebook_angles
 from .patterns import FeedSpec, UnitCellReflection, check_exponent
 
 ENV_PREFIX = "RISIM"
@@ -62,128 +60,94 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    m_count: int
-    n_count: int
-    periodicity_m: float
+@dataclass(frozen=True, kw_only=True)
+class CellConfig(UnitCellReflection):
+    """The unit cell's reflection plus q_e, the element taper of near-field patterns."""
 
-
-@dataclass(frozen=True)
-class CellConfig:
-    magnitude_state0: float
-    magnitude_state1: float
-    phase_state0_deg: float
-    phase_state1_deg: float
     q_e: float
 
-
-@dataclass(frozen=True)
-class FeedConfig:
-    position_m: tuple
-    q_f: float
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    tx_power_dbm: float
-    gain_tx_dbi: float
-    gain_rx_dbi: float
-    noise_floor_dbm: float
-    rx_position_m: tuple
-    q_t: float
-    q_r: float
-    include_hardware_loss: bool
-    hardware_loss_db: tuple  # ordered (name, dB) pairs
-
-    def loss_items(self) -> dict:
-        return dict(self.hardware_loss_db)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_exponent("q_e", self.q_e)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Codebook range, RSSI noise and seed of the localization sweep."""
+
     start_deg: float
     stop_deg: float
     step_deg: float
     noise_kind: str
     sigma_db: float
     seed: int
+    noise: NoiseModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "noise", NoiseModel(self.noise_kind, self.sigma_db))
+        codebook_angles(self.start_deg, self.stop_deg, self.step_deg)
+        if not (0.0 <= self.start_deg and self.stop_deg < 90.0):
+            raise DomainError("angles must lie in [0, 90)")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario; every consumer builds its objects from here."""
+    """Fully resolved scenario: each section's domain object, built once."""
 
     frequency_hz: float
-    geometry: GeometryConfig
+    geometry: ArrayGeometry
     cell: CellConfig
-    feed: FeedConfig
-    link: LinkConfig
+    feed: FeedSpec
+    link: LinkScenario
     sweep: SweepConfig
 
     @property
     def wavelength(self) -> float:
         return wavelength_from_frequency(self.frequency_hz)
 
+    # perfbench's workloads call these five; the package reads the fields
     def array_geometry(self) -> ArrayGeometry:
-        g = self.geometry
-        return ArrayGeometry(g.m_count, g.n_count, g.periodicity_m)
+        return self.geometry
 
-    def unit_cell(self) -> UnitCellReflection:
-        c = self.cell
-        return UnitCellReflection(
-            c.magnitude_state0, c.magnitude_state1, c.phase_state0_deg, c.phase_state1_deg
-        )
+    def unit_cell(self) -> CellConfig:
+        return self.cell
 
     def feed_spec(self) -> FeedSpec:
-        return FeedSpec(Point3(*self.feed.position_m), self.feed.q_f)
+        return self.feed
 
-    def rx_point(self) -> Point3:
-        return Point3(*self.link.rx_position_m)
+    def link_scenario(self) -> LinkScenario:
+        return self.link
 
     def noise_model(self) -> NoiseModel:
-        return NoiseModel(self.sweep.noise_kind, self.sweep.sigma_db)
-
-    def link_scenario(self, mask: CodingMask | None = None) -> LinkScenario:
-        return LinkScenario(
-            geom=self.array_geometry(),
-            feed=Point3(*self.feed.position_m),
-            rx=self.rx_point(),
-            wavelength=self.wavelength,
-            tx_power_dbm=self.link.tx_power_dbm,
-            gain_tx_dbi=self.link.gain_tx_dbi,
-            gain_rx_dbi=self.link.gain_rx_dbi,
-            q_t=self.link.q_t,
-            q_r=self.link.q_r,
-            noise_floor_dbm=self.link.noise_floor_dbm,
-            mask=mask,
-            include_hardware_loss=self.link.include_hardware_loss,
-            hardware_loss_db=self.link.loss_items(),
-        )
+        return self.sweep.noise
 
     def steering_codebook(self) -> Codebook:
         s = self.sweep
         return build_codebook(
-            self.array_geometry(),
-            Point3(*self.feed.position_m),
-            self.wavelength,
-            s.start_deg,
-            s.stop_deg,
-            s.step_deg,
+            self.geometry, self.feed.position, self.wavelength, s.start_deg, s.stop_deg, s.step_deg
         )
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        """The resolved values, read back from the objects in DEFAULTS key order."""
+        doc = {"frequency_hz": self.frequency_hz}
         for name in _SECTIONS:
-            for key, value in doc[name].items():
-                if isinstance(value, tuple):  # back to the default's list or map
-                    doc[name][key] = type(DEFAULTS[name][key])(value)
+            obj = getattr(self, name)
+            doc[name] = {k: _plain(getattr(obj, _ATTRS.get(k, k))) for k in DEFAULTS[name]}
         return doc
 
 
-_SECTIONS = dict(
-    geometry=GeometryConfig, cell=CellConfig, feed=FeedConfig, link=LinkConfig, sweep=SweepConfig
-)
+_SECTIONS = tuple(name for name, body in DEFAULTS.items() if isinstance(body, dict))
+
+_ATTRS = {"position_m": "position", "rx_position_m": "rx"}  # schema key -> domain attribute
+
+
+def _plain(value):
+    """A domain value in its schema type: a Point3 as a list, a ledger as a dict."""
+    if isinstance(value, Point3):
+        return [value.x, value.y, value.z]
+    return dict(value) if isinstance(value, dict) else value
 
 
 def _copy(doc: dict) -> dict:
@@ -248,7 +212,10 @@ def _overrides(doc: dict, prefix: str = ENV_PREFIX):
 def _apply_env(doc: dict, env) -> None:
     """Apply RISIM_* overrides; any other RISIM_* name is a typo and an error.
     A resolved value has its default's type, so it tells _from_env the kind."""
-    targets = {name: (mapping, key) for name, mapping, key in _overrides(doc)}
+    targets = {}
+    for name, mapping, key in _overrides(doc):
+        if (taken := targets.setdefault(name, (mapping, key))[1]) != key:
+            raise ConfigError(f"config keys {taken!r} and {key!r} share the override name {name}")
     for name in sorted(n for n in env if n.startswith(f"{ENV_PREFIX}_")):
         if name not in targets:
             raise ConfigError(f"unknown environment override {name}")
@@ -256,46 +223,39 @@ def _apply_env(doc: dict, env) -> None:
         mapping[key] = _from_env(name, env[name], mapping[key])
 
 
-def _frozen(value):
-    """Dataclass form of a resolved value: lists become tuples, maps (name, value) pairs."""
-    if isinstance(value, (list, dict)):
-        return tuple(value.items() if isinstance(value, dict) else value)
-    return value
+def _section(name: str, build):
+    """Build a section's domain object; a range violation names the section."""
+    try:
+        return build()
+    except DomainError as exc:
+        raise ConfigError(f"invalid config section {name}: {exc}") from exc
 
 
 def _build(doc: dict) -> ScenarioConfig:
-    sections = {
-        name: cls(**{k: _frozen(v) for k, v in doc[name].items()})
-        for name, cls in _SECTIONS.items()
-    }
-    cfg = ScenarioConfig(frequency_hz=doc["frequency_hz"], **sections)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ScenarioConfig) -> None:
-    """Construct every domain object once so range violations surface as
-    configuration errors naming the section."""
-    s = cfg.sweep
-    checks = (
-        ("frequency_hz", lambda: wavelength_from_frequency(cfg.frequency_hz)),
-        ("geometry", cfg.array_geometry),
-        ("cell", cfg.unit_cell),
-        ("cell", lambda: check_exponent("q_e", cfg.cell.q_e)),
-        ("feed", cfg.feed_spec),
-        ("link", cfg.link_scenario),
-        ("sweep", cfg.noise_model),
-        ("sweep", lambda: codebook_angles(s.start_deg, s.stop_deg, s.step_deg)),
+    """Construct each section's domain object once, checking them in schema order."""
+    wavelength = _section("frequency_hz", lambda: wavelength_from_frequency(doc["frequency_hz"]))
+    geometry = _section("geometry", lambda: ArrayGeometry(**doc["geometry"]))
+    cell = _section("cell", lambda: CellConfig(**doc["cell"]))
+    f = doc["feed"]
+    feed = _section("feed", lambda: FeedSpec(Point3(*f["position_m"]), f["q_f"]))
+    link = dict(doc["link"])
+    rx = link.pop("rx_position_m")
+    scenario = _section(
+        "link", lambda: LinkScenario(geometry, feed.position, Point3(*rx), wavelength, **link)
     )
-    for section, build in checks:
-        try:
-            build()
-        except DomainError as exc:
-            raise ConfigError(f"invalid config section {section}: {exc}") from exc
-    if not (0.0 <= s.start_deg and s.stop_deg < 90.0):
-        raise ConfigError("invalid config section sweep: angles must lie in [0, 90)")
-    if s.seed < 0:
-        raise ConfigError(f"invalid config section sweep: seed must be >= 0, got {s.seed}")
+    sweep = _section("sweep", lambda: SweepConfig(**doc["sweep"]))
+    return ScenarioConfig(doc["frequency_hz"], geometry, cell, feed, scenario, sweep)
+
+
+@functools.cache
+def _yaml_loader():
+    """SafeLoader plus the exponent floats (5.5e9, -1e1) that YAML 1.1 reads as strings."""
+    import yaml
+
+    loader = type("Loader", (yaml.SafeLoader,), {})
+    exponent_float = re.compile(r"^[-+]?(\d+(\.\d*)?|\.\d+)[eE][-+]?\d+$")
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent_float, list("-+.0123456789"))
+    return loader
 
 
 def parse_config(text: str | None = None, env=None) -> ScenarioConfig:
@@ -306,11 +266,10 @@ def parse_config(text: str | None = None, env=None) -> ScenarioConfig:
         import yaml  # only a supplied file needs PyYAML; a bare run skips its import
 
         try:
-            supplied = yaml.safe_load(text)
+            supplied = yaml.load(text, Loader=_yaml_loader())
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not valid YAML: {exc}") from exc
-        if supplied is None:
-            supplied = {}
+        supplied = {} if supplied is None else supplied
         if not isinstance(supplied, dict):
             raise ConfigError("config document must be a mapping of sections")
         for key, value in supplied.items():

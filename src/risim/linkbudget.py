@@ -37,7 +37,7 @@ _ACCOUNTING_MODES = ("analytic", "mask", "single_pass", "none")
 _MW_FLOAT_RANGE_DBM = (10.0 * math.log10(math.ulp(0.0)), 10.0 * math.log10(sys.float_info.max))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinkScenario:
     """Complete two-hop scenario: geometry, node positions, powers, tapers."""
 

@@ -48,7 +48,7 @@ def check(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_geometric_accumulation(cfg):
-    bench = cfg.link_scenario()
+    bench = cfg.link
     t0 = time.perf_counter()
     acc = geometric_accumulation(bench)
     elapsed = time.perf_counter() - t0
@@ -57,7 +57,7 @@ def test_criterion_01_geometric_accumulation(cfg):
 
 
 def test_criterion_02_received_power_and_snr(cfg):
-    report = received_power(cfg.link_scenario())
+    report = received_power(cfg.link)
     p, s = report.received_power_dbm, report.snr_db
     ok = abs(p - (-43.87)) <= 0.5 and abs(s - 50.1) <= 0.5
     check(2, "received power", ok, f"{p:.4f} dBm vs -43.87 +/-0.5, SNR {s:.4f} dB vs 50.1 +/-0.5")
@@ -86,8 +86,8 @@ def test_criterion_05_unit_cell_gain():
 
 def test_criterion_06_steering_accuracy(cfg, board):
     grid = default_theta_grid(0.25)
-    cell = cfg.unit_cell()
-    feed = cfg.feed_spec()
+    cell = cfg.cell
+    feed = cfg.feed
     errors = []
     for target in (15.0, 30.0, 45.0):
         far = farfield_steering_mask(board, Direction(target), cfg.wavelength)
@@ -102,7 +102,7 @@ def test_criterion_06_steering_accuracy(cfg, board):
 
 
 def test_criterion_07_mirror_symmetry(cfg, board):
-    cell = cfg.unit_cell()
+    cell = cfg.cell
     grid = default_theta_grid()
     rng = np.random.default_rng(7)
     masks = [CodingMask(board, rng.integers(0, 2, (16, 10))) for _ in range(5)]
@@ -118,7 +118,7 @@ def test_criterion_07_mirror_symmetry(cfg, board):
 
 def test_criterion_08_localization(cfg):
     codebook = cfg.steering_codebook()
-    bench = cfg.link_scenario()
+    bench = cfg.link
     results = []
     exact = True
     for truth in (30.0, 45.0):
@@ -169,7 +169,7 @@ def test_criterion_10_property_suites(cfg, board):
         antisymmetric = antisymmetric and float(resid.max()) < 1e-6
 
     mask = farfield_steering_mask(board, Direction(30.0), LAMBDA_BENCH)
-    cell = cfg.unit_cell()
+    cell = cfg.cell
     grid = default_theta_grid()
     center = board.center()
     feed = FeedSpec(Point3(center.x, center.y, 1e4 * 0.24), q_f=0.0)

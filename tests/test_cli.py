@@ -231,14 +231,14 @@ def test_export_frame_matches_library_path(runner, tmp_path):
     assert result.exit_code == 0
     cfg = load_config()
     expected = serialize_mask(
-        farfield_steering_mask(cfg.array_geometry(), Direction(30.0), cfg.wavelength)
+        farfield_steering_mask(cfg.geometry, Direction(30.0), cfg.wavelength)
     )
     frame = read_frame(out)
     assert frame.octets == expected.octets
     assert expected.to_hex() in result.output
     back = deserialize_frame(frame)
     assert np.array_equal(
-        back.bits, farfield_steering_mask(cfg.array_geometry(), Direction(30.0), cfg.wavelength).bits
+        back.bits, farfield_steering_mask(cfg.geometry, Direction(30.0), cfg.wavelength).bits
     )
 
 
@@ -295,6 +295,20 @@ def test_yaml_added_ledger_item_gets_its_env_name(runner, tmp_path):
     result = runner.invoke(main, args, env={"RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "5"})
     assert result.exit_code == 2
     assert "RISIM_LINK_HARDWARE_LOSS_DB_CABLES" in result.output
+
+
+def test_loss_items_sharing_an_env_name_exit_2(runner, tmp_path):
+    cfgfile = tmp_path / "dup.yaml"
+    link = "link: {include_hardware_loss: true, hardware_loss_db: {cables: 1.0, CABLES: 2.0}}"
+    cfgfile.write_text(FULL_SECTIONS.replace("link: {}", link))
+    out = tmp_path / "dup.json"
+    args = ["linkbudget", "--config", str(cfgfile), "--out", str(out)]
+    for env in ({}, {"RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "0"}):
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2
+        assert "'cables' and 'CABLES'" in result.stderr
+        assert "RISIM_LINK_HARDWARE_LOSS_DB_CABLES" in result.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["none", "gaussian_db"])

@@ -11,7 +11,9 @@ import risim
 from risim import (
     DEFAULTS,
     ConfigError,
+    Point3,
     ScenarioConfig,
+    UnitCellReflection,
     load_config,
     parse_config,
     render_config,
@@ -38,14 +40,14 @@ def test_defaults_reproduce_bench_setup():
     assert cfg.wavelength == pytest.approx(0.0545, abs=1e-4)
     assert (cfg.geometry.m_count, cfg.geometry.n_count) == (16, 10)
     assert cfg.geometry.periodicity_m == 0.016
-    assert cfg.feed.position_m == (0.12, 0.072, 0.3)
+    assert cfg.feed.position == Point3(0.12, 0.072, 0.3)
     assert cfg.link.tx_power_dbm == -7.87
-    assert cfg.link.rx_position_m[0] == pytest.approx(0.12 + 5 * math.sin(math.radians(45)))
-    assert cfg.link.rx_position_m[2] == pytest.approx(5 * math.cos(math.radians(45)))
+    assert cfg.link.rx.x == pytest.approx(0.12 + 5 * math.sin(math.radians(45)))
+    assert cfg.link.rx.z == pytest.approx(5 * math.cos(math.radians(45)))
     assert cfg.sweep.step_deg == 1.5
     assert cfg.cell.q_e == 0.5
     assert not cfg.link.include_hardware_loss
-    assert cfg.link.loss_items() == {"dielectric_and_diode": 3.0, "cables": 6.87}
+    assert cfg.link.hardware_loss_db == {"dielectric_and_diode": 3.0, "cables": 6.87}
 
 
 def test_bare_parse_equals_default_load():
@@ -121,6 +123,8 @@ def test_malformed_yaml():
 def test_type_enforcement():
     with pytest.raises(ConfigError, match="geometry.m_count must be an integer"):
         parse_config(doc_with(geometry="{m_count: 5.5}"), env={})
+    with pytest.raises(ConfigError, match="geometry.m_count must be an integer, got 10.0"):
+        parse_config(doc_with(geometry="{m_count: 1e1}"), env={})  # an exponent is a float
     with pytest.raises(ConfigError, match="must be a boolean"):
         parse_config(doc_with(link='{include_hardware_loss: "yes"}'), env={})
     with pytest.raises(ConfigError, match="must be a string"):
@@ -169,10 +173,10 @@ def test_env_overrides_each_kind():
     assert cfg.frequency_hz == 6.0e9
     assert cfg.geometry.m_count == 12
     assert cfg.link.include_hardware_loss is True
-    assert cfg.feed.position_m == (0.1, 0.2, 0.4)
+    assert cfg.feed.position == Point3(0.1, 0.2, 0.4)
     assert cfg.sweep.noise_kind == "gaussian_db"
-    assert cfg.link.loss_items()["cables"] == 5.0
-    assert cfg.link.loss_items()["dielectric_and_diode"] == 3.0
+    assert cfg.link.hardware_loss_db["cables"] == 5.0
+    assert cfg.link.hardware_loss_db["dielectric_and_diode"] == 3.0
 
 
 def test_env_overrides_apply_on_top_of_file():
@@ -191,15 +195,73 @@ def test_env_bad_values_name_the_variable():
 
 
 def test_builders(cfg):
-    assert cfg.array_geometry().size == 160
-    assert cfg.unit_cell().phase_state1_deg == 180.0
-    assert cfg.feed_spec().q_f == 7.0
-    assert cfg.rx_point().y == 0.072
-    assert cfg.noise_model().kind == "none"
+    assert cfg.geometry.size == 160
+    assert cfg.cell.phase_state1_deg == 180.0
+    assert cfg.feed.q_f == 7.0
+    assert cfg.link.rx.y == 0.072
+    assert cfg.sweep.noise.kind == "none"
     assert len(cfg.steering_codebook().entries) == 41
-    scenario = cfg.link_scenario()
-    assert scenario.mask is None
-    assert scenario.geom.periodicity_m == 0.016
+    assert cfg.link.mask is None
+    assert cfg.link.geom.periodicity_m == 0.016
+
+
+def test_one_object_per_section(cfg):
+    assert cfg.link.geom is cfg.geometry
+    assert cfg.link.feed == cfg.feed.position
+    assert cfg.link.wavelength == cfg.wavelength
+    assert isinstance(cfg.cell, UnitCellReflection)
+    # the accessor methods return the stored objects
+    assert cfg.array_geometry() is cfg.geometry
+    assert cfg.unit_cell() is cfg.cell
+    assert cfg.feed_spec() is cfg.feed
+    assert cfg.link_scenario() is cfg.link
+    assert cfg.noise_model() is cfg.sweep.noise
+    assert with_seed(cfg, 5).sweep.noise == cfg.sweep.noise
+
+
+def test_render_emits_every_key_in_schema_order():
+    doc = yaml.safe_load(render_config(parse_config(None, env={})))
+    assert doc == DEFAULTS
+    assert list(doc) == list(DEFAULTS)
+    for section, body in DEFAULTS.items():
+        if isinstance(body, dict):
+            assert list(doc[section]) == list(body), section
+
+
+def test_yaml_added_loss_item_round_trips():
+    cfg = parse_config(doc_with(link="{hardware_loss_db: {connector: 2.5}}"), env={})
+    assert cfg.link.hardware_loss_db == {"connector": 2.5}
+    assert "connector: 2.5" in render_config(cfg)
+    assert parse_config(render_config(cfg), env={}) == cfg
+
+
+def test_loss_items_sharing_an_override_name_rejected():
+    text = doc_with(link="{hardware_loss_db: {cables: 1.0, CABLES: 2.0}}")
+    for env in ({}, {"RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "0"}):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, env=env)
+        assert str(info.value) == (
+            "config keys 'cables' and 'CABLES' share the override name "
+            "RISIM_LINK_HARDWARE_LOSS_DB_CABLES"
+        )
+
+
+@pytest.mark.parametrize(
+    "section, key, text, value",
+    [
+        (None, "frequency_hz", "5.8e9", 5.8e9),
+        ("link", "tx_power_dbm", "-1e1", -10.0),
+        ("sweep", "step_deg", "2.E0", 2.0),
+        ("cell", "q_e", ".6e+0", 0.6),
+    ],
+)
+def test_exponent_floats_resolve_like_their_env_twins(section, key, text, value):
+    doc = doc_with(**{section: f"{{{key}: {text}}}"}) if section else doc_with(frequency_hz=text)
+    from_yaml = parse_config(doc, env={})
+    env = {"_".join(filter(None, ("RISIM", section, key))).upper(): text}
+    assert from_yaml == parse_config(None, env=env)
+    resolved = from_yaml.to_dict()
+    assert (resolved[section] if section else resolved)[key] == value
 
 
 def test_with_seed_changes_only_seed(cfg):

@@ -148,7 +148,7 @@ def test_board_cuts_equal_dense_oracle(board, cfg):
     # the CLI's own cuts: the 16x10 board, full grid, far and near steering
     # masks. A deterministic guard against gathering with rot[:, inv]: that
     # array is not C-contiguous, so its row sums round differently.
-    feed = cfg.feed_spec()
+    feed = cfg.feed
     for steer in (Direction(0.0), Direction(30.0), Direction(45.0, 180.0)):
         far = farfield_steering_mask(board, steer, LAMBDA_BENCH)
         cut = array_factor_far(board, far, CELL, Direction(0.0), 0.0, GRID, LAMBDA_BENCH)

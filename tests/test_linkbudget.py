@@ -29,7 +29,7 @@ from risim import (
 
 @pytest.fixture(scope="module")
 def bench(cfg):
-    return cfg.link_scenario()
+    return cfg.link
 
 
 def test_rx_distance_examples():

@@ -23,7 +23,7 @@ from risim import (
 
 @pytest.fixture(scope="module")
 def bench(cfg):
-    return cfg.link_scenario()
+    return cfg.link
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +119,8 @@ def _beam_deviation(entry, bench, cfg):
     cut = pattern_nearfield(
         bench.geom,
         entry.mask,
-        cfg.unit_cell(),
-        cfg.feed_spec(),
+        cfg.cell,
+        cfg.feed,
         cfg.cell.q_e,
         0.0,
         default_theta_grid(),

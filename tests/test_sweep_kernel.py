@@ -90,9 +90,9 @@ def oracle_nearfield_bits(geom, feed, steer, wavelength):
 )
 def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m):
     codebook = build_codebook(
-        cfg.array_geometry(), cfg.feed_spec().position, cfg.wavelength, 0.0, 60.0, step
+        cfg.geometry, cfg.feed.position, cfg.wavelength, 0.0, 60.0, step
     )
-    scenario = cfg.link_scenario()
+    scenario = cfg.link
     rx = rx_at(scenario, truth, range_m)
     trace = simulate_sweep(codebook, rx, scenario)
     direct = [
@@ -147,7 +147,7 @@ def test_single_pass_equals_oracle(cfg, seed, theta, range_m, hardware, shape):
 
     geom = ArrayGeometry(*shape, cfg.geometry.periodicity_m)
     bits = np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8)
-    base = replace(cfg.link_scenario(), geom=geom, include_hardware_loss=hardware)
+    base = replace(cfg.link, geom=geom, include_hardware_loss=hardware)
     scenario = base.with_rx(rx_at(base, theta, range_m)).with_mask(CodingMask(geom, bits))
     report = received_power(scenario, "single_pass")
     acc, dbm = oracle_single_pass(scenario)
@@ -176,7 +176,7 @@ SHAPES = st.one_of(
 def test_stacked_sums_equal_per_exp_oracle(cfg, seed, k, shape, pitch, theta, range_m):
     from dataclasses import replace
 
-    base = replace(cfg.link_scenario(), geom=ArrayGeometry(*shape, pitch))
+    base = replace(cfg.link, geom=ArrayGeometry(*shape, pitch))
     amp, path = base.with_rx(rx_at(base, theta, range_m))._two_hop_terms
     bits = np.random.default_rng(seed).integers(0, 2, (k, *shape), dtype=np.uint8)
     bits[-1] = 1

@@ -90,7 +90,7 @@ def test_every_mode_equals_a_fresh_scenario_and_the_uncached_formula(
 ):
     geom = ArrayGeometry(*shape, pitch)
     mask = CodingMask(geom, np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8))
-    base = cfg.link_scenario()
+    base = cfg.link
     sc = replace(base, geom=geom, feed=feed, rx=rx, mask=mask, include_hardware_loss=hardware)
     once, twice = reports(sc, first), reports(sc, second)
     fresh = {q: received_power(copy_of(sc), q) for q in MODES}
@@ -106,7 +106,7 @@ def test_every_mode_equals_a_fresh_scenario_and_the_uncached_formula(
 
 
 def test_with_rx_and_with_mask_equal_fresh_scenarios(cfg, board):
-    base = cfg.link_scenario()
+    base = cfg.link
     received_power(base, "none")  # fill the base scenario's terms first
     rx = Point3(1.0, 0.5, 2.0)
     moved = base.with_rx(rx)
@@ -123,7 +123,7 @@ def test_with_rx_and_with_mask_equal_fresh_scenarios(cfg, board):
 
 
 def test_terms_are_read_only(cfg):
-    amp, path = cfg.link_scenario()._two_hop_terms
+    amp, path = cfg.link._two_hop_terms
     for grid in (amp, path):
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
@@ -146,5 +146,5 @@ def test_off_axis_cos_keeps_its_own_norm(cfg):
     # z*z in the cosine's norm is correctly rounded; distance_grid's z**2 goes
     # through pow and is not for this z, so reusing r there moves the last bit
     rx = Point3(2.0, 0.072, 6.883345885040325)
-    report = received_power(cfg.link_scenario().with_rx(rx), "none")
+    report = received_power(cfg.link.with_rx(rx), "none")
     assert report.received_power_dbm == -41.67761185345033
