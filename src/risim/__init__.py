@@ -13,7 +13,6 @@ from .geometry import (
     Point3,
     distance_grid,
     element_grid,
-    element_position,
     euclidean_feed_distance,
     projection_grid,
     wavelength_from_frequency,
@@ -24,13 +23,9 @@ from .masks import (
     CodingMask,
     PhaseMask,
     build_codebook,
-    coding_mask_from_json,
-    coding_mask_to_json,
     farfield_steering_mask,
-    nearfield_compensation,
     nearfield_steering_mask,
     quantize_1bit,
-    recenter_phases,
     snell_gradient,
     wrap_deg,
 )
@@ -41,7 +36,6 @@ from .patterns import (
     UnitCellReflection,
     array_factor_far,
     default_theta_grid,
-    feed_offset_angle,
     pattern_metrics,
     pattern_nearfield,
     write_pattern_csv,

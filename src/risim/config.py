@@ -249,10 +249,23 @@ def _build(doc: dict) -> ScenarioConfig:
 
 @functools.cache
 def _yaml_loader():
-    """SafeLoader plus the exponent floats (5.5e9, -1e1) that YAML 1.1 reads as strings."""
+    """SafeLoader plus the exponent floats (5.5e9, -1e1) that YAML 1.1 reads as
+    strings; a key repeated within one mapping is an error, not the last value."""
     import yaml
 
-    loader = type("Loader", (yaml.SafeLoader,), {})
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                if (key := self.construct_object(key_node)) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return yaml.SafeLoader.construct_mapping(self, node, deep)
+
+    loader = type("Loader", (yaml.SafeLoader,), {"construct_mapping": construct_mapping})
     exponent_float = re.compile(r"^[-+]?(\d+(\.\d*)?|\.\d+)[eE][-+]?\d+$")
     loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent_float, list("-+.0123456789"))
     return loader
@@ -298,7 +311,7 @@ def load_config(path: str | None = None, env=None) -> ScenarioConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text, env=env)
 

@@ -18,6 +18,10 @@ from .errors import DomainError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
+# 256 x 256, about 400x the 16 x 10 board: one complex (721, M*N) cut term array then
+# takes 0.76 GB, so a larger count fails here instead of inside numpy's allocator
+MAX_ELEMENTS = 65_536
+
 
 def wavelength_from_frequency(frequency_hz: float) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
@@ -39,9 +43,10 @@ class ArrayGeometry:
     periodicity_m: float
 
     def __post_init__(self) -> None:
-        if self.m_count < 1 or self.n_count < 1:
+        if not (self.m_count >= 1 and self.n_count >= 1 and self.size <= MAX_ELEMENTS):
             raise DomainError(
-                f"element counts must be >= 1, got {self.m_count}x{self.n_count}"
+                f"element counts must be >= 1 and multiply to at most {MAX_ELEMENTS},"
+                f" got {self.m_count}x{self.n_count}"
             )
         if not (self.periodicity_m > 0):
             raise DomainError(f"periodicity must be > 0, got {self.periodicity_m}")
@@ -112,16 +117,6 @@ class Point3:
         for v in (self.x, self.y, self.z):
             if not math.isfinite(v):
                 raise DomainError(f"coordinates must be finite, got {self!r}")
-
-
-def element_position(geom: ArrayGeometry, m: int, n: int) -> Point3:
-    """Position of element (m, n), 1-based, corner origin."""
-    if not (1 <= m <= geom.m_count) or not (1 <= n <= geom.n_count):
-        raise DomainError(
-            f"element index ({m}, {n}) outside 1..{geom.m_count} x 1..{geom.n_count}"
-        )
-    p = geom.periodicity_m
-    return Point3((m - 1) * p, (n - 1) * p, 0.0)
 
 
 def element_grid(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:

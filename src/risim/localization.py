@@ -42,9 +42,6 @@ class SweepTrace:
     def __len__(self) -> int:
         return len(self.steer_deg)
 
-    def entries(self):
-        return list(zip(self.steer_deg.tolist(), self.rssi_dbm.tolist()))
-
 
 def ue_point(true_ue, scenario: LinkScenario) -> Point3:
     """Resolve the user position: a Point3 passes through; a Direction is

@@ -8,7 +8,6 @@ phase to the two-state 0/180 degree alphabet.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -122,21 +121,11 @@ def snell_gradient(
     return PhaseMask(geom, wrap_deg(np.degrees(phase_rad)))
 
 
-def nearfield_compensation(
-    geom: ArrayGeometry, feed: Point3, reflection: Direction, wavelength: float
-) -> PhaseMask:
-    """Continuous phase that collimates a close-in spherical feed wavefront
-    into a plane wave along the reflection direction.
-
-    Element (m, n) carries k0 * (feed distance - proj_out), wrapped. The
-    raw wrap retains the common distance offset; steering pipelines rotate
-    it out before quantization (see recenter_phases).
-    """
-    return PhaseMask(geom, _compensation_deg(geom, feed, [reflection], wavelength)[0])
-
-
 def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
-    """nearfield_compensation toward each of K directions, shape (K, M, N)."""
+    """Continuous phase collimating a close-in spherical feed wavefront into a
+    plane wave toward each of K directions, shape (K, M, N): element (m, n)
+    carries k0 * (feed distance - proj_out), wrapped. The raw wrap retains the
+    common distance offset; _recentered_deg rotates it out before quantization."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     if not (feed.z > 0):
@@ -154,19 +143,11 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
         return wrap_deg(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj))
 
 
-def recenter_phases(mask: PhaseMask) -> PhaseMask:
-    """Rotate a mask so its circular-mean phase is zero.
-
-    A 1-bit quantizer keeps only the sign of the phase about its bin
-    boundaries, so the absolute reference matters: centering the population
-    splits it evenly across the two bins and minimizes the pointing bias of
-    quantized spherical-compensation masks.
-    """
-    return PhaseMask(mask.geom, _recentered_deg(mask.phases_deg[None])[0])
-
-
 def _recentered_deg(phases_deg: np.ndarray) -> np.ndarray:
-    """recenter_phases on each of K stacked (K, M, N) grids."""
+    """Rotate each of K stacked (K, M, N) grids to a zero circular-mean phase.
+    A 1-bit quantizer keeps only the side of its bin boundaries a phase falls
+    on, so centering the population splits it evenly across the two bins and
+    minimizes the pointing bias of quantized spherical-compensation masks."""
     ph = np.radians(phases_deg)
     mean = np.angle(np.mean(np.exp(1j * ph.reshape(len(ph), -1)), axis=1))
     return wrap_deg(np.degrees(ph - mean[:, None, None]))
@@ -242,19 +223,3 @@ def build_codebook(
     bits = _nearfield_bits(geom, feed, steers, wavelength)
     return Codebook(tuple(CodebookEntry(d, CodingMask(geom, b)) for d, b in zip(steers, bits)))
 
-
-def coding_mask_to_json(mask: CodingMask) -> str:
-    """JSON document with the geometry and the 0/1 grid (outer list over m)."""
-    doc = {
-        "m_count": mask.geom.m_count,
-        "n_count": mask.geom.n_count,
-        "periodicity_m": mask.geom.periodicity_m,
-        "bits": mask.bits.tolist(),
-    }
-    return json.dumps(doc, indent=2)
-
-
-def coding_mask_from_json(text: str) -> CodingMask:
-    doc = json.loads(text)
-    geom = ArrayGeometry(doc["m_count"], doc["n_count"], doc["periodicity_m"])
-    return CodingMask(geom, np.array(doc["bits"], dtype=np.uint8))

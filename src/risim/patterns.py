@@ -186,13 +186,6 @@ def array_factor_far(
     return _normalize(phi_plane_deg, theta, field)
 
 
-def feed_offset_angle(feed: FeedSpec, elem: Point3) -> float:
-    """Off-boresight angle of an element as seen from a nadir-pointing feed,
-    degrees in [0, 90)."""
-    rho = math.hypot(feed.position.x - elem.x, feed.position.y - elem.y)
-    return math.degrees(math.atan2(rho, feed.position.z))
-
-
 def pattern_nearfield(
     geom: ArrayGeometry,
     mask,

@@ -468,3 +468,49 @@ def test_non_finite_noisy_rssi_exits_3_writing_nothing(runner, tmp_path, truths,
     message = f"domain error: noisy RSSI is not finite (sigma_db={float(sigma):g})"
     assert result.output.splitlines() == [message]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_utf8_config_exits_2_naming_the_path(runner, tmp_path):
+    binary = tmp_path / "bin.yaml"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    result = runner.invoke(main, ["linkbudget", "--config", str(binary)])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"config error: cannot read config file {binary}" in result.output
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("sweep: {}\n", "sweep: {}\nfrequency_hz: 5.5e9\nfrequency_hz: 6.0e9\n", "frequency_hz"),
+        ("geometry: {}", "geometry: {m_count: 16, m_count: 8}", "m_count"),
+        ("link: {}", "link: {hardware_loss_db: {cables: 1.0, cables: 2.0}}", "cables"),
+    ],
+    ids=["top-level", "section", "ledger"],
+)
+def test_duplicate_config_key_exits_2_naming_it(runner, tmp_path, old, new, key):
+    dup = tmp_path / "dup.yaml"
+    dup.write_text(FULL_SECTIONS.replace(old, new))
+    out = tmp_path / "lb.json"
+    result = runner.invoke(main, ["linkbudget", "--config", str(dup), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"found duplicate key '{key}'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["linkbudget"], ["pattern"], LOCALIZE_30])
+@pytest.mark.parametrize(
+    "env",
+    # 257 x 256 is one row over the 65,536-element cap
+    [
+        {"RISIM_GEOMETRY_M_COUNT": str(10**21)},
+        {"RISIM_GEOMETRY_M_COUNT": "257", "RISIM_GEOMETRY_N_COUNT": "256"},
+    ],
+    ids=["1e21", "just-over"],
+)
+def test_too_many_elements_exit_2_naming_geometry(runner, tmp_path, command, env):
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.output.startswith("config error: invalid config section geometry")
+    assert list(tmp_path.iterdir()) == []

@@ -9,34 +9,35 @@ from risim import (
     DomainError,
     Point3,
     element_grid,
-    element_position,
     euclidean_feed_distance,
     projection_grid,
     wavelength_from_frequency,
 )
 
+from risim.geometry import MAX_ELEMENTS
+
 from conftest import LAMBDA_BENCH
 
 
-def test_element_position_corner_origin(board):
-    p = element_position(board, 1, 1)
+def _element(board, m, n):
+    """Point3 of element (m, n), 1-based, read off the element lattice."""
+    X, Y = element_grid(board)
+    return Point3(float(X[m - 1, n - 1]), float(Y[m - 1, n - 1]), 0.0)
+
+
+def test_element_grid_corner_origin(board):
+    p = _element(board, 1, 1)
     assert (p.x, p.y, p.z) == (0.0, 0.0, 0.0)
 
 
-def test_element_position_one_step(board):
-    p = element_position(board, 2, 1)
+def test_element_grid_one_step(board):
+    p = _element(board, 2, 1)
     assert (p.x, p.y, p.z) == pytest.approx((0.016, 0.0, 0.0))
 
 
-def test_element_position_far_corner(board):
-    p = element_position(board, 16, 10)
+def test_element_grid_far_corner(board):
+    p = _element(board, 16, 10)
     assert (p.x, p.y, p.z) == pytest.approx((0.240, 0.144, 0.0))
-
-
-def test_element_position_rejects_bad_indices(board):
-    for m, n in ((0, 1), (17, 1), (1, 0), (1, 11)):
-        with pytest.raises(DomainError):
-            element_position(board, m, n)
 
 
 def test_projection_in_zero_at_normal_incidence(board):
@@ -80,8 +81,8 @@ def test_feed_distance_far_corner():
 
 def test_feed_distance_symmetric_elements(board):
     feed = Point3(0.12, 0.072, 0.3)
-    a = element_position(board, 4, 3)
-    b = element_position(board, 13, 8)  # mirrored about the feed axis
+    a = _element(board, 4, 3)
+    b = _element(board, 13, 8)  # mirrored about the feed axis
     assert euclidean_feed_distance(feed, a) == pytest.approx(
         euclidean_feed_distance(feed, b), rel=1e-12
     )
@@ -91,8 +92,8 @@ def test_translation_consistency(board):
     p = board.periodicity_m
     for m in range(1, board.m_count):
         for n in (1, 5, 10):
-            a = element_position(board, m, n)
-            b = element_position(board, m + 1, n)
+            a = _element(board, m, n)
+            b = _element(board, m + 1, n)
             assert (b.x - a.x, b.y - a.y, b.z - a.z) == pytest.approx((p, 0.0, 0.0))
 
 
@@ -125,7 +126,7 @@ def test_distance_grid_matches_scalar(board):
     grid = distance_grid(board, feed)
     assert grid.shape == (16, 10)
     assert grid[4, 7] == pytest.approx(
-        euclidean_feed_distance(feed, element_position(board, 5, 8)), rel=1e-12
+        euclidean_feed_distance(feed, _element(board, 5, 8)), rel=1e-12
     )
 
 
@@ -149,6 +150,15 @@ def test_geometry_validation():
         ArrayGeometry(0, 10, 0.016)
     with pytest.raises(DomainError):
         ArrayGeometry(16, 10, 0.0)
+
+
+def test_element_count_limit_is_inclusive():
+    # checked in integer arithmetic before any lattice exists
+    assert ArrayGeometry(256, 256, 0.016).size == MAX_ELEMENTS
+    assert ArrayGeometry(MAX_ELEMENTS, 1, 0.016).size == MAX_ELEMENTS
+    for m, n in ((MAX_ELEMENTS + 1, 1), (1, MAX_ELEMENTS + 1), (257, 256)):
+        with pytest.raises(DomainError, match=f"multiply to at most {MAX_ELEMENTS},"):
+            ArrayGeometry(m, n, 0.016)
 
 
 def test_geometry_center(board):

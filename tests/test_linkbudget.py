@@ -13,7 +13,6 @@ from risim import (
     LinkScenario,
     PhaseMask,
     Point3,
-    element_position,
     euclidean_feed_distance,
     f_combine_grid,
     geometric_accumulation,
@@ -85,7 +84,8 @@ def test_geometric_accumulation_grows_with_aperture(bench):
 def test_required_cascade_mask_cancels_path_phase(bench):
     req = required_cascade_mask(bench)
     k0 = 2 * math.pi / bench.wavelength
-    pos = element_position(bench.geom, 3, 7)
+    p = bench.geom.periodicity_m
+    pos = Point3(2 * p, 6 * p, 0.0)  # element (3, 7)
     total = euclidean_feed_distance(bench.feed, pos) + euclidean_feed_distance(bench.rx, pos)
     assert req.phases_deg[2, 6] == pytest.approx(math.degrees(k0 * total) % 360.0, abs=1e-9)
 

@@ -190,7 +190,6 @@ def test_trace_validation():
     with pytest.raises(DomainError):
         SweepTrace(np.array([1.0]), np.array([1.0, 2.0]))
     trace = SweepTrace(np.array([0.0, 1.5]), np.array([-50.0, -49.0]))
-    assert trace.entries() == [(0.0, -50.0), (1.5, -49.0)]
     assert len(trace) == 2
 
 

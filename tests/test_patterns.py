@@ -16,9 +16,7 @@ from risim import (
     UnitCellReflection,
     array_factor_far,
     default_theta_grid,
-    element_position,
     farfield_steering_mask,
-    feed_offset_angle,
     nearfield_steering_mask,
     pattern_metrics,
     pattern_nearfield,
@@ -60,17 +58,6 @@ def test_continuous_mask_peaks_exactly_no_mirror(board):
     assert peak_idx == target_idx
     mirror = cut.gain_db[np.abs(cut.theta_deg + 30.0) <= 5.0]
     assert mirror.max() < -10.0
-
-
-def test_feed_offset_angle_examples():
-    feed = FeedSpec(Point3(0.0, 0.0, 0.3))
-    assert feed_offset_angle(feed, Point3(0.0, 0.0, 0.0)) == 0.0
-    assert feed_offset_angle(feed, Point3(0.3, 0.0, 0.0)) == pytest.approx(45.0)
-    corner = feed_offset_angle(feed, Point3(0.24, 0.144, 0.0))
-    assert corner == pytest.approx(
-        math.degrees(math.atan2(math.hypot(0.24, 0.144), 0.3)), rel=1e-12
-    )
-    assert corner == pytest.approx(43.0, abs=0.05)
 
 
 def test_nearfield_matched_45deg_peak(cfg, board):
@@ -129,12 +116,13 @@ def _oracle_far(board, mask, incidence, theta_deg, lam):
     th_in = math.radians(incidence.theta_deg)
     ph_in = math.radians(incidence.phi_deg)
     th = math.radians(theta_deg)
+    p = board.periodicity_m
     total = 0 + 0j
     for m in range(1, board.m_count + 1):
         for n in range(1, board.n_count + 1):
-            pos = element_position(board, m, n)
-            proj_in = math.sin(th_in) * (pos.x * math.cos(ph_in) + pos.y * math.sin(ph_in))
-            proj_obs = math.sin(th) * pos.x
+            x, y = (m - 1) * p, (n - 1) * p
+            proj_in = math.sin(th_in) * (x * math.cos(ph_in) + y * math.sin(ph_in))
+            proj_obs = math.sin(th) * x
             state = int(mask.bits[m - 1, n - 1])
             coeff = cmath.exp(1j * math.pi) if state else 1.0
             total += coeff * cmath.exp(-1j * k0 * (proj_in - proj_obs))
@@ -157,14 +145,15 @@ def test_oracle_resummation_nearfield(board, rng):
     q_e = 0.5
     k0 = 2 * math.pi / LAMBDA_BENCH
     angles = np.sort(rng.uniform(-89.0, 89.0, 10))
+    p = board.periodicity_m
     cut = pattern_nearfield(board, mask, CELL, feed, q_e, 0.0, angles, LAMBDA_BENCH)
     for theta, field in zip(cut.theta_deg, cut.field):
         th = math.radians(theta)
         total = 0 + 0j
         for m in range(1, board.m_count + 1):
             for n in range(1, board.n_count + 1):
-                pos = element_position(board, m, n)
-                r = math.dist((feed.position.x, feed.position.y, feed.position.z), (pos.x, pos.y, 0.0))
+                x, y = (m - 1) * p, (n - 1) * p
+                r = math.dist((feed.position.x, feed.position.y, feed.position.z), (x, y, 0.0))
                 cos_f = feed.position.z / r
                 coeff = cmath.exp(1j * math.pi) if mask.bits[m - 1, n - 1] else 1.0
                 total += (
@@ -172,7 +161,7 @@ def test_oracle_resummation_nearfield(board, rng):
                     * cos_f**feed.q_f
                     / r
                     * coeff
-                    * cmath.exp(-1j * k0 * (r - math.sin(th) * pos.x))
+                    * cmath.exp(-1j * k0 * (r - math.sin(th) * x))
                 )
         assert abs(field - total) <= 1e-10 * abs(total)
 
