@@ -271,9 +271,25 @@ def _yaml_loader():
     return loader
 
 
+def _yaml_problem(exc, text: str) -> str:
+    """A PyYAML error as one line: the problem and its 1-based line and column."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        return f"{exc.problem or exc.context} (line {mark.line + 1}, column {mark.column + 1})"
+    # a ReaderError (an unprintable character) carries only a character offset
+    problem, pos = str(exc).splitlines()[0], getattr(exc, "position", 0)
+    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    return f"{problem} (line {line}, column {column})"
+
+
 def parse_config(text: str | None = None, env=None) -> ScenarioConfig:
     """Resolve a configuration from YAML text (None for pure defaults),
     then apply environment overrides (RISIM_<SECTION>_<KEY>)."""
+    return _resolve(text, env, "config")
+
+
+def _resolve(text: str | None, env, source: str) -> ScenarioConfig:
+    """parse_config, naming the text's source in a YAML error."""
     doc = _copy(DEFAULTS)
     if text is not None:
         import yaml  # only a supplied file needs PyYAML; a bare run skips its import
@@ -281,7 +297,7 @@ def parse_config(text: str | None = None, env=None) -> ScenarioConfig:
         try:
             supplied = yaml.load(text, Loader=_yaml_loader())
         except yaml.YAMLError as exc:
-            raise ConfigError(f"config is not valid YAML: {exc}") from exc
+            raise ConfigError(f"{source} is not valid YAML: {_yaml_problem(exc, text)}") from exc
         supplied = {} if supplied is None else supplied
         if not isinstance(supplied, dict):
             raise ConfigError("config document must be a mapping of sections")
@@ -313,7 +329,7 @@ def load_config(path: str | None = None, env=None) -> ScenarioConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text, env=env)
+    return _resolve(text, env, f"config file {path}")
 
 
 def render_config(cfg: ScenarioConfig) -> str:

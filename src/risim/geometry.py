@@ -22,6 +22,11 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # takes 0.76 GB, so a larger count fails here instead of inside numpy's allocator
 MAX_ELEMENTS = 65_536
 
+# feed and receiver distance from the origin, meters: far past any link the model
+# describes, yet squares and products of two distances (~1e200) stay far inside the
+# float range, where Python's z**2 raises OverflowError past 1.3e154 m
+MAX_NODE_DISTANCE_M = 1e100
+
 
 def wavelength_from_frequency(frequency_hz: float) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import ArrayGeometry, Point3, distance_grid, element_grid
+from .geometry import MAX_NODE_DISTANCE_M, ArrayGeometry, Point3, distance_grid, element_grid
 from .masks import CodingMask, PhaseMask, wrap_deg
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
@@ -62,6 +62,8 @@ class LinkScenario:
             raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
         if not (self.feed.z > 0 and self.rx.z > 0):
             raise DomainError("feed and rx must sit off the surface (z > 0)")
+        if not all(math.hypot(p.x, p.y, p.z) <= MAX_NODE_DISTANCE_M for p in (self.feed, self.rx)):
+            raise DomainError(f"feed and rx must lie within {MAX_NODE_DISTANCE_M:g} m of the origin")
         object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
         powers = (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm)
         if not all(map(math.isfinite, (*powers, *self.hardware_loss_db.values()))):
@@ -151,10 +153,10 @@ def _taper(scenario: LinkScenario, r_t: np.ndarray, r_r: np.ndarray) -> np.ndarr
 def _single_pass_sums(amp: np.ndarray, path: np.ndarray, bits: np.ndarray) -> list[float]:
     """|sum of amp * exp(j*(applied - path))| per stacked (K, M, N) bit grid,
     applied = 180 degrees per set bit. Each element's two possible terms are
-    computed once, one row per cell state, and gathered per grid; one
-    contiguous row sum and a scalar abs per mask keep row k bit-identical to
-    mask k alone. State 1 is its own exp: exp(j*(pi - p)) is not bitwise
-    -exp(-j*p)."""
+    computed once, one row per cell state, and gathered per grid by np.where,
+    so bool and 0/1 integer bits select alike; one contiguous row sum and a
+    scalar abs per mask keep row k bit-identical to mask k alone. State 1 is
+    its own exp: exp(j*(pi - p)) is not bitwise -exp(-j*p)."""
     table = amp.reshape(-1) * np.exp(1j * (np.radians([[0.0], [180.0]]) - path.reshape(-1)))
     terms = np.where(bits.reshape(len(bits), -1), table[1], table[0])
     return [float(abs(s)) for s in terms.sum(axis=1)]
@@ -232,19 +234,24 @@ def _scalar_terms(scenario: LinkScenario) -> tuple[dict, dict]:
     return head, dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
 
 
-def _ledger(head: dict, hw_items: dict, acc: float, lpe_db: float) -> tuple[dict, float]:
-    """Every dB term in table order and the received power, dBm, which is
-    their sum and nothing else; its mW value must be a positive finite float."""
-    terms = {
-        **head,
-        "accumulation_db": 20.0 * math.log10(acc) if acc > 0 else -math.inf,
-        "phase_error_loss_db": lpe_db,
-        "hardware_loss_db": -sum(hw_items.values()),
-    }
-    total = sum(terms.values())
+_TAIL_TERMS = ("accumulation_db", "phase_error_loss_db", "hardware_loss_db")
+
+
+def _ledger_values(head_db: tuple, hw_db: float, acc: float, lpe_db: float) -> tuple:
+    """The ledger's values in table order, head terms then _TAIL_TERMS, and the
+    received power, dBm, which is their builtin sum and nothing else; its mW
+    value must be a positive finite float."""
+    values = (*head_db, 20.0 * math.log10(acc) if acc > 0 else -math.inf, lpe_db, hw_db)
+    total = sum(values)
     if not _MW_FLOAT_RANGE_DBM[0] <= total <= _MW_FLOAT_RANGE_DBM[1]:
         raise DomainError(f"received power leaves the float range ({total!r} dBm)")
-    return terms, total
+    return values, total
+
+
+def _ledger(head: dict, hw_items: dict, acc: float, lpe_db: float) -> tuple[dict, float]:
+    """Every dB term in table order and the received power, dBm, their sum."""
+    values, total = _ledger_values(tuple(head.values()), -sum(hw_items.values()), acc, lpe_db)
+    return dict(zip((*head, *_TAIL_TERMS), values)), total
 
 
 def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarray:
@@ -252,8 +259,9 @@ def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarra
     grids in place of the scenario mask. received_power(..., "single_pass")
     is the K = 1 case, so entry k equals it with mask k bit for bit."""
     head, hw_items = _scalar_terms(scenario)
+    head_db, hw_db = tuple(head.values()), -sum(hw_items.values())
     accs = _single_pass_sums(*scenario._two_hop_terms, bits)
-    return np.array([_ledger(head, hw_items, acc, 0.0)[1] for acc in accs])
+    return np.array([_ledger_values(head_db, hw_db, acc, 0.0)[1] for acc in accs])
 
 
 def received_power(scenario: LinkScenario, quantization: str = "analytic") -> LinkReport:

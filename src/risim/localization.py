@@ -75,8 +75,7 @@ def simulate_sweep(
     a fixed seed.
     """
     rx = ue_point(true_ue, scenario)
-    bits = np.stack([entry.mask.bits for entry in codebook.entries])
-    rssi = single_pass_power_dbm(scenario.with_rx(rx), bits)
+    rssi = single_pass_power_dbm(scenario.with_rx(rx), codebook.bits)
     if noise.kind == "gaussian_db" and noise.sigma_db > 0:
         rng = np.random.default_rng(seed)
         rssi = rssi + rng.normal(0.0, noise.sigma_db, len(rssi))

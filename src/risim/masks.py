@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,25 +83,45 @@ class CodebookEntry:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Ordered steering masks with strictly increasing steer angles."""
+    """Steering bits of K entries with strictly increasing steer angles:
+    angles (K,) in degrees and bits (K, M, N), both read-only."""
 
-    entries: tuple[CodebookEntry, ...]
+    geom: ArrayGeometry
+    angles: np.ndarray
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        # views, so freezing them leaves the caller's arrays writable
+        angles = np.asarray(self.angles, dtype=float).view()
+        bits = np.asarray(self.bits).view()
+        if angles.ndim != 1 or angles.size == 0:
             raise DomainError("codebook must contain at least one entry")
-        angles = [e.steer_angle.theta_deg for e in self.entries]
-        if any(b <= a for a, b in zip(angles, angles[1:])):
+        if not np.all(np.diff(angles) > 0):
             raise DomainError("codebook angles must be strictly increasing")
-        first = self.entries[0].mask.geom
-        if any(e.mask.geom != first for e in self.entries):
-            raise DomainError("codebook masks must share one geometry")
+        if not (0.0 <= angles[0] and angles[-1] < 90.0):
+            raise DomainError(f"codebook angles {angles[0]}..{angles[-1]} must lie in [0, 90)")
+        shape = (len(angles), self.geom.m_count, self.geom.n_count)
+        if bits.shape != shape:
+            raise DomainError(f"codebook bit shape {bits.shape} does not match {shape}")
+        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
+            raise DomainError("bit grid entries must be 0 or 1")
+        angles.flags.writeable = bits.flags.writeable = False
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "bits", bits)
+
+    @cached_property
+    def entries(self) -> tuple[CodebookEntry, ...]:
+        """Per-entry view, built on first access; the sweep reads the arrays."""
+        return tuple(
+            CodebookEntry(Direction(a), CodingMask(self.geom, row))
+            for a, row in zip(self.angles.tolist(), self.bits)
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.angles)
 
     def angles_deg(self) -> np.ndarray:
-        return np.array([e.steer_angle.theta_deg for e in self.entries])
+        return self.angles
 
 
 def snell_gradient(
@@ -219,7 +240,7 @@ def build_codebook(
     direction. All entries are synthesized in one batched pass over one
     feed-distance grid; entry k equals nearfield_steering_mask bit for bit.
     """
-    steers = [Direction(float(a)) for a in codebook_angles(start_deg, stop_deg, step_deg)]
-    bits = _nearfield_bits(geom, feed, steers, wavelength)
-    return Codebook(tuple(CodebookEntry(d, CodingMask(geom, b)) for d, b in zip(steers, bits)))
+    angles = codebook_angles(start_deg, stop_deg, step_deg)
+    steers = [Direction(a) for a in angles.tolist()]
+    return Codebook(geom, angles, _nearfield_bits(geom, feed, steers, wavelength))
 

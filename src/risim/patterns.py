@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry, Direction, Point3, distance_grid, element_grid, projection_grid
+from .geometry import (
+    MAX_NODE_DISTANCE_M,
+    ArrayGeometry,
+    Direction,
+    Point3,
+    distance_grid,
+    element_grid,
+    projection_grid,
+)
 from .masks import CodingMask, PhaseMask
 
 
@@ -64,8 +72,11 @@ class FeedSpec:
     q_f: float = 7.0
 
     def __post_init__(self) -> None:
-        if not (self.position.z > 0):
-            raise DomainError(f"feed must sit off the surface (z > 0), got z={self.position.z}")
+        p = self.position
+        if not (p.z > 0):
+            raise DomainError(f"feed must sit off the surface (z > 0), got z={p.z}")
+        if not math.hypot(p.x, p.y, p.z) <= MAX_NODE_DISTANCE_M:
+            raise DomainError(f"feed must lie within {MAX_NODE_DISTANCE_M:g} m of the origin, got {p}")
         check_exponent("q_f", self.q_f)
 
 

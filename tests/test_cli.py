@@ -498,6 +498,81 @@ def test_duplicate_config_key_exits_2_naming_it(runner, tmp_path, old, new, key)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (
+            FULL_SECTIONS.replace("geometry: {}", "geometry: {m_count: 16, m_count: 8}"),
+            "found duplicate key 'm_count' (line 1, column 25)",
+        ),
+        (
+            FULL_SECTIONS.replace("sweep: {}", "sweep: [unclosed"),
+            "expected ',' or ']', but got '<stream end>' (line 6, column 1)",
+        ),
+    ],
+    ids=["duplicate-key", "unclosed-bracket"],
+)
+def test_yaml_error_is_one_line_naming_the_file(runner, tmp_path, text, problem):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    result = runner.invoke(main, ["linkbudget", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"config error: config file {bad} is not valid YAML: {problem}"
+    ]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["pattern", "--mode", "near"],
+        LOCALIZE_30,
+        ["linkbudget"],
+        ["export-frame", "--mode", "near"],
+    ],
+    ids=["pattern", "localize", "linkbudget", "export-frame"],
+)
+@pytest.mark.parametrize(
+    "env, section",
+    [
+        ({"RISIM_FEED_POSITION_M": "0,0,1e200"}, "feed"),
+        ({"RISIM_LINK_RX_POSITION_M": "1e300,0,1e300"}, "link"),
+    ],
+    ids=["feed", "rx"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_off_node_exits_2_naming_its_section(runner, tmp_path, command, env, section):
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"config error: invalid config section {section}: ")
+    assert "must lie within 1e+100 m of the origin" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, exit_code",
+    [
+        (["pattern", "--mode", "near"], 0),
+        (["export-frame", "--mode", "near"], 0),
+        # two ~1e100 m hops put the received power below the float range
+        (LOCALIZE_30, 3),
+        (["linkbudget"], 3),
+    ],
+    ids=["pattern", "export-frame", "localize", "linkbudget"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nodes_at_the_distance_bound_run_without_warnings(runner, tmp_path, command, exit_code):
+    # feed on the bound, rx 0.99 of it away: placing the user at the rx range stays inside
+    env = {"RISIM_FEED_POSITION_M": "0,0,1e100", "RISIM_LINK_RX_POSITION_M": "7e99,0,7e99"}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == exit_code, result.output
+    expected = [] if exit_code == 0 else ["domain error: received power leaves the float range"]
+    assert [line.split(" (")[0] for line in result.stderr.splitlines()] == expected
+
+
 @pytest.mark.parametrize("command", [["linkbudget"], ["pattern"], LOCALIZE_30])
 @pytest.mark.parametrize(
     "env",

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from risim import (
+    CodebookEntry,
+    CodingMask,
     Direction,
     DomainError,
     NoiseModel,
@@ -40,6 +42,27 @@ def test_codebook_shape(codebook):
     angles = codebook.angles_deg()
     assert angles[0] == 0.0 and angles[-1] == 60.0
     assert np.allclose(np.diff(angles), 1.5)
+
+
+def test_codebook_and_sweep_build_no_per_entry_objects(cfg, monkeypatch):
+    built = []
+
+    def counting(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in (CodingMask, CodebookEntry):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    codebook = cfg.steering_codebook()
+    for truth in (30.0, 45.0):
+        simulate_sweep(codebook, Direction(truth), cfg.link)
+    assert built == []
+    # the per-entry view still builds on demand, so the counter does count
+    assert len(codebook.entries) == 41
+    assert sorted(set(built)) == ["CodebookEntry", "CodingMask"] and len(built) == 82
 
 
 @pytest.mark.parametrize("truth", [0.0, 15.0, 30.0, 45.0, 60.0])

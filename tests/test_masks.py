@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from risim import (
     ArrayGeometry,
+    Codebook,
     CodingMask,
     Direction,
     DomainError,
@@ -177,6 +178,39 @@ def test_codebook_reference_parameters(board):
     assert angles[0] == 0.0 and angles[-1] == 60.0
     assert np.all(np.diff(angles) > 0)
     assert all(e.mask.geom == board for e in book.entries)
+
+
+def test_codebook_arrays_are_read_only_and_back_the_entries(board):
+    angles, bits = np.array([10.0, 20.0]), np.zeros((2, 16, 10), dtype=bool)
+    bits[1, ::2] = True
+    book = Codebook(board, angles, bits)
+    assert not book.angles.flags.writeable and not book.bits.flags.writeable
+    with pytest.raises(ValueError):
+        book.bits[0, 0, 0] = True
+    assert angles.flags.writeable and bits.flags.writeable  # the caller's arrays stay writable
+    assert len(book) == 2 and book.angles_deg().tolist() == [10.0, 20.0]
+    for k, entry in enumerate(book.entries):
+        assert np.array_equal(entry.mask.bits, book.bits[k])
+        assert entry.steer_angle.theta_deg == book.angles[k]
+
+
+@pytest.mark.parametrize(
+    "angles, bits, match",
+    [
+        ([10.0, 20.0], np.zeros((2, 16, 9), dtype=bool), "shape"),
+        ([10.0, 20.0], np.zeros((1, 16, 10), dtype=bool), "shape"),
+        ([10.0, 20.0], np.full((2, 16, 10), 2, dtype=np.uint8), "0 or 1"),
+        ([20.0, 20.0], np.zeros((2, 16, 10), dtype=bool), "strictly increasing"),
+        ([20.0, 10.0], np.zeros((2, 16, 10), dtype=bool), "strictly increasing"),
+        ([10.0, math.nan], np.zeros((2, 16, 10), dtype=bool), "strictly increasing"),
+        ([10.0, 90.0], np.zeros((2, 16, 10), dtype=bool), r"\[0, 90\)"),
+        ([], np.zeros((0, 16, 10), dtype=bool), "at least one entry"),
+    ],
+    ids=["grid", "count", "not-0-1", "repeated", "decreasing", "nan", "90-deg", "empty"],
+)
+def test_codebook_rejects_malformed_arrays(board, angles, bits, match):
+    with pytest.raises(DomainError, match=match):
+        Codebook(board, angles, bits)
 
 
 def test_codebook_single_entry(board):

@@ -6,14 +6,18 @@ test-local copies (oracles) of the per-entry formulas they replaced.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from risim import (
     ArrayGeometry,
+    Codebook,
     CodingMask,
     Direction,
+    DomainError,
     Point3,
     build_codebook,
     distance_grid,
@@ -22,6 +26,7 @@ from risim import (
     projection_grid,
     received_power,
     simulate_sweep,
+    ue_point,
     unit_cell_gain,
 )
 from risim.linkbudget import _single_pass_sums
@@ -82,17 +87,23 @@ def oracle_nearfield_bits(geom, feed, steer, wavelength):
     return ((centered >= 90.0) & (centered < 270.0)).astype(np.uint8)
 
 
+# a three-item hardware ledger, so the loss term is itself a sum
+LEDGER_3 = {"dielectric_and_diode": 3.0, "cables": 6.87, "connectors": 0.35}
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     step=st.floats(min_value=0.5, max_value=3.0),
     truth=st.floats(min_value=0.0, max_value=60.0),
     range_m=st.floats(min_value=0.5, max_value=20.0),
+    hardware=st.booleans(),
 )
-def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m):
+@example(step=1.5, truth=30.0, range_m=5.0, hardware=True)
+def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m, hardware):
     codebook = build_codebook(
         cfg.geometry, cfg.feed.position, cfg.wavelength, 0.0, 60.0, step
     )
-    scenario = cfg.link
+    scenario = replace(cfg.link, include_hardware_loss=hardware, hardware_loss_db=LEDGER_3)
     rx = rx_at(scenario, truth, range_m)
     trace = simulate_sweep(codebook, rx, scenario)
     direct = [
@@ -100,6 +111,27 @@ def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m):
         for e in codebook.entries
     ]
     assert trace.rssi_dbm.tolist() == direct
+
+
+def test_sweep_and_direct_raise_the_same_domain_error(cfg):
+    scenario = replace(cfg.link, tx_power_dbm=1e308)
+    codebook = cfg.steering_codebook()
+    with pytest.raises(DomainError) as swept:
+        simulate_sweep(codebook, Direction(30.0), scenario)
+    direct = scenario.with_rx(ue_point(Direction(30.0), scenario)).with_mask(codebook.entries[0].mask)
+    with pytest.raises(DomainError) as single:
+        received_power(direct, "single_pass")
+    assert str(swept.value) == str(single.value)
+    assert str(swept.value).startswith("received power leaves the float range")
+
+
+def test_sweep_reads_bool_and_uint8_bits_alike(cfg):
+    book = cfg.steering_codebook()
+    as_uint8 = Codebook(book.geom, book.angles, book.bits.astype(np.uint8))
+    for truth in (0.0, 30.0, 60.0):
+        a = simulate_sweep(book, Direction(truth), cfg.link).rssi_dbm
+        b = simulate_sweep(as_uint8, Direction(truth), cfg.link).rssi_dbm
+        assert a.tolist() == b.tolist()
 
 
 @settings(max_examples=25, deadline=None)
