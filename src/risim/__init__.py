@@ -65,14 +65,11 @@ from .localization import (
 )
 from .hardware import (
     BOARD_GEOMETRY,
-    DiodeModel,
     RegisterFrame,
     bias_resistor,
     deserialize_frame,
-    diode_impedance,
     read_frame,
     serialize_mask,
-    series_resonance_hz,
     write_frame,
 )
 from .config import (

@@ -19,7 +19,7 @@ from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario
 from .localization import NoiseModel
 from .masks import Codebook, build_codebook, codebook_angles
-from .patterns import FeedSpec, UnitCellReflection, check_exponent
+from .patterns import FeedSpec, UnitCellReflection
 
 ENV_PREFIX = "RISIM"
 
@@ -60,17 +60,6 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True, kw_only=True)
-class CellConfig(UnitCellReflection):
-    """The unit cell's reflection plus q_e, the element taper of near-field patterns."""
-
-    q_e: float
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_exponent("q_e", self.q_e)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Codebook range, RSSI noise and seed of the localization sweep."""
@@ -86,8 +75,6 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "noise", NoiseModel(self.noise_kind, self.sigma_db))
         codebook_angles(self.start_deg, self.stop_deg, self.step_deg)
-        if not (0.0 <= self.start_deg and self.stop_deg < 90.0):
-            raise DomainError("angles must lie in [0, 90)")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
@@ -98,7 +85,7 @@ class ScenarioConfig:
 
     frequency_hz: float
     geometry: ArrayGeometry
-    cell: CellConfig
+    cell: UnitCellReflection
     feed: FeedSpec
     link: LinkScenario
     sweep: SweepConfig
@@ -111,7 +98,7 @@ class ScenarioConfig:
     def array_geometry(self) -> ArrayGeometry:
         return self.geometry
 
-    def unit_cell(self) -> CellConfig:
+    def unit_cell(self) -> UnitCellReflection:
         return self.cell
 
     def feed_spec(self) -> FeedSpec:
@@ -235,13 +222,14 @@ def _build(doc: dict) -> ScenarioConfig:
     """Construct each section's domain object once, checking them in schema order."""
     wavelength = _section("frequency_hz", lambda: wavelength_from_frequency(doc["frequency_hz"]))
     geometry = _section("geometry", lambda: ArrayGeometry(**doc["geometry"]))
-    cell = _section("cell", lambda: CellConfig(**doc["cell"]))
+    cell = _section("cell", lambda: UnitCellReflection(**doc["cell"]))
     f = doc["feed"]
     feed = _section("feed", lambda: FeedSpec(Point3(*f["position_m"]), f["q_f"]))
     link = dict(doc["link"])
     rx = link.pop("rx_position_m")
     scenario = _section(
-        "link", lambda: LinkScenario(geometry, feed.position, Point3(*rx), wavelength, **link)
+        "link",
+        lambda: LinkScenario(geometry, feed.position, Point3(*rx), wavelength, **link, cell=cell),
     )
     sweep = _section("sweep", lambda: SweepConfig(**doc["sweep"]))
     return ScenarioConfig(doc["frequency_hz"], geometry, cell, feed, scenario, sweep)

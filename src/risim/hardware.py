@@ -1,9 +1,8 @@
-"""Hardware-facing helpers: PIN-diode impedance, LED bias-resistor sizing,
-and the 20-register shift-chain bitstream for the 16x10 control board."""
+"""Hardware-facing helpers: LED bias-resistor sizing and the 20-register
+shift-chain bitstream for the 16x10 control board."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,22 +17,6 @@ FRAME_OCTETS = 20
 
 
 @dataclass(frozen=True)
-class DiodeModel:
-    """Series equivalent circuit: R-L when forward biased, R-L-C when off."""
-
-    r_on: float = 1.0
-    l_on: float = 0.45e-9
-    r_off: float = 10.0
-    l_off: float = 0.45e-9
-    c_off: float = 0.16e-12
-
-    def __post_init__(self) -> None:
-        for v in (self.r_on, self.l_on, self.r_off, self.l_off, self.c_off):
-            if not (v > 0):
-                raise DomainError("diode circuit values must be positive")
-
-
-@dataclass(frozen=True)
 class RegisterFrame:
     """One shift-chain refresh: 20 octets, one bit per diode."""
 
@@ -45,23 +28,6 @@ class RegisterFrame:
 
     def to_hex(self) -> str:
         return self.octets.hex().upper()
-
-
-def diode_impedance(model: DiodeModel, state: str, frequency_hz: float) -> complex:
-    """Series impedance of the diode in ohms at the given frequency."""
-    if not (frequency_hz > 0):
-        raise DomainError(f"frequency must be > 0, got {frequency_hz}")
-    w = 2 * math.pi * frequency_hz
-    if state == "on":
-        return complex(model.r_on, w * model.l_on)
-    if state == "off":
-        return complex(model.r_off, w * model.l_off - 1.0 / (w * model.c_off))
-    raise DomainError(f"diode state must be 'on' or 'off', got {state!r}")
-
-
-def series_resonance_hz(model: DiodeModel) -> float:
-    """Frequency at which the off-state reactance crosses zero."""
-    return 1.0 / (2 * math.pi * math.sqrt(model.l_off * model.c_off))
 
 
 def bias_resistor(v_source: float, v_led: float, v_pin: float, i_forward: float) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .geometry import MAX_NODE_DISTANCE_M, ArrayGeometry, Point3, distance_grid, element_grid
 from .masks import CodingMask, PhaseMask, wrap_deg
+from .patterns import UnitCellReflection
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
 # residual error over a uniformly wrapped population leaves a 2/pi phasor
@@ -39,7 +40,8 @@ _MW_FLOAT_RANGE_DBM = (10.0 * math.log10(math.ulp(0.0)), 10.0 * math.log10(sys.f
 
 @dataclass(frozen=True)
 class LinkScenario:
-    """Complete two-hop scenario: geometry, node positions, powers, tapers."""
+    """Complete two-hop scenario: geometry, node positions, powers, tapers
+    and the unit cell whose states the coded surface switches between."""
 
     geom: ArrayGeometry
     feed: Point3
@@ -56,6 +58,7 @@ class LinkScenario:
     hardware_loss_db: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_HARDWARE_LOSS_DB)
     )
+    cell: UnitCellReflection = UnitCellReflection()
 
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
@@ -137,7 +140,7 @@ def _off_axis_cos(geom: ArrayGeometry, node: Point3) -> np.ndarray:
 
 def f_combine_grid(scenario: LinkScenario) -> np.ndarray:
     """Combined normalized radiation taper of both horns and the element
-    aperture, per element, in [0, 1]."""
+    pattern on both hops, per element, in [0, 1]."""
     geom = scenario.geom
     return _taper(scenario, distance_grid(geom, scenario.feed), distance_grid(geom, scenario.rx))
 
@@ -147,17 +150,20 @@ def _taper(scenario: LinkScenario, r_t: np.ndarray, r_r: np.ndarray) -> np.ndarr
     cos_out = scenario.rx.z / r_r
     cos_t = _off_axis_cos(scenario.geom, scenario.feed)
     cos_r = _off_axis_cos(scenario.geom, scenario.rx)
-    return (cos_t**scenario.q_t) * cos_in * cos_out * (cos_r**scenario.q_r)
+    q = 2 * scenario.cell.q_e  # 1.0 by default, and x**1.0 is x bit for bit
+    return (cos_t**scenario.q_t) * cos_in**q * cos_out**q * (cos_r**scenario.q_r)
 
 
-def _single_pass_sums(amp: np.ndarray, path: np.ndarray, bits: np.ndarray) -> list[float]:
-    """|sum of amp * exp(j*(applied - path))| per stacked (K, M, N) bit grid,
-    applied = 180 degrees per set bit. Each element's two possible terms are
-    computed once, one row per cell state, and gathered per grid by np.where,
-    so bool and 0/1 integer bits select alike; one contiguous row sum and a
-    scalar abs per mask keep row k bit-identical to mask k alone. State 1 is
-    its own exp: exp(j*(pi - p)) is not bitwise -exp(-j*p)."""
-    table = amp.reshape(-1) * np.exp(1j * (np.radians([[0.0], [180.0]]) - path.reshape(-1)))
+def _single_pass_sums(amp, path, bits, cell: UnitCellReflection) -> list[float]:
+    """|sum of amp * mag * exp(j*(phase - path))| per stacked (K, M, N) bit
+    grid, mag and phase being the cell state each bit selects. Each
+    element's two possible terms are computed once, one row per cell state,
+    and gathered per grid by np.where, so bool and 0/1 integer bits select
+    alike; one contiguous row sum and a scalar abs per mask keep row k
+    bit-identical to mask k alone. Each state is its own exp:
+    exp(j*(pi - p)) is not bitwise -exp(-j*p)."""
+    mag, phase = cell.states()
+    table = (amp.reshape(-1) * mag[:, None]) * np.exp(1j * (phase[:, None] - path.reshape(-1)))
     terms = np.where(bits.reshape(len(bits), -1), table[1], table[0])
     return [float(abs(s)) for s in terms.sum(axis=1)]
 
@@ -178,14 +184,17 @@ def _cascade_mask(geom: ArrayGeometry, path: np.ndarray) -> PhaseMask:
     return PhaseMask(geom, wrap_deg(np.degrees(path)))
 
 
-def phase_error_loss(required: PhaseMask, applied: CodingMask) -> float:
+def phase_error_loss(required: PhaseMask, applied: CodingMask, cell=UnitCellReflection()) -> float:
     """Gain degradation, in dB <= 0, of realizing `required` with the
-    two-state `applied` mask: squared magnitude of the mean residual-error
-    phasor. Zero exactly when the residual is one common constant."""
+    two-state `applied` mask on `cell`: squared magnitude of the mean
+    residual-error phasor, each weighted by its state's reflection
+    magnitude. Zero exactly when the residual is one common constant and
+    the cell is lossless."""
     if required.phases_deg.shape != applied.bits.shape:
         raise DomainError("required and applied masks have different dimensions")
-    eps = np.radians(required.phases_deg - applied.phases_deg())
-    mean = np.mean(np.exp(1j * eps))
+    mag, phase = cell.states()
+    eps = np.radians(required.phases_deg) - phase[applied.bits]
+    mean = np.mean(mag[applied.bits] * np.exp(1j * eps))
     return float(20.0 * np.log10(abs(mean))) if abs(mean) > 0 else -math.inf
 
 
@@ -260,7 +269,7 @@ def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarra
     is the K = 1 case, so entry k equals it with mask k bit for bit."""
     head, hw_items = _scalar_terms(scenario)
     head_db, hw_db = tuple(head.values()), -sum(hw_items.values())
-    accs = _single_pass_sums(*scenario._two_hop_terms, bits)
+    accs = _single_pass_sums(*scenario._two_hop_terms, bits, scenario.cell)
     return np.array([_ledger_values(head_db, hw_db, acc, 0.0)[1] for acc in accs])
 
 
@@ -272,8 +281,9 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
       - "analytic": ideal-phasing sum scaled by the closed-form 1-bit loss
         (2/pi)^2; the default, reproducing the headline budget numbers.
       - "mask": ideal-phasing sum scaled by the phase-error loss of the
-        scenario mask against the exact cascade-cancelling phase.
-      - "single_pass": the mask's two-state phases inside the sum, no
+        scenario mask on the scenario cell against the exact
+        cascade-cancelling phase.
+      - "single_pass": the cell states the mask selects inside the sum, no
         separate loss factor; the one-mask case of single_pass_power_dbm.
       - "none": ideal continuous phasing, no loss.
     """
@@ -288,13 +298,14 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
     amp, path = scenario._two_hop_terms
     lpe_db = 0.0
     if quantization == "single_pass":
-        (acc,) = _single_pass_sums(amp, path, scenario.mask.bits[None])
+        (acc,) = _single_pass_sums(amp, path, scenario.mask.bits[None], scenario.cell)
     else:
         acc = float(amp.sum())
         if quantization == "analytic":
             lpe_db = L_PE_1BIT_DB
         elif quantization == "mask":
-            lpe_db = phase_error_loss(_cascade_mask(scenario.geom, path), scenario.mask)
+            required = _cascade_mask(scenario.geom, path)
+            lpe_db = phase_error_loss(required, scenario.mask, scenario.cell)
     terms, received_dbm = _ledger(head, hw_items, acc, lpe_db)
     return LinkReport(
         accumulation_linear=acc,

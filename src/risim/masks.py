@@ -56,7 +56,7 @@ class PhaseMask:
 
 @dataclass(frozen=True, eq=False)
 class CodingMask:
-    """1-bit per-element state grid: 0 means 0 degrees, 1 means 180."""
+    """1-bit per-element state grid; bit b selects the unit cell's state b."""
 
     geom: ArrayGeometry
     bits: np.ndarray
@@ -71,7 +71,7 @@ class CodingMask:
         object.__setattr__(self, "bits", bits.astype(np.uint8))
 
     def phases_deg(self) -> np.ndarray:
-        """The two-state phase grid realized by the bits."""
+        """The bits' nominal 0/180 degree phases; the cell's states() give the realized ones."""
         return self.bits.astype(float) * 180.0
 
 
@@ -144,9 +144,10 @@ def snell_gradient(
 
 def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
     """Continuous phase collimating a close-in spherical feed wavefront into a
-    plane wave toward each of K directions, shape (K, M, N): element (m, n)
-    carries k0 * (feed distance - proj_out), wrapped. The raw wrap retains the
-    common distance offset; _recentered_deg rotates it out before quantization."""
+    plane wave toward each of K (theta, phi) pairs in degrees, shape (K, M, N):
+    element (m, n) carries k0 * (feed distance - proj_out), wrapped. The raw
+    wrap retains the common distance offset; _recentered_deg rotates it out
+    before quantization."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     if not (feed.z > 0):
@@ -154,7 +155,7 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
     k0 = 2 * np.pi / wavelength
     X, Y = element_grid(geom)
     # projection_grid's scalar trig and operation order, so row k matches it bitwise
-    angles = [(math.radians(s.theta_deg), math.radians(s.phi_deg)) for s in steers]
+    angles = [(math.radians(th), math.radians(ph)) for th, ph in steers]
     sin_th, cos_ph, sin_ph = np.array(
         [(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in angles]
     ).T[:, :, None, None]
@@ -204,19 +205,21 @@ def nearfield_steering_mask(
     The continuous compensation is recentered before quantization; the raw
     distance offset otherwise biases the quantized beam by a few degrees.
     """
-    return CodingMask(geom, _nearfield_bits(geom, feed, [steer], wavelength)[0])
+    steers = [(steer.theta_deg, steer.phi_deg)]
+    return CodingMask(geom, _nearfield_bits(geom, feed, steers, wavelength)[0])
 
 
 def _nearfield_bits(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
-    """Steering bits toward each of K directions, shape (K, M, N). Every
-    stage is elementwise or a per-row reduction, so row k is bit-identical
-    to direction k alone."""
+    """Steering bits toward each of K (theta, phi) pairs in degrees, shape
+    (K, M, N). Every stage is elementwise or a per-row reduction, so row k
+    is bit-identical to direction k alone."""
     return _one_bit(_recentered_deg(_compensation_deg(geom, feed, steers, wavelength)))
 
 
 def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
-    """Steer angles start, start+step, ..., <= stop; the range and its entry
-    count are checked before anything is allocated."""
+    """Steer angles start, start+step, ..., <= stop. The range and its entry
+    count are checked before anything is allocated; the [0, 90) bound on
+    every angle, before any grid is built."""
     if not all(math.isfinite(v) for v in (start_deg, stop_deg, step_deg)):
         raise DomainError(f"codebook range {start_deg}..{stop_deg} step {step_deg} must be finite")
     if step_deg <= 0:
@@ -226,7 +229,10 @@ def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.nd
     # np.arange returns ceil(span) angles
     if (stop_deg + step_deg / 2 - start_deg) / step_deg > MAX_CODEBOOK_ENTRIES:
         raise DomainError(f"step {step_deg:g} gives more than {MAX_CODEBOOK_ENTRIES} codebook entries")
-    return np.arange(start_deg, stop_deg + step_deg / 2, step_deg)
+    angles = np.arange(start_deg, stop_deg + step_deg / 2, step_deg)
+    if not (0.0 <= angles[0] and angles[-1] < 90.0):
+        raise DomainError(f"codebook angles {angles[0]}..{angles[-1]} must lie in [0, 90)")
+    return angles
 
 
 def build_codebook(
@@ -241,6 +247,6 @@ def build_codebook(
     feed-distance grid; entry k equals nearfield_steering_mask bit for bit.
     """
     angles = codebook_angles(start_deg, stop_deg, step_deg)
-    steers = [Direction(a) for a in angles.tolist()]
+    steers = [(a, 0.0) for a in angles.tolist()]
     return Codebook(geom, angles, _nearfield_bits(geom, feed, steers, wavelength))
 

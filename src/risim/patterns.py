@@ -27,16 +27,18 @@ from .masks import CodingMask, PhaseMask
 
 @dataclass(frozen=True)
 class UnitCellReflection:
-    """Per-state reflection coefficient of the unit cell.
+    """The unit cell: per-state reflection coefficient and element taper.
 
-    Magnitudes are linear in (0, 1]; phases in degrees. The ideal default
-    is lossless with an exact 180 degree state difference.
+    Magnitudes are linear in (0, 1]; phases in degrees; q_e is the cosine
+    exponent of the element pattern. The ideal default is lossless with an
+    exact 180 degree state difference.
     """
 
     magnitude_state0: float = 1.0
     magnitude_state1: float = 1.0
     phase_state0_deg: float = 0.0
     phase_state1_deg: float = 180.0
+    q_e: float = 0.5
 
     def __post_init__(self) -> None:
         for mag in (self.magnitude_state0, self.magnitude_state1):
@@ -45,6 +47,7 @@ class UnitCellReflection:
         for phase in (self.phase_state0_deg, self.phase_state1_deg):
             if not math.isfinite(phase):
                 raise DomainError(f"reflection phase must be finite, got {phase}")
+        check_exponent("q_e", self.q_e)
 
     @classmethod
     def measured(cls) -> "UnitCellReflection":
@@ -52,10 +55,11 @@ class UnitCellReflection:
         mag = 10.0 ** (-3.0 / 20.0)
         return cls(mag, mag, 0.0, 210.0)
 
-    def state_coefficients(self) -> tuple[complex, complex]:
-        c0 = self.magnitude_state0 * np.exp(1j * math.radians(self.phase_state0_deg))
-        c1 = self.magnitude_state1 * np.exp(1j * math.radians(self.phase_state1_deg))
-        return complex(c0), complex(c1)
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reflection magnitude and phase in radians, each shape (2,) and
+        indexed by the bit: the one lookup every kernel reads."""
+        mag = np.array([self.magnitude_state0, self.magnitude_state1])
+        return mag, np.radians([self.phase_state0_deg, self.phase_state1_deg])
 
 
 def check_exponent(name: str, value: float) -> None:
@@ -128,8 +132,8 @@ def _mask_coefficients(mask, cell: UnitCellReflection) -> np.ndarray:
     continuous surface with unit magnitude.
     """
     if isinstance(mask, CodingMask):
-        c0, c1 = cell.state_coefficients()
-        return np.where(mask.bits == 1, c1, c0)
+        mag, phase = cell.states()
+        return (mag * np.exp(1j * phase))[mask.bits]
     if isinstance(mask, PhaseMask):
         return np.exp(1j * np.radians(mask.phases_deg))
     raise DomainError(f"unsupported mask type {type(mask).__name__}")
@@ -252,7 +256,7 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     peak_raw = mags.max()
     peak_db_raw = float(20.0 * np.log10(peak_raw)) if peak_raw > 0 else -np.inf
 
-    if mags.max() - mags.min() <= 1e-15 * max(mags.max(), 1.0):
+    if peak_raw - mags.min() <= 1e-15 * peak_raw:
         return PatternMetrics(math.nan, peak_db_raw, math.nan, math.nan, degenerate=True)
 
     tied = np.flatnonzero(gain >= gain.max() - 1e-12)

@@ -118,6 +118,47 @@ def test_pattern_single_element_metrics_are_strict_json(runner, tmp_path, mode):
         assert doc["main_lobe_deg"] is None and doc["mirror_lobe_db"] is None
 
 
+@pytest.mark.parametrize("z", ["1e20", "1e100"])
+def test_pattern_weak_far_fed_cut_keeps_its_metrics(runner, tmp_path, z):
+    # the raw field is tiny, yet the cut has a clear lobe: only a cut flat
+    # relative to its own peak is degenerate
+    out = tmp_path / "cut.csv"
+    env = {"RISIM_FEED_POSITION_M": f"0,0,{z}"}
+    args = ["pattern", "--mode", "near", "--steer", "30", "--out", str(out)]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 0, result.output
+    doc = strict_json((tmp_path / "cut.metrics.json").read_text())
+    assert doc["degenerate"] is False
+    assert doc["main_lobe_deg"] == 0.0
+    assert doc["sidelobe_level_db"] == pytest.approx(-13.57, abs=0.01)
+
+
+def output_bytes(runner, tmp_path, name, args, env):
+    """Every file one command writes, by file name."""
+    outdir = tmp_path / name
+    outdir.mkdir()
+    base = {"localize": "loc", "linkbudget": "lb.json"}[args[0]]
+    result = runner.invoke(main, [*args, "--out", str(outdir / base)], env=env)
+    assert result.exit_code == 0, result.output
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+def test_cell_overrides_reach_localize_and_linkbudget(runner, tmp_path):
+    localize, linkbudget = ["localize", "--truths", "30,45"], ["linkbudget"]
+    skew = {"RISIM_CELL_PHASE_STATE1_DEG": "210", "RISIM_CELL_MAGNITUDE_STATE1": "0.5"}
+    taper = {"RISIM_CELL_Q_E": "0.65"}
+    base_loc = output_bytes(runner, tmp_path, "loc", localize, {})
+    skew_loc = output_bytes(runner, tmp_path, "loc-skew", localize, skew)
+    # the traces move; the estimates, and so the summary, hold
+    for name in ("loc.truth30.csv", "loc.truth45.csv"):
+        assert skew_loc[name] != base_loc[name]
+    assert skew_loc["loc.summary.json"] == base_loc["loc.summary.json"]
+    # the analytic budget models no mask, so the states do not enter it; q_e does
+    base_lb = output_bytes(runner, tmp_path, "lb", linkbudget, {})
+    assert output_bytes(runner, tmp_path, "lb-skew", linkbudget, skew) == base_lb
+    assert output_bytes(runner, tmp_path, "lb-taper", linkbudget, taper) != base_lb
+
+
 def test_localize_noiseless_exact(runner, tmp_path):
     out = tmp_path / "loc"
     result = invoke(runner, "localize", "--truths", "30,45", "--out", str(out))

@@ -210,6 +210,7 @@ def test_one_object_per_section(cfg):
     assert cfg.link.feed == cfg.feed.position
     assert cfg.link.wavelength == cfg.wavelength
     assert isinstance(cfg.cell, UnitCellReflection)
+    assert cfg.link.cell is cfg.cell
     # the accessor methods return the stored objects
     assert cfg.array_geometry() is cfg.geometry
     assert cfg.unit_cell() is cfg.cell
@@ -217,6 +218,15 @@ def test_one_object_per_section(cfg):
     assert cfg.link_scenario() is cfg.link
     assert cfg.noise_model() is cfg.sweep.noise
     assert with_seed(cfg, 5).sweep.noise == cfg.sweep.noise
+
+
+@pytest.mark.parametrize(
+    "sweep", ["{start_deg: -10.0}", "{stop_deg: 90.0}", "{stop_deg: 89.9}"]
+)
+def test_codebook_angles_outside_0_90_name_the_sweep_section(sweep):
+    # 89.9 rounds up to a last entry at 90.0: the bound is on the angles built
+    with pytest.raises(ConfigError, match=r"section sweep: codebook angles .* lie in \[0, 90\)"):
+        parse_config(doc_with(sweep=sweep), env={})
 
 
 def test_render_emits_every_key_in_schema_order():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,56 +5,14 @@ from hypothesis import given, strategies as st
 from risim import (
     BOARD_GEOMETRY,
     CodingMask,
-    DiodeModel,
     DomainError,
     RegisterFrame,
     bias_resistor,
     deserialize_frame,
-    diode_impedance,
     read_frame,
     serialize_mask,
-    series_resonance_hz,
     write_frame,
 )
-
-DIODE = DiodeModel()
-
-
-def test_on_state_impedance_at_5p5ghz():
-    z = diode_impedance(DIODE, "on", 5.5e9)
-    assert z.real == 1.0
-    assert z.imag == pytest.approx(15.55, abs=0.01)
-
-
-def test_off_state_impedance_at_5p5ghz():
-    z = diode_impedance(DIODE, "off", 5.5e9)
-    assert z.real == 10.0
-    assert z.imag == pytest.approx(-165.3, abs=0.05)
-    w = 2 * math.pi * 5.5e9
-    assert z.imag == pytest.approx(w * 0.45e-9 - 1 / (w * 0.16e-12), rel=1e-12)
-
-
-def test_series_resonance():
-    f0 = series_resonance_hz(DIODE)
-    assert f0 == pytest.approx(18.8e9, rel=0.01)
-    assert diode_impedance(DIODE, "off", f0).imag == pytest.approx(0.0, abs=1e-6)
-
-
-def test_off_reactance_monotone_below_resonance():
-    freqs = np.linspace(1e9, series_resonance_hz(DIODE) * 0.99, 50)
-    x = [diode_impedance(DIODE, "off", f).imag for f in freqs]
-    assert all(a < b < 0 for a, b in zip(x, x[1:]))
-
-
-def test_impedance_validation():
-    with pytest.raises(DomainError):
-        diode_impedance(DIODE, "floating", 5.5e9)
-    with pytest.raises(DomainError):
-        diode_impedance(DIODE, "on", 0.0)
-    with pytest.raises(DomainError):
-        DiodeModel(r_on=-1.0)
-    with pytest.raises(DomainError):
-        DiodeModel(c_off=0.0)
 
 
 def test_bias_resistor_board_values():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from risim import (
     LinkScenario,
     PhaseMask,
     Point3,
+    UnitCellReflection,
+    distance_grid,
     euclidean_feed_distance,
     f_combine_grid,
     geometric_accumulation,
@@ -234,6 +237,42 @@ def test_mask_mode_tracks_single_pass_when_matched(bench):
     a = received_power(sc, "mask").received_power_dbm
     b = received_power(sc, "single_pass").received_power_dbm
     assert a == pytest.approx(b, abs=0.5)
+
+
+@pytest.mark.parametrize("m", [0.5, 10.0 ** (-3.0 / 20.0), 1e-3])
+def test_equal_state_magnitudes_drop_mask_modes_by_their_level(bench, rng, m):
+    mask = CodingMask(bench.geom, rng.integers(0, 2, (16, 10)))
+    sc = bench.with_mask(mask)
+    lossy = replace(sc, cell=UnitCellReflection(m, m, 0.0, 180.0))
+    for mode in ("mask", "single_pass"):
+        drop = received_power(lossy, mode).received_power_dbm
+        drop -= received_power(sc, mode).received_power_dbm
+        assert drop == pytest.approx(20.0 * math.log10(m), abs=1e-9)
+    # the analytic and ideal accountings model no mask, so no cell state
+    for mode in ("analytic", "none"):
+        assert received_power(lossy, mode) == received_power(sc, mode)
+
+
+def test_cell_phases_enter_both_mask_modes(bench):
+    sc = bench.with_mask(quantize_1bit(required_cascade_mask(bench)))
+    skewed = replace(sc, cell=UnitCellReflection(phase_state1_deg=130.0))
+    for mode in ("mask", "single_pass"):
+        skewed_dbm = received_power(skewed, mode).received_power_dbm
+        assert skewed_dbm < received_power(sc, mode).received_power_dbm
+    lpe = phase_error_loss(required_cascade_mask(sc), sc.mask, skewed.cell)
+    assert received_power(skewed, "mask").phase_error_loss_db == lpe
+
+
+def test_element_exponent_tapers_both_hops(bench):
+    # f_combine carries cos(theta_in)**(2 q_e) * cos(theta_out)**(2 q_e)
+    sharper = replace(bench, cell=UnitCellReflection(q_e=1.0))
+    cos_in = bench.feed.z / distance_grid(bench.geom, bench.feed)
+    cos_out = bench.rx.z / distance_grid(bench.geom, bench.rx)
+    ratio = f_combine_grid(sharper) / f_combine_grid(bench)
+    assert np.allclose(ratio, cos_in * cos_out, rtol=1e-12)
+    flat = replace(bench, cell=UnitCellReflection(q_e=0.0))
+    accs = [geometric_accumulation(s) for s in (flat, bench, sharper)]
+    assert accs[0] > accs[1] > accs[2]
 
 
 def test_accountings_coincide_for_single_element():

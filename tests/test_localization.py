@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from risim import (
     NoiseModel,
     Point3,
     SweepTrace,
+    UnitCellReflection,
     default_theta_grid,
     estimate_angle,
     pattern_metrics,
@@ -136,6 +138,26 @@ def test_monte_carlo_rmse_under_3deg(codebook, bench):
             truths.append(truth)
             estimates.append(estimate_angle(trace))
     assert rmse(estimates, truths) <= 3.0
+
+
+# the fabricated cell's tolerance: 3 dB reflection loss and 180 +/- 50 deg
+# between the states
+LOSSY = 10.0 ** (-3.0 / 20.0)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        UnitCellReflection.measured(),
+        UnitCellReflection(LOSSY, LOSSY, 0.0, 130.0),
+        UnitCellReflection(LOSSY, LOSSY, 0.0, 230.0),
+    ],
+    ids=["measured", "130deg", "230deg"],
+)
+def test_localization_holds_on_a_non_ideal_cell(codebook, bench, cell):
+    scenario = replace(bench, cell=cell)
+    for truth in (30.0, 45.0):
+        assert abs(estimate_angle(sweep_at(codebook, scenario, truth)) - truth) <= 3.0
 
 
 def _beam_deviation(entry, bench, cfg):

@@ -19,6 +19,7 @@ from risim import (
     wrap_deg,
 )
 
+from risim import masks
 from risim.masks import MAX_CODEBOOK_ENTRIES, _compensation_deg, _recentered_deg, codebook_angles
 
 from conftest import LAMBDA_BENCH
@@ -83,7 +84,7 @@ def test_snell_antisymmetry(d_in, d_out):
 def test_nearfield_radially_symmetric_under_boresight_feed():
     geom = ArrayGeometry(5, 5, 0.016)
     feed = Point3(0.032, 0.032, 0.3)  # directly above element (3, 3)
-    ph = _compensation_deg(geom, feed, [Direction(0.0)], LAMBDA_BENCH)[0]
+    ph = _compensation_deg(geom, feed, [(0.0, 0.0)], LAMBDA_BENCH)[0]
     center = 2
     for di, dj in ((1, 0), (2, 1), (2, 2)):
         assert ph[center + di, center + dj] == pytest.approx(ph[center - di, center - dj], abs=1e-9)
@@ -93,7 +94,7 @@ def test_nearfield_radially_symmetric_under_boresight_feed():
 def test_nearfield_pinned_corner_phase(board):
     # wrap(k0 * sqrt(0.24^2 + 0.144^2 + 0.3^2)) at the bench wavelength,
     # recomputed from the closed form
-    ph = _compensation_deg(board, Point3(0.0, 0.0, 0.3), [Direction(0.0)], LAMBDA_BENCH)[0]
+    ph = _compensation_deg(board, Point3(0.0, 0.0, 0.3), [(0.0, 0.0)], LAMBDA_BENCH)[0]
     dist = math.sqrt(0.24**2 + 0.144**2 + 0.3**2)
     expected = math.degrees(2 * math.pi / LAMBDA_BENCH * dist) % 360.0
     assert ph[15, 9] == pytest.approx(expected, abs=1e-6)
@@ -111,7 +112,7 @@ def test_nearfield_far_feed_limit_matches_snell(board):
     aperture = 0.24
     center = board.center()
     feed = Point3(center.x, center.y, 1e4 * aperture)
-    near = _compensation_deg(board, feed, [Direction(30.0, 0.0)], LAMBDA_BENCH)[0]
+    near = _compensation_deg(board, feed, [(30.0, 0.0)], LAMBDA_BENCH)[0]
     far = snell_gradient(board, Direction(0.0), Direction(30.0, 0.0), LAMBDA_BENCH)
     near_rel = circular_diff_deg(near, near[0, 0])
     far_rel = circular_diff_deg(far.phases_deg, far.phases_deg[0, 0])
@@ -238,11 +239,24 @@ def test_codebook_bound_checked_before_allocation(board, monkeypatch, step):
 
 
 def test_codebook_entry_count_limit_is_exact():
-    assert len(codebook_angles(0.0, MAX_CODEBOOK_ENTRIES - 1.0, 1.0)) == MAX_CODEBOOK_ENTRIES
+    # a 0.008 deg step fits the limit inside [0, 90)
+    step = 0.008
+    angles = codebook_angles(0.0, step * (MAX_CODEBOOK_ENTRIES - 1), step)
+    assert len(angles) == MAX_CODEBOOK_ENTRIES
     with pytest.raises(DomainError, match="more than"):
-        codebook_angles(0.0, float(MAX_CODEBOOK_ENTRIES), 1.0)
+        codebook_angles(0.0, step * MAX_CODEBOOK_ENTRIES, step)
     with pytest.raises(DomainError, match="finite"):
         codebook_angles(math.nan, 60.0, 1.5)
+
+
+@pytest.mark.parametrize("start, stop", [(-10.0, 60.0), (0.0, 90.0), (0.0, 89.9)])
+def test_codebook_angles_outside_0_90_fail_before_any_grid(board, monkeypatch, start, stop):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("steering grids built for an out-of-range codebook")
+
+    monkeypatch.setattr(masks, "_nearfield_bits", no_grid)
+    with pytest.raises(DomainError, match=r"codebook angles .* must lie in \[0, 90\)"):
+        build_codebook(board, Point3(0.12, 0.072, 0.3), LAMBDA_BENCH, start, stop, 1.5)
 
 
 def test_phase_mask_validation(board):

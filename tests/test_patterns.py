@@ -210,6 +210,19 @@ def test_metrics_flat_pattern_degenerate():
     assert math.isnan(metrics.main_lobe_deg)
 
 
+@pytest.mark.parametrize("level", [0.0, 1e-300, 1.0, 1e300])
+def test_metrics_flatness_is_relative_to_the_cut_peak(level):
+    theta = np.linspace(-5.0, 5.0, 11)
+    flat = np.full(11, level, dtype=complex)
+    assert pattern_metrics(PatternCut(0.0, theta, flat, np.zeros(11))).degenerate
+    # a shaped cut keeps its metrics at any level, however weak
+    shape = np.cos(np.radians(theta * 9.0))
+    if level > 0:
+        lobe = PatternCut(0.0, theta, level * shape.astype(complex), 20.0 * np.log10(shape))
+        metrics = pattern_metrics(lobe)
+        assert not metrics.degenerate and metrics.main_lobe_deg == 0.0
+
+
 def test_metrics_mirror_lobe_band_for_30deg_steer(board):
     mask = farfield_steering_mask(board, Direction(30.0), LAMBDA_BENCH)
     metrics = pattern_metrics(far_cut(board, mask))
@@ -229,12 +242,23 @@ def test_cell_validation_and_measured_preset():
     measured = UnitCellReflection.measured()
     assert 20 * math.log10(measured.magnitude_state0) == pytest.approx(-3.0)
     assert measured.phase_state1_deg != 180.0
+    assert measured.q_e == 0.5
+
+
+def test_cell_states_are_indexed_by_the_bit():
+    mag, phase = UnitCellReflection(0.9, 0.7, 10.0, 200.0).states()
+    assert mag.tolist() == [0.9, 0.7]
+    assert phase.tolist() == [math.radians(10.0), math.radians(200.0)]
+    mag, phase = UnitCellReflection().states()
+    assert mag.tolist() == [1.0, 1.0] and phase.tolist() == [0.0, math.pi]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
 def test_taper_exponents_rejected_unless_finite_nonnegative(board, bad):
     with pytest.raises(DomainError, match="q_f must be finite and >= 0"):
         FeedSpec(Point3(0.12, 0.072, 0.3), q_f=bad)
+    with pytest.raises(DomainError, match="q_e must be finite and >= 0"):
+        UnitCellReflection(q_e=bad)
     mask = CodingMask(board, np.zeros((16, 10), dtype=np.uint8))
     feed = FeedSpec(Point3(0.12, 0.072, 0.3))
     with pytest.raises(DomainError, match="q_e must be finite and >= 0"):

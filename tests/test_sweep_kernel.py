@@ -19,6 +19,7 @@ from risim import (
     Direction,
     DomainError,
     Point3,
+    UnitCellReflection,
     build_codebook,
     distance_grid,
     f_combine_grid,
@@ -91,19 +92,35 @@ def oracle_nearfield_bits(geom, feed, steer, wavelength):
 LEDGER_3 = {"dielectric_and_diode": 3.0, "cables": 6.87, "connectors": 0.35}
 
 
+MAGNITUDES = st.floats(min_value=1e-3, max_value=1.0)
+PHASES = st.floats(min_value=-720.0, max_value=720.0)
+CELLS = st.builds(
+    UnitCellReflection,
+    MAGNITUDES,
+    MAGNITUDES,
+    PHASES,
+    PHASES,
+    st.floats(min_value=0.0, max_value=3.0),
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     step=st.floats(min_value=0.5, max_value=3.0),
     truth=st.floats(min_value=0.0, max_value=60.0),
     range_m=st.floats(min_value=0.5, max_value=20.0),
     hardware=st.booleans(),
+    cell=CELLS,
 )
-@example(step=1.5, truth=30.0, range_m=5.0, hardware=True)
-def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m, hardware):
+@example(step=1.5, truth=30.0, range_m=5.0, hardware=True, cell=UnitCellReflection())
+@example(step=1.5, truth=30.0, range_m=5.0, hardware=False, cell=UnitCellReflection.measured())
+def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m, hardware, cell):
     codebook = build_codebook(
         cfg.geometry, cfg.feed.position, cfg.wavelength, 0.0, 60.0, step
     )
-    scenario = replace(cfg.link, include_hardware_loss=hardware, hardware_loss_db=LEDGER_3)
+    scenario = replace(
+        cfg.link, include_hardware_loss=hardware, hardware_loss_db=LEDGER_3, cell=cell
+    )
     rx = rx_at(scenario, truth, range_m)
     trace = simulate_sweep(codebook, rx, scenario)
     direct = [
@@ -213,4 +230,4 @@ def test_stacked_sums_equal_per_exp_oracle(cfg, seed, k, shape, pitch, theta, ra
     bits = np.random.default_rng(seed).integers(0, 2, (k, *shape), dtype=np.uint8)
     bits[-1] = 1
     bits[0] = 0  # with k = 1 the one grid is all zeros
-    assert _single_pass_sums(amp, path, bits) == oracle_stack_sums(amp, path, bits)
+    assert _single_pass_sums(amp, path, bits, base.cell) == oracle_stack_sums(amp, path, bits)
