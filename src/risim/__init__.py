@@ -13,7 +13,6 @@ from .geometry import (
     Point3,
     distance_grid,
     element_grid,
-    euclidean_feed_distance,
     projection_grid,
     wavelength_from_frequency,
 )
@@ -45,12 +44,10 @@ from .linkbudget import (
     L_PE_1BIT_DB,
     LinkReport,
     LinkScenario,
-    f_combine_grid,
     geometric_accumulation,
     integrate_psd,
     phase_error_loss,
     received_power,
-    required_cascade_mask,
     snr_ceiling,
     unit_cell_gain,
 )
@@ -78,7 +75,6 @@ from .config import (
     load_config,
     parse_config,
     render_config,
-    with_seed,
 )
 
 __version__ = "0.1.0"

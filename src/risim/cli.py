@@ -13,11 +13,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import click
 
-from .config import load_config, with_seed
+from .config import load_config
 from .errors import ConfigError, DomainError
 from .geometry import Direction
 from .hardware import serialize_mask, write_frame
@@ -121,7 +121,7 @@ def cmd_localize(config_path, truths, seed, out) -> None:
     """Sweep the codebook against each true user angle and estimate it."""
     cfg = load_config(config_path)
     if seed is not None:
-        cfg = with_seed(cfg, seed)
+        cfg = replace(cfg, sweep=replace(cfg.sweep, seed=seed))
     try:
         truth_values = [float(t) for t in truths.split(",") if t.strip()]
     except ValueError as exc:

@@ -12,7 +12,7 @@ import functools
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
@@ -326,7 +326,3 @@ def render_config(cfg: ScenarioConfig) -> str:
     import yaml
 
     return yaml.safe_dump(cfg.to_dict(), sort_keys=False)
-
-
-def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, sweep=replace(cfg.sweep, seed=seed))

@@ -53,8 +53,8 @@ class ArrayGeometry:
                 f"element counts must be >= 1 and multiply to at most {MAX_ELEMENTS},"
                 f" got {self.m_count}x{self.n_count}"
             )
-        if not (self.periodicity_m > 0):
-            raise DomainError(f"periodicity must be > 0, got {self.periodicity_m}")
+        if not 0 < self.periodicity_m < math.inf:
+            raise DomainError(f"periodicity must be positive and finite, got {self.periodicity_m}")
 
     @property
     def size(self) -> int:
@@ -90,16 +90,12 @@ class Direction:
             raise DomainError(f"phi must be in [0, 360), got {self.phi_deg}")
 
     @classmethod
-    def from_signed_theta(cls, theta_deg: float, phi_deg: float = 0.0) -> "Direction":
-        """Map a signed elevation in the phi plane to the canonical ranges.
-
-        Negative theta folds into the opposite azimuth half-plane:
-        (-30, 0) becomes (30, 180).
-        """
+    def from_signed_theta(cls, theta_deg: float) -> "Direction":
+        """Map a signed elevation in the phi = 0 plane to the canonical ranges:
+        negative theta folds into the phi = 180 half-plane, -30 to (30, 180)."""
         if theta_deg < 0:
-            theta_deg = -theta_deg
-            phi_deg = (phi_deg + 180.0) % 360.0
-        return cls(theta_deg, phi_deg % 360.0)
+            return cls(-theta_deg, 180.0)
+        return cls(theta_deg)
 
     def unit_vector(self) -> np.ndarray:
         """Cartesian unit vector (pointing away from the surface, z >= 0)."""
@@ -137,21 +133,24 @@ def element_grid(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
 
 
 def projection_grid(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
-    """Scalar projection of every element position onto a direction.
+    """Scalar projection of every element position onto a direction, shape
+    (m_count, n_count), meters: the one-direction case of projection_stack."""
+    return projection_stack(geom, [(direction.theta_deg, direction.phi_deg)])[0]
+
+
+def projection_stack(geom: ArrayGeometry, steers) -> np.ndarray:
+    """Projection of every element position onto each of K (theta, phi)
+    pairs in degrees, shape (K, m_count, n_count), meters.
 
     For element (m, n) this is p*sin(theta)*((m-1)*cos(phi) + (n-1)*sin(phi)),
     the in-plane path-length term of a plane wave travelling along the
-    direction. Shape (m_count, n_count), meters.
+    direction. Scalar trig per pair, elementwise after: row k is bitwise pair k.
     """
-    th = math.radians(direction.theta_deg)
-    ph = math.radians(direction.phi_deg)
+    rad = [(math.radians(th), math.radians(ph)) for th, ph in steers]
+    trig = np.array([(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in rad])
+    sin_th, cos_ph, sin_ph = trig.T[:, :, None, None]
     X, Y = element_grid(geom)
-    return math.sin(th) * (X * math.cos(ph) + Y * math.sin(ph))
-
-
-def euclidean_feed_distance(feed: Point3, elem: Point3) -> float:
-    """Euclidean distance between two points (feed phase center to element)."""
-    return math.dist((feed.x, feed.y, feed.z), (elem.x, elem.y, elem.z))
+    return sin_th * (X * cos_ph + Y * sin_ph)
 
 
 def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .geometry import MAX_NODE_DISTANCE_M, ArrayGeometry, Point3, distance_grid, element_grid
 from .masks import CodingMask, PhaseMask, wrap_deg
-from .patterns import UnitCellReflection
+from .patterns import UnitCellReflection, check_exponent
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
 # residual error over a uniformly wrapped population leaves a 2/pi phasor
@@ -71,10 +71,8 @@ class LinkScenario:
         powers = (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm)
         if not all(map(math.isfinite, (*powers, *self.hardware_loss_db.values()))):
             raise DomainError("powers, gains and hardware loss items must be finite")
-        if not all(math.isfinite(q) and q >= 0 for q in (self.q_t, self.q_r)):
-            raise DomainError(
-                f"horn taper exponents must be finite and >= 0, got q_t={self.q_t}, q_r={self.q_r}"
-            )
+        check_exponent("q_t", self.q_t)
+        check_exponent("q_r", self.q_r)
 
     @cached_property
     def _two_hop_terms(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Direction, Point3, euclidean_feed_distance
+from .geometry import Direction, Point3
 from .linkbudget import LinkScenario, single_pass_power_dbm
 from .masks import Codebook
 
@@ -43,28 +43,26 @@ class SweepTrace:
         return len(self.steer_deg)
 
 
-def ue_point(true_ue, scenario: LinkScenario) -> Point3:
-    """Resolve the user position: a Point3 passes through; a Direction is
-    placed at the scenario's rx range from the array center."""
-    if isinstance(true_ue, Point3):
-        return true_ue
-    if isinstance(true_ue, Direction):
-        center = scenario.geom.center()
-        d = euclidean_feed_distance(scenario.rx, center)
-        v = true_ue.unit_vector()
-        return Point3(center.x + d * v[0], center.y + d * v[1], center.z + d * v[2])
-    raise DomainError(f"true_ue must be a Direction or Point3, got {type(true_ue).__name__}")
+def ue_point(true_ue: Direction, scenario: LinkScenario) -> Point3:
+    """The user position: toward a Direction, at the scenario's rx range
+    from the array center."""
+    if not isinstance(true_ue, Direction):
+        raise DomainError(f"true_ue must be a Direction, got {type(true_ue).__name__}")
+    center = scenario.geom.center()
+    d = math.dist((scenario.rx.x, scenario.rx.y, scenario.rx.z), (center.x, center.y, center.z))
+    v = true_ue.unit_vector()
+    return Point3(center.x + d * v[0], center.y + d * v[1], center.z + d * v[2])
 
 
 def simulate_sweep(
     codebook: Codebook,
-    true_ue,
+    true_ue: Direction,
     scenario: LinkScenario,
     noise: NoiseModel = NoiseModel(),
     seed: int | None = None,
 ) -> SweepTrace:
-    """Apply every codebook mask and record the RSSI toward the true user
-    position.
+    """Apply every codebook mask and record the RSSI of a user placed toward
+    true_ue at the scenario's rx range (ue_point).
 
     Each entry's RSSI is the single-pass received power (the entry's
     two-state phases inside the coherent sum), which is the only accounting
@@ -87,8 +85,6 @@ def simulate_sweep(
 def estimate_angle(trace: SweepTrace) -> float:
     """Steer angle of the maximal-RSSI entry; exact ties resolve to the
     smaller angle (first maximum in ascending-angle order)."""
-    if len(trace) == 0:
-        raise DomainError("empty sweep trace")
     return float(trace.steer_deg[int(np.argmax(trace.rssi_dbm))])
 
 

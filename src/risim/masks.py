@@ -20,8 +20,8 @@ from .geometry import (
     Direction,
     Point3,
     distance_grid,
-    element_grid,
     projection_grid,
+    projection_stack,
 )
 
 # codebooks are synthesized and swept as stacked K x M x N arrays
@@ -153,15 +153,9 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
     if not (feed.z > 0):
         raise DomainError(f"feed must sit off the surface (z > 0), got z={feed.z}")
     k0 = 2 * np.pi / wavelength
-    X, Y = element_grid(geom)
-    # projection_grid's scalar trig and operation order, so row k matches it bitwise
-    angles = [(math.radians(th), math.radians(ph)) for th, ph in steers]
-    sin_th, cos_ph, sin_ph = np.array(
-        [(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in angles]
-    ).T[:, :, None, None]
     # an extreme pitch overflows to inf/NaN here; _one_bit then rejects the grid
     with np.errstate(over="ignore", invalid="ignore"):
-        proj = sin_th * (X * cos_ph + Y * sin_ph)
+        proj = projection_stack(geom, steers)
         return wrap_deg(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj))
 
 
@@ -186,14 +180,9 @@ def _one_bit(phases_deg: np.ndarray) -> np.ndarray:
     return (phases_deg >= 90.0) & (phases_deg < 270.0)
 
 
-def farfield_steering_mask(
-    geom: ArrayGeometry,
-    steer: Direction,
-    wavelength: float,
-    incidence: Direction = Direction(0.0),
-) -> CodingMask:
-    """1-bit mask steering a plane wave from `incidence` to `steer`."""
-    return quantize_1bit(snell_gradient(geom, incidence, steer, wavelength))
+def farfield_steering_mask(geom: ArrayGeometry, steer: Direction, wavelength: float) -> CodingMask:
+    """1-bit mask steering a normally incident plane wave to `steer`."""
+    return quantize_1bit(snell_gradient(geom, Direction(0.0), steer, wavelength))
 
 
 def nearfield_steering_mask(

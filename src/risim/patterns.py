@@ -63,7 +63,7 @@ class UnitCellReflection:
 
 
 def check_exponent(name: str, value: float) -> None:
-    """Cosine-power taper exponents (feed q_f, element q_e) are finite and >= 0."""
+    """Cosine-power taper exponents (horns q_t, q_r, feed q_f, element q_e) are finite and >= 0."""
     if not (math.isfinite(value) and value >= 0):
         raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
@@ -147,6 +147,18 @@ def _normalize(phi_plane_deg: float, theta_deg: np.ndarray, field: np.ndarray) -
     return PatternCut(phi_plane_deg, theta_deg, field, gain_db)
 
 
+def _cut_inputs(geom: ArrayGeometry, mask, theta_grid_deg, wavelength: float):
+    """The checks both cut kernels open with; the theta grid as floats and k0."""
+    if not (wavelength > 0):
+        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    if mask.geom != geom:
+        raise DomainError("mask geometry does not match the array geometry")
+    theta = np.asarray(theta_grid_deg, dtype=float)
+    if theta.size == 0:
+        raise DomainError("theta grid must be nonempty")
+    return theta, 2 * np.pi / wavelength
+
+
 def _cut_field(
     geom: ArrayGeometry, phi_plane_deg: float, theta: np.ndarray, wavelength: float, base
 ) -> np.ndarray:
@@ -186,14 +198,7 @@ def array_factor_far(
     phase k0*(incidence projection - observation projection); the sum runs
     in _cut_field, the cut kernel shared with pattern_nearfield.
     """
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
-    if mask.geom != geom:
-        raise DomainError("mask geometry does not match the array geometry")
-    theta = np.asarray(theta_grid_deg, dtype=float)
-    if theta.size == 0:
-        raise DomainError("theta grid must be nonempty")
-    k0 = 2 * np.pi / wavelength
+    theta, k0 = _cut_inputs(geom, mask, theta_grid_deg, wavelength)
     coeff = _mask_coefficients(mask, cell).ravel()
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
@@ -220,15 +225,8 @@ def pattern_nearfield(
     coefficient and the path phase k0*(r - observation projection). The sum
     runs in _cut_field, the cut kernel shared with array_factor_far.
     """
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
-    if mask.geom != geom:
-        raise DomainError("mask geometry does not match the array geometry")
+    theta, k0 = _cut_inputs(geom, mask, theta_grid_deg, wavelength)
     check_exponent("q_e", q_e)
-    theta = np.asarray(theta_grid_deg, dtype=float)
-    if theta.size == 0:
-        raise DomainError("theta grid must be nonempty")
-    k0 = 2 * np.pi / wavelength
     r_feed = distance_grid(geom, feed.position)
     cos_feed = feed.position.z / r_feed
     amp = (cos_feed**feed.q_f) / r_feed
@@ -248,8 +246,6 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     negated main lobe. The sidelobe level is the highest sample outside the
     first nulls bracketing the main lobe, -inf if nothing radiates there.
     """
-    if len(cut) == 0:
-        raise DomainError("empty pattern cut")
     gain = cut.gain_db
     theta = cut.theta_deg
     mags = np.abs(cut.field)

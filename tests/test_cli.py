@@ -594,6 +594,23 @@ def test_far_off_node_exits_2_naming_its_section(runner, tmp_path, command, env,
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["pattern", "--mode", "near"], LOCALIZE_30, ["linkbudget"], ["export-frame", "--mode", "near"]],
+    ids=["pattern", "localize", "linkbudget", "export-frame"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_periodicity_exits_2_naming_geometry(runner, tmp_path, command):
+    env = {"RISIM_GEOMETRY_PERIODICITY_M": "inf"}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "config error: invalid config section geometry: periodicity must be positive and finite,"
+        " got inf"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "command, exit_code",
     [
         (["pattern", "--mode", "near"], 0),

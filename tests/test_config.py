@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from risim import (
     load_config,
     parse_config,
     render_config,
-    with_seed,
 )
 
 ALL_SECTIONS = "geometry: {}\ncell: {}\nfeed: {}\nlink: {}\nsweep: {}\n"
@@ -217,7 +217,7 @@ def test_one_object_per_section(cfg):
     assert cfg.feed_spec() is cfg.feed
     assert cfg.link_scenario() is cfg.link
     assert cfg.noise_model() is cfg.sweep.noise
-    assert with_seed(cfg, 5).sweep.noise == cfg.sweep.noise
+    assert replace(cfg.sweep, seed=5).noise == cfg.sweep.noise
 
 
 @pytest.mark.parametrize(
@@ -272,13 +272,6 @@ def test_exponent_floats_resolve_like_their_env_twins(section, key, text, value)
     assert from_yaml == parse_config(None, env=env)
     resolved = from_yaml.to_dict()
     assert (resolved[section] if section else resolved)[key] == value
-
-
-def test_with_seed_changes_only_seed(cfg):
-    reseeded = with_seed(cfg, 99)
-    assert reseeded.sweep.seed == 99
-    assert reseeded.sweep.step_deg == cfg.sweep.step_deg
-    assert reseeded.geometry == cfg.geometry
 
 
 # every non-map key of DEFAULTS as a (section or None, key, default) triple

@@ -11,13 +11,13 @@ EXPORTED = [
     "PatternMetrics", "PhaseMask", "Point3", "RegisterFrame", "SPEED_OF_LIGHT",
     "ScenarioConfig", "SweepTrace", "UnitCellReflection", "array_factor_far", "bias_resistor",
     "build_codebook", "default_theta_grid", "deserialize_frame", "distance_grid",
-    "element_grid", "estimate_angle", "euclidean_feed_distance", "f_combine_grid",
-    "farfield_steering_mask", "geometric_accumulation", "integrate_psd", "load_config",
+    "element_grid", "estimate_angle", "farfield_steering_mask", "geometric_accumulation",
+    "integrate_psd", "load_config",
     "nearfield_steering_mask", "parse_config", "pattern_metrics", "pattern_nearfield",
     "phase_error_loss", "projection_grid", "quantize_1bit", "read_frame", "received_power",
-    "render_config", "required_cascade_mask", "rmse", "serialize_mask", "simulate_sweep",
+    "render_config", "rmse", "serialize_mask", "simulate_sweep",
     "snell_gradient", "snr_ceiling", "ue_point", "unit_cell_gain", "wavelength_from_frequency",
-    "with_seed", "wrap_deg", "write_frame", "write_pattern_csv", "write_sweep_csv",
+    "wrap_deg", "write_frame", "write_pattern_csv", "write_sweep_csv",
 ]
 
 
@@ -28,4 +28,4 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert public == EXPORTED
-    assert len(EXPORTED) == 62
+    assert len(EXPORTED) == 58

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,13 +9,13 @@ from risim import (
     Direction,
     DomainError,
     Point3,
+    distance_grid,
     element_grid,
-    euclidean_feed_distance,
     projection_grid,
     wavelength_from_frequency,
 )
 
-from risim.geometry import MAX_ELEMENTS
+from risim.geometry import MAX_ELEMENTS, projection_stack
 
 from conftest import LAMBDA_BENCH
 
@@ -23,6 +24,10 @@ def _element(board, m, n):
     """Point3 of element (m, n), 1-based, read off the element lattice."""
     X, Y = element_grid(board)
     return Point3(float(X[m - 1, n - 1]), float(Y[m - 1, n - 1]), 0.0)
+
+
+def _dist(a, b):
+    return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
 
 
 def test_element_grid_corner_origin(board):
@@ -68,13 +73,29 @@ def test_projection_out_phi90_depends_only_on_n(board):
         assert len(vals) == 1
 
 
-def test_feed_distance_boresight():
-    assert euclidean_feed_distance(Point3(0, 0, 0.3), Point3(0, 0, 0)) == pytest.approx(0.3)
+@given(
+    thetas=st.lists(st.floats(min_value=0.0, max_value=89.9), min_size=1, max_size=8),
+    phis=st.lists(st.floats(min_value=0.0, max_value=359.9), min_size=8, max_size=8),
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    pitch=st.floats(min_value=0.002, max_value=0.05),
+)
+def test_projection_stack_rows_equal_projection_grid(thetas, phis, shape, pitch):
+    geom = ArrayGeometry(*shape, pitch)
+    steers = list(zip(thetas, phis))
+    stack = projection_stack(geom, steers)
+    assert stack.shape == (len(steers), *shape)
+    for row, (theta, phi) in zip(stack, steers):
+        single = projection_grid(geom, Direction(theta, phi))
+        assert np.array_equal(row.view(np.int64), single.view(np.int64))
 
 
-def test_feed_distance_far_corner():
+def test_feed_distance_boresight(board):
+    assert distance_grid(board, Point3(0, 0, 0.3))[0, 0] == 0.3
+
+
+def test_feed_distance_far_corner(board):
     # sqrt(0.24^2 + 0.144^2 + 0.3^2) recomputed from the closed form
-    d = euclidean_feed_distance(Point3(0, 0, 0.3), Point3(0.24, 0.144, 0))
+    d = distance_grid(board, Point3(0, 0, 0.3))[15, 9]
     assert d == pytest.approx(math.sqrt(0.24**2 + 0.144**2 + 0.3**2), rel=1e-12)
     assert d == pytest.approx(0.410288, abs=1e-6)
 
@@ -83,9 +104,25 @@ def test_feed_distance_symmetric_elements(board):
     feed = Point3(0.12, 0.072, 0.3)
     a = _element(board, 4, 3)
     b = _element(board, 13, 8)  # mirrored about the feed axis
-    assert euclidean_feed_distance(feed, a) == pytest.approx(
-        euclidean_feed_distance(feed, b), rel=1e-12
-    )
+    assert _dist(feed, a) == pytest.approx(_dist(feed, b), rel=1e-12)
+
+
+coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
+
+
+@given(x=coords, y=coords, z=st.floats(min_value=0.01, max_value=5.0))
+def test_distance_symmetry(board, x, y, z):
+    # a point mirrored through the aperture center sees the flipped grid
+    c = board.center()
+    grid = distance_grid(board, Point3(x, y, z))
+    mirrored = distance_grid(board, Point3(2 * c.x - x, 2 * c.y - y, z))
+    assert np.allclose(grid, mirrored[::-1, ::-1], rtol=1e-12, atol=1e-12)
+
+
+@given(ax=coords, ay=coords, az=coords, bx=coords, by=coords, bz=coords)
+def test_distance_triangle_inequality(board, ax, ay, az, bx, by, bz):
+    a, b = Point3(ax, ay, az), Point3(bx, by, bz)
+    assert np.all(distance_grid(board, a) <= _dist(a, b) + distance_grid(board, b) + 1e-12)
 
 
 def test_translation_consistency(board):
@@ -97,37 +134,11 @@ def test_translation_consistency(board):
             assert (b.x - a.x, b.y - a.y, b.z - a.z) == pytest.approx((p, 0.0, 0.0))
 
 
-coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
-
-
-@given(ax=coords, ay=coords, az=coords, bx=coords, by=coords, bz=coords)
-def test_distance_symmetry(ax, ay, az, bx, by, bz):
-    a, b = Point3(ax, ay, az), Point3(bx, by, bz)
-    assert euclidean_feed_distance(a, b) == euclidean_feed_distance(b, a)
-
-
-@given(
-    ax=coords, ay=coords, az=coords,
-    bx=coords, by=coords, bz=coords,
-    cx=coords, cy=coords, cz=coords,
-)
-def test_distance_triangle_inequality(ax, ay, az, bx, by, bz, cx, cy, cz):
-    a, b, c = Point3(ax, ay, az), Point3(bx, by, bz), Point3(cx, cy, cz)
-    ab = euclidean_feed_distance(a, b)
-    bc = euclidean_feed_distance(b, c)
-    ac = euclidean_feed_distance(a, c)
-    assert ac <= ab + bc + 1e-12
-
-
 def test_distance_grid_matches_scalar(board):
     feed = Point3(0.05, 0.11, 0.3)
-    from risim import distance_grid
-
     grid = distance_grid(board, feed)
     assert grid.shape == (16, 10)
-    assert grid[4, 7] == pytest.approx(
-        euclidean_feed_distance(feed, _element(board, 5, 8)), rel=1e-12
-    )
+    assert grid[4, 7] == pytest.approx(_dist(feed, _element(board, 5, 8)), rel=1e-12)
 
 
 def test_direction_validation():
@@ -148,8 +159,9 @@ def test_direction_from_signed_theta():
 def test_geometry_validation():
     with pytest.raises(DomainError):
         ArrayGeometry(0, 10, 0.016)
-    with pytest.raises(DomainError):
-        ArrayGeometry(16, 10, 0.0)
+    for pitch in (0.0, -0.016, math.inf, math.nan):
+        with pytest.raises(DomainError, match="periodicity must be positive and finite"):
+            ArrayGeometry(16, 10, pitch)
 
 
 def test_element_count_limit_is_inclusive():

@@ -16,17 +16,15 @@ from risim import (
     Point3,
     UnitCellReflection,
     distance_grid,
-    euclidean_feed_distance,
-    f_combine_grid,
     geometric_accumulation,
     integrate_psd,
     phase_error_loss,
     quantize_1bit,
     received_power,
-    required_cascade_mask,
     snr_ceiling,
     unit_cell_gain,
 )
+from risim.linkbudget import f_combine_grid, required_cascade_mask
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +33,9 @@ def bench(cfg):
 
 
 def test_rx_distance_examples():
-    assert euclidean_feed_distance(Point3(0.0, 0.0, 5.0), Point3(0.0, 0.0, 0.0)) == 5.0
-    assert euclidean_feed_distance(Point3(3.0, 0.0, 4.0), Point3(0.0, 0.0, 0.0)) == 5.0
-    assert euclidean_feed_distance(Point3(1.0, 2.0, 3.0), Point3(1.0, 2.0, 3.0)) == 0.0
+    one = ArrayGeometry(1, 1, 0.016)  # a single element at the origin
+    assert distance_grid(one, Point3(0.0, 0.0, 5.0))[0, 0] == 5.0
+    assert distance_grid(one, Point3(3.0, 0.0, 4.0))[0, 0] == 5.0
 
 
 def test_f_combine_range_and_center_dominance(bench):
@@ -88,8 +86,9 @@ def test_required_cascade_mask_cancels_path_phase(bench):
     req = required_cascade_mask(bench)
     k0 = 2 * math.pi / bench.wavelength
     p = bench.geom.periodicity_m
-    pos = Point3(2 * p, 6 * p, 0.0)  # element (3, 7)
-    total = euclidean_feed_distance(bench.feed, pos) + euclidean_feed_distance(bench.rx, pos)
+    pos = (2 * p, 6 * p, 0.0)  # element (3, 7)
+    feed, rx = bench.feed, bench.rx
+    total = math.dist((feed.x, feed.y, feed.z), pos) + math.dist((rx.x, rx.y, rx.z), pos)
     assert req.phases_deg[2, 6] == pytest.approx(math.degrees(k0 * total) % 360.0, abs=1e-9)
 
 
@@ -333,7 +332,7 @@ def test_scenario_validation():
 def test_scenario_rejects_bad_horn_exponents(bench, field, value):
     from dataclasses import replace
 
-    with pytest.raises(DomainError, match="taper exponents"):
+    with pytest.raises(DomainError, match=f"{field} must be finite and >= 0"):
         replace(bench, **{field: value})
 
 

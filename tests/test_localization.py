@@ -200,9 +200,7 @@ def test_selected_entry_rssi_matches_direct_recompute(codebook, bench):
     assert trace.rssi_dbm[idx] == direct
 
 
-def test_ue_point_passthrough_and_direction_placement(bench):
-    p = Point3(1.0, 2.0, 3.0)
-    assert ue_point(p, bench) is p
+def test_ue_point_places_a_direction_at_rx_range(bench):
     placed = ue_point(Direction(45.0), bench)
     assert placed.x == pytest.approx(bench.rx.x)
     assert placed.y == pytest.approx(bench.rx.y)
@@ -211,8 +209,9 @@ def test_ue_point_passthrough_and_direction_placement(bench):
     center = bench.geom.center()
     assert boresight.x == pytest.approx(center.x)
     assert boresight.z == pytest.approx(5.0)
-    with pytest.raises(DomainError):
-        ue_point(45.0, bench)
+    for not_a_direction in (45.0, Point3(1.0, 2.0, 3.0)):
+        with pytest.raises(DomainError, match="must be a Direction"):
+            ue_point(not_a_direction, bench)
 
 
 def test_noise_model_validation():

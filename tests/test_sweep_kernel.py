@@ -22,7 +22,6 @@ from risim import (
     UnitCellReflection,
     build_codebook,
     distance_grid,
-    f_combine_grid,
     nearfield_steering_mask,
     projection_grid,
     received_power,
@@ -30,7 +29,7 @@ from risim import (
     ue_point,
     unit_cell_gain,
 )
-from risim.linkbudget import _single_pass_sums
+from risim.linkbudget import _single_pass_sums, f_combine_grid
 
 from conftest import LAMBDA_BENCH
 
@@ -118,11 +117,13 @@ def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m, hardwar
     codebook = build_codebook(
         cfg.geometry, cfg.feed.position, cfg.wavelength, 0.0, 60.0, step
     )
+    # the user sits toward truth at the scenario's rx range, here range_m
     scenario = replace(
-        cfg.link, include_hardware_loss=hardware, hardware_loss_db=LEDGER_3, cell=cell
+        cfg.link, rx=rx_at(cfg.link, truth, range_m),
+        include_hardware_loss=hardware, hardware_loss_db=LEDGER_3, cell=cell,
     )
-    rx = rx_at(scenario, truth, range_m)
-    trace = simulate_sweep(codebook, rx, scenario)
+    rx = ue_point(Direction(truth), scenario)
+    trace = simulate_sweep(codebook, Direction(truth), scenario)
     direct = [
         received_power(scenario.with_rx(rx).with_mask(e.mask), "single_pass").received_power_dbm
         for e in codebook.entries

@@ -21,9 +21,8 @@ from risim import (
     element_grid,
     geometric_accumulation,
     received_power,
-    required_cascade_mask,
 )
-from risim.linkbudget import single_pass_power_dbm
+from risim.linkbudget import required_cascade_mask, single_pass_power_dbm
 
 MODES = ("analytic", "mask", "single_pass", "none")
 
