@@ -138,7 +138,10 @@ def snell_gradient(
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     k0 = 2 * np.pi / wavelength
-    phase_rad = k0 * (projection_grid(geom, incidence) - projection_grid(geom, reflection))
+    # normal incidence projects every element to a signed zero; subtracting the
+    # scalar 0.0 instead gives the same wrapped bits (np.mod maps -0.0 to 0.0)
+    proj_in = projection_grid(geom, incidence) if incidence.theta_deg else 0.0
+    phase_rad = k0 * (proj_in - projection_grid(geom, reflection))
     return PhaseMask(geom, wrap_deg(np.degrees(phase_rad)))
 
 

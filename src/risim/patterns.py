@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,13 +98,11 @@ class PatternCut:
     gain_db: np.ndarray
 
     def __post_init__(self) -> None:
-        th = np.asarray(self.theta_deg, dtype=float)
-        if th.ndim != 1 or th.size == 0:
-            raise DomainError("theta grid must be a nonempty 1-D array")
-        if np.any(np.diff(th) <= 0):
-            raise DomainError("theta grid must be strictly increasing")
-        if th[0] < -90.0 or th[-1] > 90.0:
-            raise DomainError("theta grid must lie within [-90, 90]")
+        th = _theta_grid(self.theta_deg, self.phi_plane_deg)
+        for name in ("field", "gain_db"):
+            shape = np.shape(getattr(self, name))
+            if shape != th.shape:
+                raise DomainError(f"{name} shape {shape} does not match theta grid shape {th.shape}")
 
     def __len__(self) -> int:
         return len(self.theta_deg)
@@ -147,16 +146,54 @@ def _normalize(phi_plane_deg: float, theta_deg: np.ndarray, field: np.ndarray) -
     return PatternCut(phi_plane_deg, theta_deg, field, gain_db)
 
 
-def _cut_inputs(geom: ArrayGeometry, mask, theta_grid_deg, wavelength: float):
+def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> np.ndarray:
+    """The cut plane and theta grid checks shared by the kernels and PatternCut;
+    the grid as floats. The kernels run them before any table is built."""
+    if not math.isfinite(phi_plane_deg):
+        raise DomainError(f"phi_plane_deg must be finite, got {phi_plane_deg}")
+    theta = np.asarray(theta_grid_deg, dtype=float)
+    if theta.ndim != 1 or theta.size == 0:
+        raise DomainError("theta grid must be a nonempty 1-D array")
+    if not np.isfinite(theta).all():
+        raise DomainError("theta grid must be finite")
+    if np.any(np.diff(theta) <= 0):
+        raise DomainError("theta grid must be strictly increasing")
+    if theta[0] < -90.0 or theta[-1] > 90.0:
+        raise DomainError("theta grid must lie within [-90, 90]")
+    return theta
+
+
+def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg, wavelength: float):
     """The checks both cut kernels open with; the theta grid as floats and k0."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     if mask.geom != geom:
         raise DomainError("mask geometry does not match the array geometry")
-    theta = np.asarray(theta_grid_deg, dtype=float)
-    if theta.size == 0:
-        raise DomainError("theta grid must be nonempty")
-    return theta, 2 * np.pi / wavelength
+    return _theta_grid(theta_grid_deg, phi_plane_deg), 2 * np.pi / wavelength
+
+
+@lru_cache(maxsize=1)
+def _observation_table(
+    geom: ArrayGeometry, phi_plane_deg: float, wavelength: float, theta_bytes: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(j k0 sin(theta) w) over the theta grid and the distinct in-plane
+    element coordinates w, shape (T, distinct w), and the index gathering
+    it back to the M*N elements; both read-only.
+
+    The grid arrives as bytes, so the key is its exact bits (-0.0 is not
+    0.0) and a caller mutating its array afterwards cannot desynchronize
+    the cache. One table is held at a time: far and near cuts on one plane
+    and grid share it, and it is never larger than the (T, M*N) term array
+    each cut allocates.
+    """
+    k0 = 2 * np.pi / wavelength
+    ph = math.radians(phi_plane_deg)
+    X, Y = element_grid(geom)
+    w, inv = np.unique((X * math.cos(ph) + Y * math.sin(ph)).ravel(), return_inverse=True)
+    sin_t = np.sin(np.radians(np.frombuffer(theta_bytes)))
+    table = np.exp(1j * (k0 * sin_t[:, None] * w[None, :]))
+    table.flags.writeable = inv.flags.writeable = False
+    return table, inv
 
 
 def _cut_field(
@@ -166,18 +203,15 @@ def _cut_field(
     w being the element's coordinate along the cut plane.
 
     The complex exp runs once per distinct w (16 on the phi = 0 cut of the
-    16x10 board); np.take gathers it back to a C-contiguous (T, M*N) array,
-    so every element's exp input, product and row-sum order, and thus every
-    bit, match the dense formula. Product plus row sum (no matmul) keeps
-    cuts partition-independent; signed theta enters through sin(theta), so
-    the symmetric half of the cut is the exact floating-point mirror.
+    16x10 board) and is cached per grid; np.take gathers it back to a
+    C-contiguous (T, M*N) array, so every element's exp input, product and
+    row-sum order, and thus every bit, match the dense formula. Product plus
+    row sum (no matmul) keeps cuts partition-independent; signed theta
+    enters through sin(theta), so the symmetric half of the cut is the exact
+    floating-point mirror.
     """
-    k0 = 2 * np.pi / wavelength
-    ph = math.radians(phi_plane_deg)
-    X, Y = element_grid(geom)
-    w, inv = np.unique((X * math.cos(ph) + Y * math.sin(ph)).ravel(), return_inverse=True)
-    sin_t = np.sin(np.radians(theta))
-    terms = np.take(np.exp(1j * (k0 * sin_t[:, None] * w[None, :])), inv, axis=1)
+    table, inv = _observation_table(geom, phi_plane_deg, wavelength, theta.tobytes())
+    terms = np.take(table, inv, axis=1)
     terms *= base
     return terms.sum(axis=1)
 
@@ -198,7 +232,7 @@ def array_factor_far(
     phase k0*(incidence projection - observation projection); the sum runs
     in _cut_field, the cut kernel shared with pattern_nearfield.
     """
-    theta, k0 = _cut_inputs(geom, mask, theta_grid_deg, wavelength)
+    theta, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     coeff = _mask_coefficients(mask, cell).ravel()
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
@@ -225,7 +259,7 @@ def pattern_nearfield(
     coefficient and the path phase k0*(r - observation projection). The sum
     runs in _cut_field, the cut kernel shared with array_factor_far.
     """
-    theta, k0 = _cut_inputs(geom, mask, theta_grid_deg, wavelength)
+    theta, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     check_exponent("q_e", q_e)
     r_feed = distance_grid(geom, feed.position)
     cos_feed = feed.position.z / r_feed
@@ -278,9 +312,9 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
 def write_pattern_csv(cut: PatternCut, path, comments: dict | None = None) -> None:
     """CSV cut: `#`-prefixed context lines, then theta_deg,gain_db,re,im rows."""
     lines = [f"# {key} = {value}" for key, value in (comments or {}).items()]
-    lines.append("theta_deg,gain_db,re,im")
+    lines.append("theta_deg,gain_db,re,im\n")
     f = cut.field
-    rows = zip(cut.theta_deg.tolist(), cut.gain_db.tolist(), f.real.tolist(), f.imag.tolist())
-    lines.extend(map("%.4f,%.6f,%.9e,%.9e".__mod__, rows))
+    values = np.stack([cut.theta_deg, cut.gain_db, f.real, f.imag], axis=1, dtype=float)
+    body = "%.4f,%.6f,%.9e,%.9e\n" * len(values) % tuple(values.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + body)

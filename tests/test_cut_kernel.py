@@ -33,7 +33,7 @@ from risim import (
     write_pattern_csv,
     write_sweep_csv,
 )
-from risim.patterns import _cut_field, _mask_coefficients
+from risim.patterns import _cut_field, _mask_coefficients, _observation_table
 
 from conftest import LAMBDA_BENCH
 
@@ -158,6 +158,55 @@ def test_board_cuts_equal_dense_oracle(board, cfg):
         cut = pattern_nearfield(board, near, CELL, feed, 0.0, 0.0, GRID, LAMBDA_BENCH)
         base = near_base(board, near, feed, LAMBDA_BENCH)
         assert same_bits(cut.field, oracle_cut_field(board, 0.0, GRID, LAMBDA_BENCH, base))
+
+
+CACHE_GEOMS = [ArrayGeometry(1, 1, 0.016), ArrayGeometry(4, 3, 0.01), ArrayGeometry(16, 10, 0.016)]
+CACHE_GRIDS = [GRID, GRID[::3], np.array([-0.0, 0.5]), np.array([0.0, 0.5]), np.array([-0.0]), np.array([0.0])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cuts=st.lists(
+        st.tuples(
+            st.sampled_from(range(len(CACHE_GEOMS))),
+            st.sampled_from([0.0, -0.0, 90.0, 33.3]),
+            st.sampled_from([LAMBDA_BENCH, 0.03]),
+            st.sampled_from(range(len(CACHE_GRIDS))),
+            st.booleans(),
+            st.integers(min_value=0, max_value=2**30 - 1),
+        ),
+        min_size=2,
+        max_size=8,
+    )
+)
+def test_interleaved_cuts_through_the_table_cache_equal_dense_oracle(cuts):
+    # each cut may hit or evict the one cached table; none may see another's
+    feed = FeedSpec(Point3(0.1, 0.05, 0.3))
+    for g, phi, lam, t, far, seed in cuts:
+        geom, theta = CACHE_GEOMS[g], CACHE_GRIDS[t]
+        rng = np.random.default_rng(seed)
+        mask = PhaseMask(geom, rng.choice([0.0, 90.0, 180.0, 359.5], (geom.m_count, geom.n_count)))
+        if far:
+            field = array_factor_far(geom, mask, CELL, Direction(0.0), phi, theta, lam).field
+            base = far_base(geom, mask, Direction(0.0), lam)
+        else:
+            field = pattern_nearfield(geom, mask, CELL, feed, 0.0, phi, theta, lam).field
+            base = near_base(geom, mask, feed, lam)
+        assert same_bits(field, oracle_cut_field(geom, phi, theta, lam, base))
+
+
+def test_observation_table_is_one_read_only_entry_shared_by_far_and_near(board, cfg):
+    _observation_table.cache_clear()
+    assert _observation_table.cache_info().maxsize == 1
+    steer = Direction(30.0)
+    far = farfield_steering_mask(board, steer, cfg.wavelength)
+    array_factor_far(board, far, CELL, Direction(0.0), 0.0, GRID, cfg.wavelength)
+    near = nearfield_steering_mask(board, cfg.feed.position, steer, cfg.wavelength)
+    pattern_nearfield(board, near, CELL, cfg.feed, cfg.cell.q_e, 0.0, GRID, cfg.wavelength)
+    info = _observation_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    table, inv = _observation_table(board, 0.0, cfg.wavelength, GRID.tobytes())
+    assert not table.flags.writeable and not inv.flags.writeable
 
 
 SPECIAL = [-math.inf, math.nan, -0.0, 0.0, 1e-300, -123.4567891, 5e5]

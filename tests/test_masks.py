@@ -20,6 +20,7 @@ from risim import (
 )
 
 from risim import masks
+from risim.geometry import projection_grid
 from risim.masks import MAX_CODEBOOK_ENTRIES, _compensation_deg, _recentered_deg, codebook_angles
 
 from conftest import LAMBDA_BENCH
@@ -79,6 +80,18 @@ def test_snell_antisymmetry(d_in, d_out):
     fwd = snell_gradient(geom, Direction(*d_in), Direction(*d_out), LAMBDA_BENCH)
     rev = snell_gradient(geom, Direction(*d_out), Direction(*d_in), LAMBDA_BENCH)
     assert np.allclose(circular_diff_deg(fwd.phases_deg, -rev.phases_deg), 0.0, atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi_in=st.floats(min_value=0.0, max_value=359.0), d_out=directions)
+def test_snell_normal_incidence_skips_zero_projection_bitwise(phi_in, d_out):
+    # the skipped incidence grid is all zeros: same bits as subtracting it
+    geom = ArrayGeometry(6, 4, 0.016)
+    inc, out = Direction(0.0, phi_in), Direction(*d_out)
+    k0 = 2 * np.pi / LAMBDA_BENCH
+    two_grids = wrap_deg(np.degrees(k0 * (projection_grid(geom, inc) - projection_grid(geom, out))))
+    got = snell_gradient(geom, inc, out, LAMBDA_BENCH).phases_deg
+    assert np.array_equal(got.view(np.int64), two_grids.view(np.int64))
 
 
 def test_nearfield_radially_symmetric_under_boresight_feed():

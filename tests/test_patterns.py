@@ -25,6 +25,8 @@ from risim import (
     write_pattern_csv,
 )
 
+from risim.patterns import _observation_table
+
 from conftest import LAMBDA_BENCH
 
 CELL = UnitCellReflection()
@@ -292,6 +294,51 @@ def test_pattern_cut_grid_validation(board):
         PatternCut(0.0, np.array([0.0, 0.0]), np.zeros(2, complex), np.zeros(2))
     with pytest.raises(DomainError):
         PatternCut(0.0, np.array([-91.0, 0.0]), np.zeros(2, complex), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cut_inputs_rejected(board, cfg, bad):
+    mask = CodingMask(board, np.zeros((16, 10), dtype=np.uint8))
+    feed = FeedSpec(Point3(0.12, 0.072, 0.3))
+    grid = np.array([bad, 0.0])
+    with pytest.raises(DomainError, match="theta grid must be finite"):
+        far_cut(board, mask, grid=grid)
+    with pytest.raises(DomainError, match="theta grid must be finite"):
+        pattern_nearfield(board, mask, CELL, feed, 0.5, 0.0, grid, LAMBDA_BENCH)
+    with pytest.raises(DomainError, match="phi_plane_deg must be finite"):
+        array_factor_far(board, mask, CELL, Direction(0.0), bad, GRID, LAMBDA_BENCH)
+    with pytest.raises(DomainError, match="phi_plane_deg must be finite"):
+        pattern_nearfield(board, mask, CELL, feed, 0.5, bad, GRID, LAMBDA_BENCH)
+    with pytest.raises(DomainError, match="theta grid must be finite"):
+        PatternCut(0.0, np.array([bad]), np.zeros(1, complex), np.zeros(1))
+    with pytest.raises(DomainError, match="phi_plane_deg must be finite"):
+        PatternCut(bad, np.array([0.0]), np.zeros(1, complex), np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (np.zeros((2, 3)), "nonempty 1-D"),
+        (0.0, "nonempty 1-D"),
+        ([1.0, 0.0], "strictly increasing"),
+        ([-91.0, 0.0], r"within \[-90, 90\]"),
+        ([0.0, math.nan], "must be finite"),
+    ],
+)
+def test_invalid_cut_grid_rejected_before_any_table_is_built(board, grid, message):
+    mask = CodingMask(board, np.zeros((16, 10), dtype=np.uint8))
+    misses = _observation_table.cache_info().misses
+    with pytest.raises(DomainError, match=message):
+        far_cut(board, mask, grid=grid)
+    assert _observation_table.cache_info().misses == misses
+
+
+def test_pattern_cut_lengths_must_match_theta():
+    theta = np.array([0.0, 1.0])
+    with pytest.raises(DomainError, match="field shape"):
+        PatternCut(0.0, theta, np.array([], dtype=complex), np.array([]))
+    with pytest.raises(DomainError, match="gain_db shape"):
+        PatternCut(0.0, theta, np.zeros(2, complex), np.zeros(3))
 
 
 def test_pattern_csv_format(tmp_path, board):
