@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -73,18 +73,29 @@ class LinkScenario:
             raise DomainError("powers, gains and hardware loss items must be finite")
         check_exponent("q_t", self.q_t)
         check_exponent("q_r", self.q_r)
+        if self.mask is not None and self.mask.geom != self.geom:
+            raise DomainError("mask geometry does not match the array geometry")
 
     @cached_property
     def _two_hop_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-element two-hop amplitude sqrt(taper)/(r_feed * r_rx) and path
         phase k0*(r_feed + r_rx), read-only and computed once per scenario;
         every accounting mode reduces these two."""
-        r_t = distance_grid(self.geom, self.feed)
-        r_r = distance_grid(self.geom, self.rx)
-        amp = np.sqrt(_taper(self, r_t, r_r)) / (r_t * r_r)
+        r_t, r_r, taper = self._hops()
+        amp = np.sqrt(taper) / (r_t * r_r)
         path = 2 * np.pi / self.wavelength * (r_t + r_r)
         amp.flags.writeable = path.flags.writeable = False
         return amp, path
+
+    def _hops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feed and rx distance grids and the combined taper of both hops.
+        Only the rx half is computed here; the feed half comes from
+        _feed_hop, shared by every scenario on one feed."""
+        q = 2 * self.cell.q_e  # 1.0 by default, and x**1.0 is x bit for bit
+        r_t, taper_t = _feed_hop(self.geom, self.feed, self.q_t, q)
+        r_r = distance_grid(self.geom, self.rx)
+        taper = taper_t * (self.rx.z / r_r) ** q * (_off_axis_cos(self.geom, self.rx) ** self.q_r)
+        return r_t, r_r, taper
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
         return replace(self, mask=mask)
@@ -136,20 +147,26 @@ def _off_axis_cos(geom: ArrayGeometry, node: Point3) -> np.ndarray:
     return np.clip((vx * bx + vy * by + vz * bz) / (vn * bn), 0.0, 1.0)
 
 
+@lru_cache(maxsize=1)
+def _feed_hop(geom: ArrayGeometry, feed: Point3, q_t: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The feed half of the two-hop terms: the feed distance grid r_t and
+    its taper cos_t**q_t * (feed.z / r_t)**q, both read-only.
+
+    The key holds every input, so a scenario with another geometry, feed,
+    q_t or element exponent never reads a stale entry. One entry is held
+    at a time: a coverage map or a sweep moves only the receiver, so every
+    scenario on one feed shares it.
+    """
+    r_t = distance_grid(geom, feed)
+    taper_t = (_off_axis_cos(geom, feed) ** q_t) * (feed.z / r_t) ** q
+    r_t.flags.writeable = taper_t.flags.writeable = False
+    return r_t, taper_t
+
+
 def f_combine_grid(scenario: LinkScenario) -> np.ndarray:
     """Combined normalized radiation taper of both horns and the element
     pattern on both hops, per element, in [0, 1]."""
-    geom = scenario.geom
-    return _taper(scenario, distance_grid(geom, scenario.feed), distance_grid(geom, scenario.rx))
-
-
-def _taper(scenario: LinkScenario, r_t: np.ndarray, r_r: np.ndarray) -> np.ndarray:
-    cos_in = scenario.feed.z / r_t
-    cos_out = scenario.rx.z / r_r
-    cos_t = _off_axis_cos(scenario.geom, scenario.feed)
-    cos_r = _off_axis_cos(scenario.geom, scenario.rx)
-    q = 2 * scenario.cell.q_e  # 1.0 by default, and x**1.0 is x bit for bit
-    return (cos_t**scenario.q_t) * cos_in**q * cos_out**q * (cos_r**scenario.q_r)
+    return scenario._hops()[2]
 
 
 def _single_pass_sums(amp, path, bits, cell: UnitCellReflection) -> list[float]:
@@ -265,6 +282,9 @@ def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarra
     """Single-pass received power, dBm, under each of K stacked (K, M, N) bit
     grids in place of the scenario mask. received_power(..., "single_pass")
     is the K = 1 case, so entry k equals it with mask k bit for bit."""
+    shape, grid = np.shape(bits), (scenario.geom.m_count, scenario.geom.n_count)
+    if not (len(shape) == 3 and shape[0] >= 1 and shape[1:] == grid):
+        raise DomainError(f"bit stack shape {shape} is not (K >= 1, {grid[0]}, {grid[1]})")
     head, hw_items = _scalar_terms(scenario)
     head_db, hw_db = tuple(head.values()), -sum(hw_items.values())
     accs = _single_pass_sums(*scenario._two_hop_terms, bits, scenario.cell)

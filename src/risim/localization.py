@@ -72,6 +72,8 @@ def simulate_sweep(
     every entry equals that direct recompute bit for bit. Deterministic for
     a fixed seed.
     """
+    if codebook.geom != scenario.geom:
+        raise DomainError("codebook geometry does not match the array geometry")
     rx = ue_point(true_ue, scenario)
     rssi = single_pass_power_dbm(scenario.with_rx(rx), codebook.bits)
     if noise.kind == "gaussian_db" and noise.sigma_db > 0:

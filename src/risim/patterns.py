@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,9 +58,16 @@ class UnitCellReflection:
 
     def states(self) -> tuple[np.ndarray, np.ndarray]:
         """Reflection magnitude and phase in radians, each shape (2,) and
-        indexed by the bit: the one lookup every kernel reads."""
+        indexed by the bit: the one lookup every kernel reads. Read-only
+        and built once per cell."""
+        return self._states
+
+    @cached_property
+    def _states(self) -> tuple[np.ndarray, np.ndarray]:
         mag = np.array([self.magnitude_state0, self.magnitude_state1])
-        return mag, np.radians([self.phase_state0_deg, self.phase_state1_deg])
+        phase = np.radians([self.phase_state0_deg, self.phase_state1_deg])
+        mag.flags.writeable = phase.flags.writeable = False
+        return mag, phase
 
 
 def check_exponent(name: str, value: float) -> None:

@@ -24,7 +24,7 @@ from risim import (
     snr_ceiling,
     unit_cell_gain,
 )
-from risim.linkbudget import f_combine_grid, required_cascade_mask
+from risim.linkbudget import f_combine_grid, required_cascade_mask, single_pass_power_dbm
 
 
 @pytest.fixture(scope="module")
@@ -342,3 +342,17 @@ def test_with_rx_and_with_mask_builders(bench, board):
     mask = CodingMask(board, np.zeros((16, 10), dtype=np.uint8))
     assert bench.with_mask(mask).mask is mask
     assert bench.mask is None
+
+
+@pytest.mark.parametrize("geom", [ArrayGeometry(8, 10, 0.016), ArrayGeometry(16, 10, 0.02)])
+@pytest.mark.parametrize("quantization", ["mask", "single_pass"])
+def test_mask_on_another_geometry_is_a_domain_error(bench, geom, quantization):
+    bits = np.zeros((geom.m_count, geom.n_count), dtype=np.uint8)
+    with pytest.raises(DomainError, match="mask geometry does not match the array geometry"):
+        received_power(bench.with_mask(CodingMask(geom, bits)), quantization)
+
+
+@pytest.mark.parametrize("shape", [(2, 10, 16), (0, 16, 10), (16, 10), (1, 1, 16, 10)])
+def test_single_pass_power_requires_a_bit_stack_on_the_scenario_grid(bench, shape):
+    with pytest.raises(DomainError, match=r"bit stack shape .* is not \(K >= 1, 16, 10\)"):
+        single_pass_power_dbm(bench, np.zeros(shape, dtype=bool))

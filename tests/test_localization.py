@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from risim import (
+    ArrayGeometry,
+    Codebook,
     CodebookEntry,
     CodingMask,
     Direction,
@@ -97,6 +99,12 @@ def test_zero_sigma_gaussian_is_noiseless(codebook, bench):
     quiet = sweep_at(codebook, bench, 30.0, NoiseModel("gaussian_db", 0.0), seed=3)
     clean = sweep_at(codebook, bench, 30.0)
     assert np.array_equal(quiet.rssi_dbm, clean.rssi_dbm)
+
+
+def test_sweep_rejects_a_codebook_on_another_geometry(codebook, bench):
+    other = Codebook(ArrayGeometry(16, 10, 0.02), codebook.angles, codebook.bits)
+    with pytest.raises(DomainError, match="codebook geometry does not match the array geometry"):
+        sweep_at(other, bench, 30.0)
 
 
 def test_estimate_monotone_trace_returns_last():

@@ -1,5 +1,6 @@
-"""Values computed once on frozen objects: the element lattice of an
-ArrayGeometry and the two-hop terms of a LinkScenario.
+"""Values computed once: the element lattice of an ArrayGeometry, the
+states of a UnitCellReflection, the two-hop terms of a LinkScenario and the
+feed hop that every scenario on one feed shares.
 
 A cached value must equal a fresh computation bit for bit, whatever the
 order of the calls that read it, and must equal a test-local copy of the
@@ -13,16 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import risim.linkbudget as lb
 from risim import (
     ArrayGeometry,
     CodingMask,
     LinkScenario,
     Point3,
+    UnitCellReflection,
+    distance_grid,
     element_grid,
     geometric_accumulation,
     received_power,
 )
-from risim.linkbudget import required_cascade_mask, single_pass_power_dbm
+from risim.linkbudget import f_combine_grid, required_cascade_mask, single_pass_power_dbm
 
 MODES = ("analytic", "mask", "single_pass", "none")
 
@@ -46,7 +50,8 @@ def oracle_two_hop(sc):
         return np.clip((vx * bx + vy * by + vz * bz) / (vn * bn), 0.0, 1.0)
 
     r_t, r_r = dist(sc.feed), dist(sc.rx)
-    taper = (off_axis_cos(sc.feed) ** sc.q_t) * (sc.feed.z / r_t) * (sc.rx.z / r_r) * (
+    q = 2 * sc.cell.q_e
+    taper = (off_axis_cos(sc.feed) ** sc.q_t) * (sc.feed.z / r_t) ** q * (sc.rx.z / r_r) ** q * (
         off_axis_cos(sc.rx) ** sc.q_r
     )
     return np.sqrt(taper) / (r_t * r_r), 2 * np.pi / sc.wavelength * (r_t + r_r)
@@ -57,7 +62,7 @@ def copy_of(sc):
     return LinkScenario(
         sc.geom, sc.feed, sc.rx, sc.wavelength, sc.tx_power_dbm, sc.gain_tx_dbi,
         sc.gain_rx_dbi, sc.q_t, sc.q_r, sc.noise_floor_dbm, sc.mask,
-        sc.include_hardware_loss, sc.hardware_loss_db,
+        sc.include_hardware_loss, sc.hardware_loss_db, cell=sc.cell,
     )
 
 
@@ -65,6 +70,7 @@ def reports(sc, order):
     return {q: received_power(sc, q) for q in order}
 
 
+exponents = st.floats(min_value=0.0, max_value=10.0)
 points = st.builds(
     Point3,
     st.floats(min_value=-1.0, max_value=1.0),
@@ -79,18 +85,24 @@ points = st.builds(
     pitch=st.floats(min_value=0.002, max_value=0.05),
     feed=points,
     rx=points,
+    q_t=exponents,
+    q_r=exponents,
+    q_e=st.floats(min_value=0.0, max_value=2.0),
     seed=st.integers(min_value=0, max_value=2**30 - 1),
     hardware=st.booleans(),
     first=st.permutations(MODES),
     second=st.permutations(MODES),
 )
 def test_every_mode_equals_a_fresh_scenario_and_the_uncached_formula(
-    cfg, shape, pitch, feed, rx, seed, hardware, first, second
+    cfg, shape, pitch, feed, rx, q_t, q_r, q_e, seed, hardware, first, second
 ):
     geom = ArrayGeometry(*shape, pitch)
     mask = CodingMask(geom, np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8))
     base = cfg.link
-    sc = replace(base, geom=geom, feed=feed, rx=rx, mask=mask, include_hardware_loss=hardware)
+    sc = replace(
+        base, geom=geom, feed=feed, rx=rx, q_t=q_t, q_r=q_r, mask=mask,
+        include_hardware_loss=hardware, cell=replace(base.cell, q_e=q_e),
+    )
     once, twice = reports(sc, first), reports(sc, second)
     fresh = {q: received_power(copy_of(sc), q) for q in MODES}
     assert once == twice == fresh
@@ -102,6 +114,8 @@ def test_every_mode_equals_a_fresh_scenario_and_the_uncached_formula(
     assert single_pass_power_dbm(sc, mask.bits[None]).tolist() == [
         fresh["single_pass"].received_power_dbm
     ]
+    r_t, r_r = distance_grid(geom, feed), distance_grid(geom, rx)
+    assert np.array_equal(np.sqrt(f_combine_grid(sc)) / (r_t * r_r), sc._two_hop_terms[0])
 
 
 def test_with_rx_and_with_mask_equal_fresh_scenarios(cfg, board):
@@ -147,3 +161,69 @@ def test_off_axis_cos_keeps_its_own_norm(cfg):
     rx = Point3(2.0, 0.072, 6.883345885040325)
     report = received_power(cfg.link.with_rx(rx), "none")
     assert report.received_power_dbm == -41.67761185345033
+
+
+def test_scenarios_differing_in_one_feed_hop_input_read_in_alternation(cfg):
+    base = cfg.link
+    variants = [
+        base,
+        replace(base, feed=Point3(0.05, 0.03, 0.25)),
+        replace(base, geom=ArrayGeometry(16, 10, 0.02)),
+        replace(base, q_t=5.0),
+        replace(base, cell=replace(base.cell, q_e=0.65)),
+    ]
+    expected = [oracle_two_hop(sc) for sc in variants]
+    for i, (amp, _) in enumerate(expected[1:], 1):
+        assert not np.array_equal(amp, expected[0][0]), f"variant {i} changes nothing"
+    for _ in range(2):
+        for sc, (amp, path) in zip(variants, expected):
+            fresh = copy_of(sc)
+            assert np.array_equal(fresh._two_hop_terms[0], amp)
+            assert np.array_equal(fresh._two_hop_terms[1], path)
+            assert received_power(fresh, "none") == received_power(sc, "none")
+
+
+def test_feed_hop_arrays_are_read_only(cfg):
+    sc = cfg.link
+    for grid in lb._feed_hop(sc.geom, sc.feed, sc.q_t, 2 * sc.cell.q_e):
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+
+
+def test_scenarios_on_one_feed_compute_its_hop_once(cfg, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(geom, node):
+            calls.append((name, node))
+            return fn(geom, node)
+
+        return wrapper
+
+    monkeypatch.setattr(lb, "_off_axis_cos", counting("cos", lb._off_axis_cos))
+    monkeypatch.setattr(lb, "distance_grid", counting("dist", lb.distance_grid))
+    lb._feed_hop.cache_clear()
+    base, n = cfg.link, 6
+    mask = CodingMask(base.geom, np.random.default_rng(3).integers(0, 2, (16, 10), dtype=np.uint8))
+    for i in range(n):
+        sc = base.with_rx(Point3(0.4 * i, 0.072, 2.0)).with_mask(mask)
+        for q in MODES:
+            received_power(sc, q)
+    names = [name for name, _ in calls]
+    assert names.count("cos") == n + 1 and names.count("dist") == n + 1
+    assert sorted(name for name, node in calls if node == base.feed) == ["cos", "dist"]
+
+
+def test_cell_states_are_built_once_and_read_only():
+    cell = UnitCellReflection(0.9, 0.7, 10.0, 200.0)
+    mag, phase = cell.states()
+    again = cell.states()
+    assert again[0] is mag and again[1] is phase
+    assert np.array_equal(mag, np.array([cell.magnitude_state0, cell.magnitude_state1]))
+    assert np.array_equal(phase, np.radians([cell.phase_state0_deg, cell.phase_state1_deg]))
+    for state in (mag, phase):
+        with pytest.raises(ValueError):
+            state[0] = 0.5
+    # an equal cell builds its own, equal states
+    other = UnitCellReflection(0.9, 0.7, 10.0, 200.0).states()
+    assert other[0] is not mag and np.array_equal(other[0], mag)
