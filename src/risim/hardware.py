@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import ArrayGeometry
 from .masks import CodingMask
+from .patterns import _comment_header
 
 # the fabricated board: 16 columns along x, 10 rows along y, 16 mm pitch
 BOARD_GEOMETRY = ArrayGeometry(16, 10, 0.016)
@@ -67,10 +68,9 @@ def deserialize_frame(frame: RegisterFrame) -> CodingMask:
 
 def write_frame(frame: RegisterFrame, path, comments: dict | None = None) -> None:
     """Frame file: optional `#` comment lines, then 40 uppercase hex chars."""
-    lines = [f"# {key} = {value}" for key, value in (comments or {}).items()]
-    lines.append(frame.to_hex())
+    header = _comment_header(comments)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + frame.to_hex() + "\n")
 
 
 def read_frame(path) -> RegisterFrame:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geometry import MAX_NODE_DISTANCE_M, ArrayGeometry, Point3, distance_grid, element_grid
-from .masks import CodingMask, PhaseMask, wrap_deg
+from .masks import CodingMask, PhaseMask, check_bits, wrap_deg
 from .patterns import UnitCellReflection, check_exponent
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
@@ -282,9 +282,11 @@ def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarra
     """Single-pass received power, dBm, under each of K stacked (K, M, N) bit
     grids in place of the scenario mask. received_power(..., "single_pass")
     is the K = 1 case, so entry k equals it with mask k bit for bit."""
-    shape, grid = np.shape(bits), (scenario.geom.m_count, scenario.geom.n_count)
+    bits = np.asarray(bits)
+    shape, grid = bits.shape, (scenario.geom.m_count, scenario.geom.n_count)
     if not (len(shape) == 3 and shape[0] >= 1 and shape[1:] == grid):
         raise DomainError(f"bit stack shape {shape} is not (K >= 1, {grid[0]}, {grid[1]})")
+    check_bits(bits)
     head, hw_items = _scalar_terms(scenario)
     head_db, hw_db = tuple(head.values()), -sum(hw_items.values())
     accs = _single_pass_sums(*scenario._two_hop_terms, bits, scenario.cell)

@@ -12,6 +12,7 @@ from .errors import DomainError
 from .geometry import Direction, Point3
 from .linkbudget import LinkScenario, single_pass_power_dbm
 from .masks import Codebook
+from .patterns import _comment_header
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def rmse(estimates_deg, truths_deg) -> float:
 
 def write_sweep_csv(trace: SweepTrace, path, comments: dict | None = None) -> None:
     """CSV trace: `#`-prefixed context lines, then steer_deg,rssi_dbm rows."""
-    lines = [f"# {key} = {value}" for key, value in (comments or {}).items()]
-    lines.append("steer_deg,rssi_dbm")
-    lines.extend(map("%.4f,%.9f".__mod__, zip(trace.steer_deg.tolist(), trace.rssi_dbm.tolist())))
+    header = _comment_header(comments) + "steer_deg,rssi_dbm\n"
+    rows = map("%.4f,%.9f\n".__mod__, zip(trace.steer_deg.tolist(), trace.rssi_dbm.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "".join(rows))

@@ -28,6 +28,13 @@ from .geometry import (
 MAX_CODEBOOK_ENTRIES = 10_000
 
 
+def check_bits(bits: np.ndarray) -> None:
+    """Bit grids hold bools, or numbers that are each exactly 0 or 1; a bool
+    array passes without a scan."""
+    if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
+        raise DomainError("bit grid entries must be 0 or 1")
+
+
 def wrap_deg(phases_deg):
     """Wrap angles in degrees to [0, 360)."""
     w = np.mod(phases_deg, 360.0)
@@ -66,8 +73,7 @@ class CodingMask:
         shape = (self.geom.m_count, self.geom.n_count)
         if bits.shape != shape:
             raise DomainError(f"bit grid shape {bits.shape} does not match {shape}")
-        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
-            raise DomainError("bit grid entries must be 0 or 1")
+        check_bits(bits)
         object.__setattr__(self, "bits", bits.astype(np.uint8))
 
     def phases_deg(self) -> np.ndarray:
@@ -103,8 +109,7 @@ class Codebook:
         shape = (len(angles), self.geom.m_count, self.geom.n_count)
         if bits.shape != shape:
             raise DomainError(f"codebook bit shape {bits.shape} does not match {shape}")
-        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
-            raise DomainError("bit grid entries must be 0 or 1")
+        check_bits(bits)
         angles.flags.writeable = bits.flags.writeable = False
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "bits", bits)

@@ -25,6 +25,10 @@ from .geometry import (
 )
 from .masks import CodingMask, PhaseMask
 
+# [-90, 90] at a millidegree step: a cut then holds a (180001, M*N) complex term
+# array, 461 MB on the 16 x 10 board
+MAX_THETA_SAMPLES = 180_001
+
 
 @dataclass(frozen=True)
 class UnitCellReflection:
@@ -126,9 +130,15 @@ class PatternMetrics:
 
 def default_theta_grid(step_deg: float = 0.25) -> np.ndarray:
     """Signed theta grid over [-90, 90]; the default 0.25 deg step gives a
-    grid that is exactly symmetric about zero in floating point."""
-    count = int(round(180.0 / step_deg)) + 1
-    return np.linspace(-90.0, 90.0, count)
+    grid that is exactly symmetric about zero in floating point. The step
+    and the sample count are checked before anything is allocated."""
+    if not 0.0 < step_deg <= 180.0:
+        raise DomainError(f"theta step must be in (0, 180] degrees, got {step_deg}")
+    intervals = 180.0 / step_deg  # inf for a subnormal step
+    # below MAX_THETA_SAMPLES - 1/2, the rounded count stays within the bound
+    if not intervals < MAX_THETA_SAMPLES - 0.5:
+        raise DomainError(f"theta step {step_deg:g} gives more than {MAX_THETA_SAMPLES} samples")
+    return np.linspace(-90.0, 90.0, int(round(intervals)) + 1)
 
 
 def _mask_coefficients(mask, cell: UnitCellReflection) -> np.ndarray:
@@ -316,12 +326,138 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     return PatternMetrics(main_deg, peak_db_raw, mirror_db, sll_db)
 
 
+def _comment_header(comments: dict | None) -> str:
+    """The `# key = value` lines every writer opens with. A key or value with
+    a line break would split its line and leave a file its reader rejects."""
+    lines = []
+    for key, value in (comments or {}).items():
+        line = f"# {key} = {value}"
+        if line.splitlines() != [line]:
+            raise DomainError(f"comment line {line!r} must not contain a line break")
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+# Bulk column formatting: the bytes of "%.{p}f" % v and "%.{p}e" % v for a
+# whole column at once, from numpy arithmetic. |v| is scaled to a count of the
+# last printed digit by one exact power of ten (10**k is exact in a float for
+# k <= 22, as 5**22 < 2**53), so the scaled value carries a single rounding, and it is
+# rounded to an integer only where that rounding cannot have moved it across a
+# half-integer. Any other value is formatted by `%` itself, in its own slot.
+# Each column is a (width, rows) uint8 matrix, NUL where a row prints nothing.
+_POW10 = np.array([10**k for k in range(23)], dtype=float)
+# The largest |v| * 10**p the fixed-point fast path admits; it holds every
+# finite gain a normalized cut can reach (>= -6,466 dB, 6.5e9 at p = 6).
+_FIXED_LIMIT = 2.0**35
+_MINUS, _PLUS, _POINT, _ZERO = b"-+.0"
+
+
+def _round_clear(scaled: np.ndarray, ok: np.ndarray, limit: float) -> np.ndarray:
+    """The scaled values rounded to integers, clearing ok wherever the result
+    is not certain. A value below limit lies within half an ulp, at most
+    limit * 2**-53, of the exact product, so it rounds like that product when
+    its fraction is farther than this from 1/2. With limit <= 2**53 the
+    integers stay exact through the digit arithmetic."""
+    whole = np.floor(scaled)
+    frac = scaled - whole
+    ok &= (scaled < limit) & (np.abs(frac - 0.5) > limit * 2.0**-53)
+    return whole + (frac > 0.5)
+
+
+def _digits(n: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count lowest decimal digits of the integer-valued floats n (below
+    2**53), most significant first, and the quotients n // 10**j they come
+    from; both shape (count, len(n)). The float quotient of such an integer
+    by an exact power of ten floors to the integer quotient."""
+    quot = np.floor(n / _POW10[count - 1 :: -1, None])
+    digits = quot.copy()
+    digits[1:] -= 10.0 * quot[:-1]
+    return digits, quot
+
+
+def _with_fallback(fields: np.ndarray, x: np.ndarray, ok: np.ndarray, spec: str) -> np.ndarray:
+    """Write spec % v into the slot of every value v the fast path left out,
+    widening every slot if one of those strings is longer."""
+    (bad,) = np.nonzero(~ok)
+    if bad.size:
+        texts = [(spec % v).encode() for v in x[bad].tolist()]
+        width = max(map(len, texts))
+        if width > len(fields):
+            fields = np.pad(fields, ((0, width - len(fields)), (0, 0)))
+        fields[:, bad] = 0
+        for col, text in zip(bad.tolist(), texts):
+            fields[: len(text), col] = np.frombuffer(text, np.uint8)
+    return fields
+
+
+def _fixed_fields(x: np.ndarray, p: int) -> np.ndarray:
+    """Each v in x as "%.{p}f" % v, p >= 1: sign, integer digits, point and
+    p decimals."""
+    ax = np.abs(x)
+    ok = ax < _FIXED_LIMIT / _POW10[p]  # false for nan and inf
+    n = _round_clear(np.where(ok, ax, 0.0) * _POW10[p], ok, _FIXED_LIMIT)
+    n[~ok] = 0.0
+    count = max(p + 1, len(str(int(n.max(initial=0.0)))))
+    digits, quot = _digits(n, count)
+    ints = count - p
+    fields = np.empty((count + 2, len(x)), np.uint8)
+    fields[0] = np.signbit(x) * _MINUS
+    np.add(digits[:ints], _ZERO, out=fields[1 : ints + 1], casting="unsafe")
+    fields[1:ints] *= quot[: ints - 1] > 0  # no leading zeros before the units digit
+    fields[ints + 1] = _POINT
+    np.add(digits[ints:], _ZERO, out=fields[ints + 2 :], casting="unsafe")
+    return _with_fallback(fields, x, ok, f"%.{p}f")
+
+
+def _exp_fields(x: np.ndarray, p: int) -> np.ndarray:
+    """Each v in x as "%.{p}e" % v, p >= 1: sign, p + 1 digits around the
+    point, then e and a signed two-digit exponent.
+
+    The exponent comes from log10; where that is off by one, the scaled
+    mantissa falls outside [10**p, 10**(p+1)) and the value goes to `%`, as
+    do zeros, non-finite values and exponents that need 10**k with k > 22.
+    """
+    ax = np.abs(x)
+    ok = np.isfinite(ax) & (ax > 0)
+    ax[~ok] = 1.0  # keeps log10 and the scaling below free of inf and nan
+    exp = np.floor(np.log10(ax))
+    k = p - exp
+    ok &= np.abs(k) <= 22
+    scale = _POW10[np.where(ok, np.abs(k), 0.0).astype(np.intp)]
+    scaled = np.where(k >= 0, ax * scale, ax / scale)
+    ok &= scaled >= _POW10[p]
+    n = _round_clear(scaled, ok, _POW10[p + 1])
+    carry = n == _POW10[p + 1]  # 9.99...95 rounds up to 10.00...0
+    n[carry] = _POW10[p]
+    exp += carry
+    n[~ok] = _POW10[p]
+    exp[~ok] = 0.0
+    digits, _ = _digits(n, p + 1)
+    mag = np.abs(exp).astype(np.uint8)  # |exp| <= p + 22 < 100 on the fast path
+    fields = np.empty((p + 7, len(x)), np.uint8)
+    fields[0] = np.signbit(x) * _MINUS
+    np.add(digits[0], _ZERO, out=fields[1], casting="unsafe")
+    fields[2] = _POINT
+    np.add(digits[1:], _ZERO, out=fields[3 : p + 3], casting="unsafe")
+    fields[p + 3] = ord("e")
+    fields[p + 4] = np.where(exp < 0, _MINUS, _PLUS)
+    fields[p + 5] = mag // 10 + _ZERO
+    fields[p + 6] = mag % 10 + _ZERO
+    return _with_fallback(fields, x, ok, f"%.{p}e")
+
+
 def write_pattern_csv(cut: PatternCut, path, comments: dict | None = None) -> None:
-    """CSV cut: `#`-prefixed context lines, then theta_deg,gain_db,re,im rows."""
-    lines = [f"# {key} = {value}" for key, value in (comments or {}).items()]
-    lines.append("theta_deg,gain_db,re,im\n")
+    """CSV cut: `#`-prefixed context lines, then theta_deg,gain_db,re,im rows
+    formatted "%.4f,%.6f,%.9e,%.9e". The body is formatted a column at a
+    time, byte for byte as that `%` template writes it."""
+    header = _comment_header(comments) + "theta_deg,gain_db,re,im\n"
+    theta, gain = (np.asarray(v, dtype=float) for v in (cut.theta_deg, cut.gain_db))
     f = cut.field
-    values = np.stack([cut.theta_deg, cut.gain_db, f.real, f.imag], axis=1, dtype=float)
-    body = "%.4f,%.6f,%.9e,%.9e\n" * len(values) % tuple(values.ravel().tolist())
+    parts = _exp_fields(np.concatenate([f.real, f.imag], dtype=float), 9)
+    rows = len(theta)
+    comma, newline = (np.full((1, rows), ord(c), np.uint8) for c in ",\n")
+    columns = [_fixed_fields(theta, 4), comma, _fixed_fields(gain, 6), comma]
+    columns += [parts[:, :rows], comma, parts[:, rows:], newline]
+    body = np.concatenate(columns).T.tobytes().translate(None, b"\0")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + body)
+        fh.write(header + body.decode("ascii"))

@@ -352,6 +352,19 @@ def test_mask_on_another_geometry_is_a_domain_error(bench, geom, quantization):
         received_power(bench.with_mask(CodingMask(geom, bits)), quantization)
 
 
+@pytest.mark.parametrize("value", [2, -0.5, math.nan])
+def test_single_pass_power_rejects_a_bit_stack_that_is_not_0_or_1(bench, value):
+    with pytest.raises(DomainError, match="bit grid entries must be 0 or 1"):
+        single_pass_power_dbm(bench, np.full((1, 16, 10), value))
+
+
+def test_single_pass_power_reads_0_1_numbers_like_bools(bench, rng):
+    bits = rng.integers(0, 2, (3, 16, 10))
+    expected = single_pass_power_dbm(bench, bits.astype(bool)).tolist()
+    assert single_pass_power_dbm(bench, bits).tolist() == expected
+    assert single_pass_power_dbm(bench, bits.astype(float)).tolist() == expected
+
+
 @pytest.mark.parametrize("shape", [(2, 10, 16), (0, 16, 10), (16, 10), (1, 1, 16, 10)])
 def test_single_pass_power_requires_a_bit_stack_on_the_scenario_grid(bench, shape):
     with pytest.raises(DomainError, match=r"bit stack shape .* is not \(K >= 1, 16, 10\)"):

@@ -25,7 +25,7 @@ from risim import (
     write_pattern_csv,
 )
 
-from risim.patterns import _observation_table
+from risim.patterns import MAX_THETA_SAMPLES, _observation_table
 
 from conftest import LAMBDA_BENCH
 
@@ -49,6 +49,19 @@ def test_quantized_30deg_steer_and_mirror(board):
     assert abs(metrics.main_lobe_deg - 30.0) <= 2.0
     # the two-state mask throws a symmetric twin within 1 dB of the main lobe
     assert -1.0 <= metrics.mirror_lobe_db <= 0.0
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-9, math.nan, -1.0, 200.0, math.inf, 5e-324])
+def test_theta_grid_step_is_checked_before_allocating(step):
+    with pytest.raises(DomainError, match="theta step"):
+        default_theta_grid(step)
+
+
+def test_theta_grid_steps_in_use_keep_their_grids():
+    assert np.array_equal(default_theta_grid(), np.linspace(-90.0, 90.0, 721))
+    assert np.array_equal(default_theta_grid(0.1), np.linspace(-90.0, 90.0, 1801))
+    assert default_theta_grid(180.0).tolist() == [-90.0, 90.0]
+    assert len(default_theta_grid(180.0 / (MAX_THETA_SAMPLES - 1))) == MAX_THETA_SAMPLES
 
 
 def test_continuous_mask_peaks_exactly_no_mirror(board):
