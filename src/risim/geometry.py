@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,3 +157,44 @@ def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:
     """Distance from a point to every element, shape (m_count, n_count)."""
     X, Y = element_grid(geom)
     return np.sqrt((point.x - X) ** 2 + (point.y - Y) ** 2 + point.z**2)
+
+
+def check_node(name: str, node: Point3) -> None:
+    """A feed or receiver sits off the surface (z > 0) and within
+    MAX_NODE_DISTANCE_M of the origin."""
+    if not node.z > 0:
+        raise DomainError(f"{name} must sit off the surface (z > 0), got z={node.z}")
+    if not math.hypot(node.x, node.y, node.z) <= MAX_NODE_DISTANCE_M:
+        raise DomainError(
+            f"{name} must lie within {MAX_NODE_DISTANCE_M:g} m of the origin, got {node}"
+        )
+
+
+def _off_axis_cos(geom: ArrayGeometry, node: Point3) -> np.ndarray:
+    """cos(angle between node->element and node->array-center), per element.
+
+    The node's boresight ray points at the array center; clipped to [0, 1]
+    so elements behind the horn plane contribute nothing.
+    """
+    center = geom.center()
+    bx, by, bz = center.x - node.x, center.y - node.y, center.z - node.z
+    bn = math.sqrt(bx * bx + by * by + bz * bz)
+    X, Y = element_grid(geom)
+    vx, vy, vz = X - node.x, Y - node.y, -node.z
+    vn = np.sqrt(vx * vx + vy * vy + vz * vz)
+    return np.clip((vx * bx + vy * by + vz * bz) / (vn * bn), 0.0, 1.0)
+
+
+def node_hop(geom: ArrayGeometry, node: Point3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (m_count, n_count) grids of the hop from a feed or receiver
+    to every element: distance r, normal cosine z / r and boresight cosine."""
+    r = distance_grid(geom, node)
+    hop = (r, node.z / r, _off_axis_cos(geom, node))
+    for grid in hop:
+        grid.flags.writeable = False
+    return hop
+
+
+# one entry, keyed by geometry and feed: synthesis, the near cut and every link
+# scenario on one feed read it, and another geometry or feed replaces it
+feed_hop = lru_cache(maxsize=1)(node_hop)

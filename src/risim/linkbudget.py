@@ -13,14 +13,14 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import MAX_NODE_DISTANCE_M, ArrayGeometry, Point3, distance_grid, element_grid
+from .geometry import ArrayGeometry, Point3, check_node, feed_hop, node_hop
 from .masks import CodingMask, PhaseMask, check_bits, wrap_deg
 from .patterns import UnitCellReflection, check_exponent
 
@@ -63,10 +63,8 @@ class LinkScenario:
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
             raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
-        if not (self.feed.z > 0 and self.rx.z > 0):
-            raise DomainError("feed and rx must sit off the surface (z > 0)")
-        if not all(math.hypot(p.x, p.y, p.z) <= MAX_NODE_DISTANCE_M for p in (self.feed, self.rx)):
-            raise DomainError(f"feed and rx must lie within {MAX_NODE_DISTANCE_M:g} m of the origin")
+        check_node("feed", self.feed)
+        check_node("rx", self.rx)
         object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
         powers = (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm)
         if not all(map(math.isfinite, (*powers, *self.hardware_loss_db.values()))):
@@ -89,12 +87,12 @@ class LinkScenario:
 
     def _hops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Feed and rx distance grids and the combined taper of both hops.
-        Only the rx half is computed here; the feed half comes from
-        _feed_hop, shared by every scenario on one feed."""
+        Only the rx hop is computed here; the feed hop comes from feed_hop,
+        shared by every scenario on one feed."""
         q = 2 * self.cell.q_e  # 1.0 by default, and x**1.0 is x bit for bit
-        r_t, taper_t = _feed_hop(self.geom, self.feed, self.q_t, q)
-        r_r = distance_grid(self.geom, self.rx)
-        taper = taper_t * (self.rx.z / r_r) ** q * (_off_axis_cos(self.geom, self.rx) ** self.q_r)
+        r_t, cos_t, off_t = feed_hop(self.geom, self.feed)
+        r_r, cos_r, off_r = node_hop(self.geom, self.rx)
+        taper = (off_t**self.q_t) * cos_t**q * cos_r**q * (off_r**self.q_r)
         return r_t, r_r, taper
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
@@ -130,37 +128,6 @@ class LinkReport:
         rows.append(("snr_db", self.snr_db))
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {value:>10.3f}" for name, value in rows)
-
-
-def _off_axis_cos(geom: ArrayGeometry, node: Point3) -> np.ndarray:
-    """cos(angle between node->element and node->array-center), per element.
-
-    The node's boresight ray points at the array center; clipped to [0, 1]
-    so elements behind the horn plane contribute nothing.
-    """
-    center = geom.center()
-    bx, by, bz = center.x - node.x, center.y - node.y, center.z - node.z
-    bn = math.sqrt(bx * bx + by * by + bz * bz)
-    X, Y = element_grid(geom)
-    vx, vy, vz = X - node.x, Y - node.y, -node.z
-    vn = np.sqrt(vx * vx + vy * vy + vz * vz)
-    return np.clip((vx * bx + vy * by + vz * bz) / (vn * bn), 0.0, 1.0)
-
-
-@lru_cache(maxsize=1)
-def _feed_hop(geom: ArrayGeometry, feed: Point3, q_t: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """The feed half of the two-hop terms: the feed distance grid r_t and
-    its taper cos_t**q_t * (feed.z / r_t)**q, both read-only.
-
-    The key holds every input, so a scenario with another geometry, feed,
-    q_t or element exponent never reads a stale entry. One entry is held
-    at a time: a coverage map or a sweep moves only the receiver, so every
-    scenario on one feed shares it.
-    """
-    r_t = distance_grid(geom, feed)
-    taper_t = (_off_axis_cos(geom, feed) ** q_t) * (feed.z / r_t) ** q
-    r_t.flags.writeable = taper_t.flags.writeable = False
-    return r_t, taper_t
 
 
 def f_combine_grid(scenario: LinkScenario) -> np.ndarray:

@@ -40,9 +40,6 @@ class SweepTrace:
         if len(self.steer_deg) != len(self.rssi_dbm) or len(self.steer_deg) == 0:
             raise DomainError("trace angle and RSSI sequences must be nonempty and equal length")
 
-    def __len__(self) -> int:
-        return len(self.steer_deg)
-
 
 def ue_point(true_ue: Direction, scenario: LinkScenario) -> Point3:
     """The user position: toward a Direction, at the scenario's rx range

@@ -19,7 +19,8 @@ from .geometry import (
     ArrayGeometry,
     Direction,
     Point3,
-    distance_grid,
+    check_node,
+    feed_hop,
     projection_grid,
     projection_stack,
 )
@@ -158,13 +159,13 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
     before quantization."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
-    if not (feed.z > 0):
-        raise DomainError(f"feed must sit off the surface (z > 0), got z={feed.z}")
+    check_node("feed", feed)
     k0 = 2 * np.pi / wavelength
-    # an extreme pitch overflows to inf/NaN here; _one_bit then rejects the grid
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an extreme pitch overflows to inf/NaN here, which _one_bit rejects; a
+    # subnormal feed height divides by zero in the hop's cosines, read elsewhere
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         proj = projection_stack(geom, steers)
-        return wrap_deg(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj))
+        return wrap_deg(np.degrees(k0 * feed_hop(geom, feed)[0] - k0 * proj))
 
 
 def _recentered_deg(phases_deg: np.ndarray) -> np.ndarray:

@@ -15,12 +15,12 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
-    MAX_NODE_DISTANCE_M,
     ArrayGeometry,
     Direction,
     Point3,
-    distance_grid,
+    check_node,
     element_grid,
+    feed_hop,
     projection_grid,
 )
 from .masks import CodingMask, PhaseMask
@@ -88,11 +88,7 @@ class FeedSpec:
     q_f: float = 7.0
 
     def __post_init__(self) -> None:
-        p = self.position
-        if not (p.z > 0):
-            raise DomainError(f"feed must sit off the surface (z > 0), got z={p.z}")
-        if not math.hypot(p.x, p.y, p.z) <= MAX_NODE_DISTANCE_M:
-            raise DomainError(f"feed must lie within {MAX_NODE_DISTANCE_M:g} m of the origin, got {p}")
+        check_node("feed", self.position)
         check_exponent("q_f", self.q_f)
 
 
@@ -115,9 +111,6 @@ class PatternCut:
             if shape != th.shape:
                 raise DomainError(f"{name} shape {shape} does not match theta grid shape {th.shape}")
 
-    def __len__(self) -> int:
-        return len(self.theta_deg)
-
 
 @dataclass(frozen=True)
 class PatternMetrics:
@@ -131,14 +124,18 @@ class PatternMetrics:
 def default_theta_grid(step_deg: float = 0.25) -> np.ndarray:
     """Signed theta grid over [-90, 90]; the default 0.25 deg step gives a
     grid that is exactly symmetric about zero in floating point. The step
-    and the sample count are checked before anything is allocated."""
+    must divide 180 degrees into whole intervals (within 1e-9 relative);
+    it and the sample count are checked before anything is allocated."""
     if not 0.0 < step_deg <= 180.0:
         raise DomainError(f"theta step must be in (0, 180] degrees, got {step_deg}")
     intervals = 180.0 / step_deg  # inf for a subnormal step
     # below MAX_THETA_SAMPLES - 1/2, the rounded count stays within the bound
     if not intervals < MAX_THETA_SAMPLES - 0.5:
         raise DomainError(f"theta step {step_deg:g} gives more than {MAX_THETA_SAMPLES} samples")
-    return np.linspace(-90.0, 90.0, int(round(intervals)) + 1)
+    count = round(intervals)
+    if abs(intervals - count) > 1e-9 * intervals:
+        raise DomainError(f"theta step {step_deg:g} does not divide 180 degrees into whole intervals")
+    return np.linspace(-90.0, 90.0, count + 1)
 
 
 def _mask_coefficients(mask, cell: UnitCellReflection) -> np.ndarray:
@@ -278,8 +275,7 @@ def pattern_nearfield(
     """
     theta, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     check_exponent("q_e", q_e)
-    r_feed = distance_grid(geom, feed.position)
-    cos_feed = feed.position.z / r_feed
+    r_feed, cos_feed, _ = feed_hop(geom, feed.position)
     amp = (cos_feed**feed.q_f) / r_feed
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
@@ -364,17 +360,6 @@ def _round_clear(scaled: np.ndarray, ok: np.ndarray, limit: float) -> np.ndarray
     return whole + (frac > 0.5)
 
 
-def _digits(n: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The count lowest decimal digits of the integer-valued floats n (below
-    2**53), most significant first, and the quotients n // 10**j they come
-    from; both shape (count, len(n)). The float quotient of such an integer
-    by an exact power of ten floors to the integer quotient."""
-    quot = np.floor(n / _POW10[count - 1 :: -1, None])
-    digits = quot.copy()
-    digits[1:] -= 10.0 * quot[:-1]
-    return digits, quot
-
-
 def _with_fallback(fields: np.ndarray, x: np.ndarray, ok: np.ndarray, spec: str) -> np.ndarray:
     """Write spec % v into the slot of every value v the fast path left out,
     widening every slot if one of those strings is longer."""
@@ -390,6 +375,29 @@ def _with_fallback(fields: np.ndarray, x: np.ndarray, ok: np.ndarray, spec: str)
     return fields
 
 
+def _point_fields(
+    x: np.ndarray, n: np.ndarray, ok: np.ndarray, p: int, spec: str, *suffix
+) -> np.ndarray:
+    """Each v in x as spec % v: its sign, the digits of the integer-valued
+    floats n (below 2**53, so each float quotient by 10**j floors exactly)
+    without leading zeros and with a point ahead of the last p, then one row
+    per suffix entry; `%` writes each slot where ok is false."""
+    count = max(p + 1, len(str(int(n.max(initial=0.0)))))
+    quot = np.floor(n / _POW10[count - 1 :: -1, None])
+    digits = quot.copy()
+    digits[1:] -= 10.0 * quot[:-1]
+    ints = count - p
+    fields = np.empty((count + 2 + len(suffix), len(x)), np.uint8)
+    fields[0] = np.signbit(x) * _MINUS
+    np.add(digits[:ints], _ZERO, out=fields[1 : ints + 1], casting="unsafe")
+    fields[1:ints] *= quot[: ints - 1] > 0
+    fields[ints + 1] = _POINT
+    np.add(digits[ints:], _ZERO, out=fields[ints + 2 : count + 2], casting="unsafe")
+    for row, values in enumerate(suffix, count + 2):
+        fields[row] = values
+    return _with_fallback(fields, x, ok, spec)
+
+
 def _fixed_fields(x: np.ndarray, p: int) -> np.ndarray:
     """Each v in x as "%.{p}f" % v, p >= 1: sign, integer digits, point and
     p decimals."""
@@ -397,16 +405,7 @@ def _fixed_fields(x: np.ndarray, p: int) -> np.ndarray:
     ok = ax < _FIXED_LIMIT / _POW10[p]  # false for nan and inf
     n = _round_clear(np.where(ok, ax, 0.0) * _POW10[p], ok, _FIXED_LIMIT)
     n[~ok] = 0.0
-    count = max(p + 1, len(str(int(n.max(initial=0.0)))))
-    digits, quot = _digits(n, count)
-    ints = count - p
-    fields = np.empty((count + 2, len(x)), np.uint8)
-    fields[0] = np.signbit(x) * _MINUS
-    np.add(digits[:ints], _ZERO, out=fields[1 : ints + 1], casting="unsafe")
-    fields[1:ints] *= quot[: ints - 1] > 0  # no leading zeros before the units digit
-    fields[ints + 1] = _POINT
-    np.add(digits[ints:], _ZERO, out=fields[ints + 2 :], casting="unsafe")
-    return _with_fallback(fields, x, ok, f"%.{p}f")
+    return _point_fields(x, n, ok, p, f"%.{p}f")
 
 
 def _exp_fields(x: np.ndarray, p: int) -> np.ndarray:
@@ -432,18 +431,9 @@ def _exp_fields(x: np.ndarray, p: int) -> np.ndarray:
     exp += carry
     n[~ok] = _POW10[p]
     exp[~ok] = 0.0
-    digits, _ = _digits(n, p + 1)
     mag = np.abs(exp).astype(np.uint8)  # |exp| <= p + 22 < 100 on the fast path
-    fields = np.empty((p + 7, len(x)), np.uint8)
-    fields[0] = np.signbit(x) * _MINUS
-    np.add(digits[0], _ZERO, out=fields[1], casting="unsafe")
-    fields[2] = _POINT
-    np.add(digits[1:], _ZERO, out=fields[3 : p + 3], casting="unsafe")
-    fields[p + 3] = ord("e")
-    fields[p + 4] = np.where(exp < 0, _MINUS, _PLUS)
-    fields[p + 5] = mag // 10 + _ZERO
-    fields[p + 6] = mag % 10 + _ZERO
-    return _with_fallback(fields, x, ok, f"%.{p}e")
+    sign = np.where(exp < 0, _MINUS, _PLUS)
+    return _point_fields(x, n, ok, p, f"%.{p}e", ord("e"), sign, mag // 10 + _ZERO, mag % 10 + _ZERO)
 
 
 def write_pattern_csv(cut: PatternCut, path, comments: dict | None = None) -> None:

@@ -242,7 +242,7 @@ def test_trace_validation():
     with pytest.raises(DomainError):
         SweepTrace(np.array([1.0]), np.array([1.0, 2.0]))
     trace = SweepTrace(np.array([0.0, 1.5]), np.array([-50.0, -49.0]))
-    assert len(trace) == 2
+    assert len(trace.steer_deg) == 2
 
 
 def test_sweep_csv_format(tmp_path, codebook, bench):
@@ -252,6 +252,6 @@ def test_sweep_csv_format(tmp_path, codebook, bench):
     lines = path.read_text().splitlines()
     assert lines[0] == "# truth_deg = 30.0"
     assert lines[2] == "steer_deg,rssi_dbm"
-    assert len(lines) == 3 + len(trace)
+    assert len(lines) == 3 + len(trace.steer_deg)
     angle, rssi = lines[3].split(",")
     assert float(angle) == 0.0

@@ -20,7 +20,7 @@ from risim import (
 )
 
 from risim import masks
-from risim.geometry import projection_grid
+from risim.geometry import feed_hop, projection_grid
 from risim.masks import MAX_CODEBOOK_ENTRIES, _compensation_deg, _recentered_deg, codebook_angles
 
 from conftest import LAMBDA_BENCH
@@ -117,6 +117,25 @@ def test_nearfield_pinned_corner_phase(board):
 def test_nearfield_rejects_in_plane_feed(board):
     with pytest.raises(DomainError):
         nearfield_steering_mask(board, Point3(0.1, 0.1, 0.0), Direction(0.0), LAMBDA_BENCH)
+
+
+@pytest.mark.parametrize("feed", [Point3(0.0, 0.0, 1e200), Point3(1e101, 0.0, 1.0)])
+def test_synthesis_rejects_a_feed_past_the_node_distance_bound(board, feed):
+    # z**2 on the first feed raises OverflowError unless the bound is checked first
+    with pytest.raises(DomainError, match=r"feed must lie within 1e\+100 m of the origin"):
+        nearfield_steering_mask(board, feed, Direction(30.0), LAMBDA_BENCH)
+    with pytest.raises(DomainError, match=r"feed must lie within 1e\+100 m of the origin"):
+        build_codebook(board, feed, LAMBDA_BENCH, 0.0, 60.0, 1.0)
+
+
+def test_feed_at_a_subnormal_height_synthesizes_without_a_warning(board):
+    # the feed hop's cosine z / r divides by the zero distance to the element
+    # under the feed; synthesis reads only r, and a RuntimeWarning fails here
+    feed_hop.cache_clear()
+    feed = Point3(0.0, 0.0, 5e-324)
+    mask = nearfield_steering_mask(board, feed, Direction(30.0), LAMBDA_BENCH)
+    codebook = build_codebook(board, feed, LAMBDA_BENCH, 30.0, 30.0, 1.0)
+    assert np.array_equal(codebook.bits[0], mask.bits)
 
 
 def test_nearfield_far_feed_limit_matches_snell(board):

@@ -51,7 +51,7 @@ def test_quantized_30deg_steer_and_mirror(board):
     assert -1.0 <= metrics.mirror_lobe_db <= 0.0
 
 
-@pytest.mark.parametrize("step", [0.0, 1e-9, math.nan, -1.0, 200.0, math.inf, 5e-324])
+@pytest.mark.parametrize("step", [0.0, 1e-9, math.nan, -1.0, 200.0, math.inf, 5e-324, 0.7, 150.0])
 def test_theta_grid_step_is_checked_before_allocating(step):
     with pytest.raises(DomainError, match="theta step"):
         default_theta_grid(step)
@@ -362,6 +362,6 @@ def test_pattern_csv_format(tmp_path, board):
     lines = path.read_text().splitlines()
     assert lines[0] == "# mode = far"
     assert lines[2] == "theta_deg,gain_db,re,im"
-    assert len(lines) == 3 + len(cut)
+    assert len(lines) == 3 + len(cut.theta_deg)
     theta0, gain0, re0, im0 = lines[3].split(",")
     assert float(theta0) == cut.theta_deg[0]

@@ -1,7 +1,8 @@
 """Pinned CLI outputs: the sha256 of every file the README workflows write
 under the default config, against a committed manifest.
 
-Only the files are hashed; stdout echoes the --out path. The manifest
+Only the files are hashed; stdout echoes the --out path. The cases then
+run again in reverse order and must hash alike. The manifest
 records the Python and numpy versions it was generated with. A change that
 is meant to alter an output regenerates the manifest in the same diff:
 
@@ -93,14 +94,14 @@ def test_nondefault_case_moves_every_key():
     assert all(items[name] != db for name, db in DEFAULTS["link"]["hardware_loss_db"].items())
 
 
-def output_hashes(root: Path) -> dict[str, str]:
-    """Run every case into its own directory under `root` and hash each file
-    written, keyed `case/file name`."""
+def output_hashes(root: Path, cases: dict = CASES) -> dict[str, str]:
+    """Run every case, in the order given, into its own directory under
+    `root` and hash each file written, keyed `case/file name`."""
     # only the case's own overrides reach the config
     clean = {name: None for name in os.environ if name.startswith("RISIM_")}
     runner = CliRunner()
     hashes = {}
-    for case, (args, out_name, env) in CASES.items():
+    for case, (args, out_name, env) in cases.items():
         outdir = root / case
         outdir.mkdir()
         result = runner.invoke(main, [*args, "--out", str(outdir / out_name)], env={**clean, **env})
@@ -126,6 +127,11 @@ def test_outputs_match_pinned_manifest(tmp_path):
         f"outputs differ from the manifest (pinned on {pinned['versions']}, "
         f"running {versions()}):\n" + "\n".join(changed)
     )
+    # every case again, now after the others: module caches left warm by
+    # another case (feed hop, observation table) move no byte
+    (tmp_path / "reversed").mkdir()
+    again = output_hashes(tmp_path / "reversed", dict(reversed(CASES.items())))
+    assert again == actual
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Values computed once: the element lattice of an ArrayGeometry, the
 states of a UnitCellReflection, the two-hop terms of a LinkScenario and the
-feed hop that every scenario on one feed shares.
+feed hop that synthesis, the near-field cut and every scenario on one feed
+share.
 
 A cached value must equal a fresh computation bit for bit, whatever the
 order of the calls that read it, and must equal a test-local copy of the
@@ -14,18 +15,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import risim.linkbudget as lb
+import risim.geometry as geometry
 from risim import (
     ArrayGeometry,
     CodingMask,
+    Direction,
     LinkScenario,
     Point3,
     UnitCellReflection,
+    build_codebook,
+    default_theta_grid,
     distance_grid,
     element_grid,
     geometric_accumulation,
+    nearfield_steering_mask,
+    pattern_nearfield,
     received_power,
 )
+from risim.geometry import feed_hop, node_hop
 from risim.linkbudget import f_combine_grid, required_cascade_mask, single_pass_power_dbm
 
 MODES = ("analytic", "mask", "single_pass", "none")
@@ -185,7 +192,7 @@ def test_scenarios_differing_in_one_feed_hop_input_read_in_alternation(cfg):
 
 def test_feed_hop_arrays_are_read_only(cfg):
     sc = cfg.link
-    for grid in lb._feed_hop(sc.geom, sc.feed, sc.q_t, 2 * sc.cell.q_e):
+    for grid in (*feed_hop(sc.geom, sc.feed), *node_hop(sc.geom, sc.rx)):
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
 
@@ -200,11 +207,16 @@ def test_scenarios_on_one_feed_compute_its_hop_once(cfg, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(lb, "_off_axis_cos", counting("cos", lb._off_axis_cos))
-    monkeypatch.setattr(lb, "distance_grid", counting("dist", lb.distance_grid))
-    lb._feed_hop.cache_clear()
+    monkeypatch.setattr(geometry, "_off_axis_cos", counting("cos", geometry._off_axis_cos))
+    monkeypatch.setattr(geometry, "distance_grid", counting("dist", geometry.distance_grid))
+    feed_hop.cache_clear()
     base, n = cfg.link, 6
-    mask = CodingMask(base.geom, np.random.default_rng(3).integers(0, 2, (16, 10), dtype=np.uint8))
+    assert base.feed == cfg.feed.position
+    build_codebook(base.geom, base.feed, base.wavelength, 0.0, 60.0, 1.5)
+    mask = nearfield_steering_mask(base.geom, base.feed, Direction(30.0), base.wavelength)
+    pattern_nearfield(
+        base.geom, mask, base.cell, cfg.feed, base.cell.q_e, 0.0, default_theta_grid(), base.wavelength
+    )
     for i in range(n):
         sc = base.with_rx(Point3(0.4 * i, 0.072, 2.0)).with_mask(mask)
         for q in MODES:
