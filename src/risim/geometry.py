@@ -150,7 +150,11 @@ def projection_stack(geom: ArrayGeometry, steers) -> np.ndarray:
     trig = np.array([(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in rad])
     sin_th, cos_ph, sin_ph = trig.T[:, :, None, None]
     X, Y = element_grid(geom)
-    return sin_th * (X * cos_ph + Y * sin_ph)
+    # X is constant along n and Y along m: one column and one row broadcast
+    # to the same scalar products as the full lattices
+    proj = X[:, :1] * cos_ph + Y[:1, :] * sin_ph
+    proj *= sin_th
+    return proj
 
 
 def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:
@@ -160,10 +164,11 @@ def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:
 
 
 def check_node(name: str, node: Point3) -> None:
-    """A feed or receiver sits off the surface (z > 0) and within
-    MAX_NODE_DISTANCE_M of the origin."""
-    if not node.z > 0:
-        raise DomainError(f"{name} must sit off the surface (z > 0), got z={node.z}")
+    """A feed or receiver sits off the surface (z > 0, and z*z > 0 so that its
+    distance to the element below it is not 0) and within MAX_NODE_DISTANCE_M
+    of the origin."""
+    if not (node.z > 0 and node.z * node.z > 0):
+        raise DomainError(f"{name} must sit off the surface (z > 0 and z*z > 0), got z={node.z}")
     if not math.hypot(node.x, node.y, node.z) <= MAX_NODE_DISTANCE_M:
         raise DomainError(
             f"{name} must lie within {MAX_NODE_DISTANCE_M:g} m of the origin, got {node}"

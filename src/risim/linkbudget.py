@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, check_node, feed_hop, node_hop
-from .masks import CodingMask, PhaseMask, check_bits, wrap_deg
+from .masks import CodingMask, PhaseMask, _wrap_deg_inplace, check_bits
 from .patterns import UnitCellReflection, check_exponent
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
@@ -163,7 +163,7 @@ def required_cascade_mask(scenario: LinkScenario) -> PhaseMask:
 
 
 def _cascade_mask(geom: ArrayGeometry, path: np.ndarray) -> PhaseMask:
-    return PhaseMask(geom, wrap_deg(np.degrees(path)))
+    return PhaseMask(geom, _wrap_deg_inplace(np.degrees(path)))
 
 
 def phase_error_loss(required: PhaseMask, applied: CodingMask, cell=UnitCellReflection()) -> float:

@@ -36,11 +36,39 @@ def check_bits(bits: np.ndarray) -> None:
         raise DomainError("bit grid entries must be 0 or 1")
 
 
+# below ~1k elements one np.mod call costs less than the floor form's ufunc chain
+WRAP_FLOOR_MIN_SIZE = 1024
+# for |x| < 360 * 2**40, 360 * floor(x / 360) is exact and x minus it rounds once,
+# as np.mod's fmod(x, 360) + 360 does: the floor form equals np.mod bit for bit
+WRAP_FLOOR_BOUND = 360.0 * 2.0**40
+
+
 def wrap_deg(phases_deg):
-    """Wrap angles in degrees to [0, 360)."""
-    w = np.mod(phases_deg, 360.0)
+    """Wrap angles in degrees to [0, 360), into a new array; the argument is
+    left as it is."""
+    ph = np.asarray(phases_deg)
+    return _wrap_deg_inplace(ph.astype(np.result_type(ph, 360.0)))
+
+
+def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
+    """wrap_deg over a float array's own buffer, which it returns."""
+    if (
+        ph.size >= WRAP_FLOOR_MIN_SIZE
+        and ph.dtype == np.float64
+        and -WRAP_FLOOR_BOUND < ph.min()
+        and ph.max() < WRAP_FLOOR_BOUND
+    ):
+        q = ph / 360.0
+        np.floor(q, out=q)
+        q *= 360.0
+        ph -= q
+        # a negative x above -360 * 2**-1075 (~ -8.9e-322) divides to -0.0 and floors to 0, not -1
+        np.add(ph, 360.0, out=ph, where=ph < 0.0)
+    else:  # NaN, inf and huge phases take this path too
+        np.mod(ph, 360.0, out=ph)
     # guard: mod of a tiny negative can round up to the modulus itself
-    return np.where(w >= 360.0, 0.0, w)
+    np.copyto(ph, 0.0, where=ph >= 360.0)
+    return ph
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +176,7 @@ def snell_gradient(
     # scalar 0.0 instead gives the same wrapped bits (np.mod maps -0.0 to 0.0)
     proj_in = projection_grid(geom, incidence) if incidence.theta_deg else 0.0
     phase_rad = k0 * (proj_in - projection_grid(geom, reflection))
-    return PhaseMask(geom, wrap_deg(np.degrees(phase_rad)))
+    return PhaseMask(geom, _wrap_deg_inplace(np.degrees(phase_rad)))
 
 
 def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
@@ -161,21 +189,29 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     check_node("feed", feed)
     k0 = 2 * np.pi / wavelength
-    # an extreme pitch overflows to inf/NaN here, which _one_bit rejects; a
-    # subnormal feed height divides by zero in the hop's cosines, read elsewhere
+    # an extreme pitch overflows to inf/NaN here, which _one_bit rejects; the
+    # feed hop's cosine grids, which synthesis does not read, are built here too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        proj = projection_stack(geom, steers)
-        return wrap_deg(np.degrees(k0 * feed_hop(geom, feed)[0] - k0 * proj))
+        # one buffer from the projection on: k0 * distance - k0 * proj, in place
+        ph = projection_stack(geom, steers)
+        ph *= k0
+        np.subtract(k0 * feed_hop(geom, feed)[0], ph, out=ph)
+        return _wrap_deg_inplace(np.degrees(ph, out=ph))
 
 
 def _recentered_deg(phases_deg: np.ndarray) -> np.ndarray:
-    """Rotate each of K stacked (K, M, N) grids to a zero circular-mean phase.
+    """Rotate each of K stacked (K, M, N) float grids to a zero circular-mean
+    phase, in place: the argument's buffer is overwritten and returned.
     A 1-bit quantizer keeps only the side of its bin boundaries a phase falls
     on, so centering the population splits it evenly across the two bins and
     minimizes the pointing bias of quantized spherical-compensation masks."""
-    ph = np.radians(phases_deg)
-    mean = np.angle(np.mean(np.exp(1j * ph.reshape(len(ph), -1)), axis=1))
-    return wrap_deg(np.degrees(ph - mean[:, None, None]))
+    ph = np.radians(phases_deg, out=phases_deg)
+    z = 1j * ph.reshape(len(ph), -1)
+    # the row sum and the division are the two ufuncs np.mean runs
+    mean = np.exp(z, out=z).sum(axis=1)
+    mean /= ph[0].size
+    ph -= np.angle(mean)[:, None, None]
+    return _wrap_deg_inplace(np.degrees(ph, out=ph))
 
 
 def quantize_1bit(mask: PhaseMask) -> CodingMask:

@@ -631,6 +631,75 @@ def test_nodes_at_the_distance_bound_run_without_warnings(runner, tmp_path, comm
     assert [line.split(" (")[0] for line in result.stderr.splitlines()] == expected
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["pattern", "--mode", "near", "--steer=30"], LOCALIZE_30, ["linkbudget"]],
+    ids=["pattern", "localize", "linkbudget"],
+)
+@pytest.mark.parametrize(
+    "env, section",
+    [
+        ({"RISIM_FEED_POSITION_M": "0,0,5e-324"}, "feed"),
+        ({"RISIM_FEED_POSITION_M": "0,0,1e-162"}, "feed"),
+        ({"RISIM_LINK_RX_POSITION_M": "0,0,5e-324"}, "link"),
+        ({"RISIM_LINK_RX_POSITION_M": "0,0,1e-162"}, "link"),
+    ],
+    ids=["feed-5e-324", "feed-1e-162", "rx-5e-324", "rx-1e-162"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_node_whose_height_squares_to_zero_exits_2_naming_its_section(runner, tmp_path, command, env, section):
+    # the distance from such a node to the element under it is 0: rejected
+    # as a node on the surface is, before any grid is built
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"config error: invalid config section {section}: ")
+    assert "must sit off the surface" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, env",
+    [
+        (["pattern", "--mode", "near", "--steer=30"], {"RISIM_FEED_POSITION_M": "0,0,1e-161"}),
+        (["linkbudget"], {"RISIM_LINK_RX_POSITION_M": "0,0,1e-161"}),
+    ],
+    ids=["feed", "rx"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_node_whose_height_squares_to_a_subnormal_runs_without_warnings(runner, tmp_path, command, env):
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "command, out, files",
+    [
+        (["pattern"], "x.csv", ["x.csv", "x.metrics.json"]),
+        (LOCALIZE_30, "x", ["x.truth30.csv", "x.summary.json"]),
+        (["linkbudget"], "x.json", ["x.json"]),
+        (["export-frame"], "x.hex", ["x.hex"]),
+    ],
+    ids=["pattern", "localize", "linkbudget", "export-frame"],
+)
+def test_existing_out_files_are_truncated_without_notice(runner, tmp_path, command, out, files):
+    # the documented --out policy: a file already at an output path is
+    # replaced whole, with no prompt and no message
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    stale.mkdir()
+    for name in files:
+        (stale / name).write_bytes(b"stale line\n" * 100_000)
+    for directory in (fresh, stale):
+        result = runner.invoke(main, [*command, "--out", str(directory / out)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+    assert sorted(p.name for p in stale.iterdir()) == sorted(files)
+    for name in files:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", [["linkbudget"], ["pattern"], LOCALIZE_30])
 @pytest.mark.parametrize(
     "env",

@@ -128,11 +128,22 @@ def test_synthesis_rejects_a_feed_past_the_node_distance_bound(board, feed):
         build_codebook(board, feed, LAMBDA_BENCH, 0.0, 60.0, 1.0)
 
 
-def test_feed_at_a_subnormal_height_synthesizes_without_a_warning(board):
-    # the feed hop's cosine z / r divides by the zero distance to the element
-    # under the feed; synthesis reads only r, and a RuntimeWarning fails here
+@pytest.mark.parametrize("z", [5e-324, 1e-162])
+def test_feed_whose_height_squares_to_zero_is_rejected(board, z):
+    # the distance to the element under such a feed is 0, and the hop's
+    # cosine z / r divides by it
+    feed = Point3(0.0, 0.0, z)
+    with pytest.raises(DomainError, match="feed must sit off the surface"):
+        nearfield_steering_mask(board, feed, Direction(30.0), LAMBDA_BENCH)
+    with pytest.raises(DomainError, match="feed must sit off the surface"):
+        build_codebook(board, feed, LAMBDA_BENCH, 30.0, 30.0, 1.0)
+
+
+def test_feed_whose_height_squares_to_a_subnormal_synthesizes_without_a_warning(board):
+    # 1e-161 squared is 1e-322, the lowest decade of heights kept: a
+    # RuntimeWarning from the feed hop fails here
     feed_hop.cache_clear()
-    feed = Point3(0.0, 0.0, 5e-324)
+    feed = Point3(0.0, 0.0, 1e-161)
     mask = nearfield_steering_mask(board, feed, Direction(30.0), LAMBDA_BENCH)
     codebook = build_codebook(board, feed, LAMBDA_BENCH, 30.0, 30.0, 1.0)
     assert np.array_equal(codebook.bits[0], mask.bits)
@@ -194,7 +205,7 @@ def test_half_turn_offset_flips_every_bit(board, rng):
 
 def test_recentering_zeroes_circular_mean(rng):
     phases = rng.uniform(0.0, 300.0, (16, 10))
-    centered = _recentered_deg(phases[None])[0]
+    centered = _recentered_deg(phases[None].copy())[0]  # recenters in place
     mean = np.angle(np.mean(np.exp(1j * np.radians(centered))))
     assert abs(mean) < 1e-9
     # relative phase structure is preserved
