@@ -44,7 +44,6 @@ DEFAULTS = {
             0.072,
             5.0 * math.cos(math.radians(45.0)),
         ],
-        "q_t": 7.0,
         "q_r": 7.0,
         "include_hardware_loss": False,
         "hardware_loss_db": dict(DEFAULT_HARDWARE_LOSS_DB),
@@ -229,7 +228,7 @@ def _build(doc: dict) -> ScenarioConfig:
     rx = link.pop("rx_position_m")
     scenario = _section(
         "link",
-        lambda: LinkScenario(geometry, feed.position, Point3(*rx), wavelength, **link, cell=cell),
+        lambda: LinkScenario(geometry, feed, Point3(*rx), wavelength, **link, cell=cell),
     )
     sweep = _section("sweep", lambda: SweepConfig(**doc["sweep"]))
     return ScenarioConfig(doc["frequency_hz"], geometry, cell, feed, scenario, sweep)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, check_node, feed_hop, node_hop
 from .masks import CodingMask, PhaseMask, _wrap_deg_inplace, check_bits
-from .patterns import UnitCellReflection, check_exponent
+from .patterns import FeedSpec, UnitCellReflection, check_exponent, feed_taper
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
 # residual error over a uniformly wrapped population leaves a 2/pi phasor
@@ -40,17 +40,16 @@ _MW_FLOAT_RANGE_DBM = (10.0 * math.log10(math.ulp(0.0)), 10.0 * math.log10(sys.f
 
 @dataclass(frozen=True)
 class LinkScenario:
-    """Complete two-hop scenario: geometry, node positions, powers, tapers
-    and the unit cell whose states the coded surface switches between."""
+    """Complete two-hop scenario: geometry, feed horn, receiver position and
+    horn exponent, powers and the unit cell the coded surface switches."""
 
     geom: ArrayGeometry
-    feed: Point3
+    feed: FeedSpec
     rx: Point3
     wavelength: float
     tx_power_dbm: float
     gain_tx_dbi: float
     gain_rx_dbi: float
-    q_t: float = 7.0
     q_r: float = 7.0
     noise_floor_dbm: float = -94.0
     mask: CodingMask | None = None
@@ -63,13 +62,11 @@ class LinkScenario:
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
             raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
-        check_node("feed", self.feed)
         check_node("rx", self.rx)
         object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
         powers = (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm)
         if not all(map(math.isfinite, (*powers, *self.hardware_loss_db.values()))):
             raise DomainError("powers, gains and hardware loss items must be finite")
-        check_exponent("q_t", self.q_t)
         check_exponent("q_r", self.q_r)
         if self.mask is not None and self.mask.geom != self.geom:
             raise DomainError("mask geometry does not match the array geometry")
@@ -87,12 +84,12 @@ class LinkScenario:
 
     def _hops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Feed and rx distance grids and the combined taper of both hops.
-        Only the rx hop is computed here; the feed hop comes from feed_hop,
-        shared by every scenario on one feed."""
+        Only the rx hop is computed here; the feed hop and its taper come
+        from feed_hop and feed_taper, shared by every scenario on one feed."""
         q = 2 * self.cell.q_e  # 1.0 by default, and x**1.0 is x bit for bit
-        r_t, cos_t, off_t = feed_hop(self.geom, self.feed)
+        r_t = feed_hop(self.geom, self.feed.position)[0]
         r_r, cos_r, off_r = node_hop(self.geom, self.rx)
-        taper = (off_t**self.q_t) * cos_t**q * cos_r**q * (off_r**self.q_r)
+        taper = feed_taper(self.geom, self.feed, self.cell.q_e) * cos_r**q * (off_r**self.q_r)
         return r_t, r_r, taper
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":

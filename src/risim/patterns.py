@@ -23,7 +23,7 @@ from .geometry import (
     feed_hop,
     projection_grid,
 )
-from .masks import CodingMask, PhaseMask
+from .masks import CodingMask
 
 # [-90, 90] at a millidegree step: a cut then holds a (180001, M*N) complex term
 # array, 461 MB on the 16 x 10 board
@@ -75,14 +75,14 @@ class UnitCellReflection:
 
 
 def check_exponent(name: str, value: float) -> None:
-    """Cosine-power taper exponents (horns q_t, q_r, feed q_f, element q_e) are finite and >= 0."""
+    """Cosine-power taper exponents (feed q_f, receive horn q_r, element q_e) are finite and >= 0."""
     if not (math.isfinite(value) and value >= 0):
         raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
 class FeedSpec:
-    """Feed phase center and its cosine-power illumination exponent."""
+    """The feed horn: phase center and the exponent q_f of its power pattern."""
 
     position: Point3
     q_f: float = 7.0
@@ -90,6 +90,19 @@ class FeedSpec:
     def __post_init__(self) -> None:
         check_node("feed", self.position)
         check_exponent("q_f", self.q_f)
+
+
+@lru_cache(maxsize=1)
+def feed_taper(geom: ArrayGeometry, feed: FeedSpec, q_e: float) -> np.ndarray:
+    """Power taper of the feed hop per element, off**q_f * cos**(2 q_e), from
+    feed_hop: read-only and cached for one geometry, feed and q_e, as feed_hop
+    is. A taper that is 0 on every element is an error: nothing is lit."""
+    _, cos_t, off_t = feed_hop(geom, feed.position)
+    taper = (off_t**feed.q_f) * cos_t ** (2 * q_e)
+    if not taper.any():
+        raise DomainError(f"the feed illuminates no element (q_f={feed.q_f:g}, q_e={q_e:g})")
+    taper.flags.writeable = False
+    return taper
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,18 +151,10 @@ def default_theta_grid(step_deg: float = 0.25) -> np.ndarray:
     return np.linspace(-90.0, 90.0, count + 1)
 
 
-def _mask_coefficients(mask, cell: UnitCellReflection) -> np.ndarray:
-    """Complex per-element reflection coefficients for either mask kind.
-
-    CodingMask uses the cell's two states; PhaseMask is treated as an ideal
-    continuous surface with unit magnitude.
-    """
-    if isinstance(mask, CodingMask):
-        mag, phase = cell.states()
-        return (mag * np.exp(1j * phase))[mask.bits]
-    if isinstance(mask, PhaseMask):
-        return np.exp(1j * np.radians(mask.phases_deg))
-    raise DomainError(f"unsupported mask type {type(mask).__name__}")
+def _mask_coefficients(mask: CodingMask, cell: UnitCellReflection) -> np.ndarray:
+    """Complex per-element reflection coefficients: the cell state each bit selects."""
+    mag, phase = cell.states()
+    return (mag * np.exp(1j * phase))[mask.bits]
 
 
 def _normalize(phi_plane_deg: float, theta_deg: np.ndarray, field: np.ndarray) -> PatternCut:
@@ -181,6 +186,8 @@ def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg,
     """The checks both cut kernels open with; the theta grid as floats and k0."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    if not isinstance(mask, CodingMask):
+        raise DomainError(f"unsupported mask type {type(mask).__name__}")
     if mask.geom != geom:
         raise DomainError("mask geometry does not match the array geometry")
     return _theta_grid(theta_grid_deg, phi_plane_deg), 2 * np.pi / wavelength
@@ -264,23 +271,24 @@ def pattern_nearfield(
     theta_grid_deg: np.ndarray,
     wavelength: float,
 ) -> PatternCut:
-    """Radiation cut of the aperture illuminated by a close-in feed.
+    """Radiation cut of the aperture illuminated by a close-in feed: the
+    single-pass link sum with the receiver taken to the far field.
 
-    Each element contributes cos(theta)^(2*q_e) (element taper, applied
-    once for the aperture and once for the per-element observation angle,
-    which coincide for a distant observer) times cos(theta_feed)^q_f / r
-    (feed illumination and spherical spreading) times its reflection
-    coefficient and the path phase k0*(r - observation projection). The sum
-    runs in _cut_field, the cut kernel shared with array_factor_far.
+    Each element contributes sqrt(feed_taper) / r (feed amplitude and
+    spherical spreading) times its reflection coefficient and the path phase
+    k0*(r - observation projection), summed in _cut_field, the kernel shared
+    with array_factor_far; the outgoing element factor clip(cos(theta))**q_e
+    scales each sample. q_e sets both element factors of the cut; cell
+    supplies only the reflection states.
     """
     theta, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     check_exponent("q_e", q_e)
-    r_feed, cos_feed, _ = feed_hop(geom, feed.position)
-    amp = (cos_feed**feed.q_f) / r_feed
+    r_feed = feed_hop(geom, feed.position)[0]
+    amp = np.sqrt(feed_taper(geom, feed, q_e)) / r_feed
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
     field = _cut_field(geom, phi_plane_deg, theta, wavelength, base)
-    envelope = np.clip(np.cos(np.radians(theta)), 0.0, None) ** (2.0 * q_e)
+    envelope = np.clip(np.cos(np.radians(theta)), 0.0, None) ** q_e
     return _normalize(phi_plane_deg, theta, envelope * field)
 
 

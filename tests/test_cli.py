@@ -130,7 +130,7 @@ def test_pattern_weak_far_fed_cut_keeps_its_metrics(runner, tmp_path, z):
     doc = strict_json((tmp_path / "cut.metrics.json").read_text())
     assert doc["degenerate"] is False
     assert doc["main_lobe_deg"] == 0.0
-    assert doc["sidelobe_level_db"] == pytest.approx(-13.57, abs=0.01)
+    assert doc["sidelobe_level_db"] == pytest.approx(-13.36, abs=0.01)
 
 
 def output_bytes(runner, tmp_path, name, args, env):
@@ -197,13 +197,14 @@ def test_localize_colliding_truth_files_exit_2(runner, tmp_path):
     "env, section",
     [
         ({"RISIM_SWEEP_NOISE_KIND": "gaussian_db", "RISIM_SWEEP_SIGMA_DB": "nan"}, "sweep"),
-        ({"RISIM_LINK_Q_T": "-5"}, "link"),
+        ({"RISIM_LINK_Q_R": "-5"}, "link"),
         ({"RISIM_LINK_Q_R": "nan"}, "link"),
         ({"RISIM_SWEEP_STEP_DEG": "inf"}, "sweep"),
         ({"RISIM_SWEEP_STEP_DEG": "nan"}, "sweep"),
         ({"RISIM_SWEEP_STEP_DEG": "1e-9"}, "sweep"),
         ({"RISIM_FREQUENCY_HZ": "nan"}, "frequency_hz"),
         ({"RISIM_FREQUENCY_HZ": "inf"}, "frequency_hz"),
+        ({"RISIM_FEED_Q_F": "-5"}, "feed"),
     ],
 )
 def test_localize_invalid_env_value_exits_2_naming_section(runner, tmp_path, env, section):
@@ -324,6 +325,37 @@ def test_unknown_env_name_exits_2_naming_it(runner, tmp_path, name):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["linkbudget"], ["pattern", "--mode", "near"]])
+@pytest.mark.parametrize(
+    "env, link, message",
+    [
+        ({"RISIM_LINK_Q_T": "7"}, "{}", "unknown environment override RISIM_LINK_Q_T"),
+        ({}, "{q_t: 7}", "unknown config key: link.q_t"),
+    ],
+    ids=["env", "yaml"],
+)
+def test_link_q_t_exits_2_naming_the_key(runner, tmp_path, command, env, link, message):
+    # the feed horn has one exponent, feed.q_f
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(FULL_SECTIONS.replace("link: {}", f"link: {link}"))
+    args = [*command, "--config", str(cfgfile), "--out", str(tmp_path / "x")]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [f"config error: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("command", [["linkbudget"], LOCALIZE_30, ["pattern", "--mode", "near"]])
+def test_feed_that_illuminates_nothing_exits_3(runner, tmp_path, command):
+    env = {"RISIM_FEED_Q_F": "1e8"}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 3
+    assert result.output.splitlines() == [
+        "domain error: the feed illuminates no element (q_f=1e+08, q_e=0.5)"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_yaml_added_ledger_item_gets_its_env_name(runner, tmp_path):
     cfgfile = tmp_path / "ledger.yaml"
     link = "link: {include_hardware_loss: true, hardware_loss_db: {connector: 1.0}}"
@@ -377,7 +409,7 @@ def test_non_finite_ledger_item_exits_2(runner, tmp_path, raw):
 @pytest.mark.parametrize(
     "env, quantity",
     [
-        ({"RISIM_LINK_Q_T": "1e8"}, "received power"),
+        ({"RISIM_LINK_Q_R": "1e10"}, "received power"),
         ({"RISIM_LINK_TX_POWER_DBM": "1e8"}, "received power"),
         (
             {"RISIM_LINK_INCLUDE_HARDWARE_LOSS": "1", "RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "1e8"},

@@ -207,7 +207,7 @@ def test_builders(cfg):
 
 def test_one_object_per_section(cfg):
     assert cfg.link.geom is cfg.geometry
-    assert cfg.link.feed == cfg.feed.position
+    assert cfg.link.feed is cfg.feed
     assert cfg.link.wavelength == cfg.wavelength
     assert isinstance(cfg.cell, UnitCellReflection)
     assert cfg.link.cell is cfg.cell

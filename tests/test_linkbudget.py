@@ -10,6 +10,7 @@ from risim import (
     CodingMask,
     ConfigError,
     DomainError,
+    FeedSpec,
     L_PE_1BIT_DB,
     LinkScenario,
     PhaseMask,
@@ -52,7 +53,7 @@ def test_f_combine_single_element_on_axis():
     geom = ArrayGeometry(1, 1, 0.016)
     sc = LinkScenario(
         geom,
-        feed=Point3(0.0, 0.0, 0.3),
+        feed=FeedSpec(Point3(0.0, 0.0, 0.3)),
         rx=Point3(0.0, 0.0, 5.0),
         wavelength=0.0545,
         tx_power_dbm=0.0,
@@ -87,7 +88,7 @@ def test_required_cascade_mask_cancels_path_phase(bench):
     k0 = 2 * math.pi / bench.wavelength
     p = bench.geom.periodicity_m
     pos = (2 * p, 6 * p, 0.0)  # element (3, 7)
-    feed, rx = bench.feed, bench.rx
+    feed, rx = bench.feed.position, bench.rx
     total = math.dist((feed.x, feed.y, feed.z), pos) + math.dist((rx.x, rx.y, rx.z), pos)
     assert req.phases_deg[2, 6] == pytest.approx(math.degrees(k0 * total) % 360.0, abs=1e-9)
 
@@ -265,7 +266,8 @@ def test_cell_phases_enter_both_mask_modes(bench):
 def test_element_exponent_tapers_both_hops(bench):
     # f_combine carries cos(theta_in)**(2 q_e) * cos(theta_out)**(2 q_e)
     sharper = replace(bench, cell=UnitCellReflection(q_e=1.0))
-    cos_in = bench.feed.z / distance_grid(bench.geom, bench.feed)
+    feed = bench.feed.position
+    cos_in = feed.z / distance_grid(bench.geom, feed)
     cos_out = bench.rx.z / distance_grid(bench.geom, bench.rx)
     ratio = f_combine_grid(sharper) / f_combine_grid(bench)
     assert np.allclose(ratio, cos_in * cos_out, rtol=1e-12)
@@ -278,7 +280,7 @@ def test_accountings_coincide_for_single_element():
     geom = ArrayGeometry(1, 1, 0.016)
     sc = LinkScenario(
         geom,
-        feed=Point3(0.0, 0.0, 0.3),
+        feed=FeedSpec(Point3(0.0, 0.0, 0.3)),
         rx=Point3(0.0, 0.0, 5.0),
         wavelength=0.0545,
         tx_power_dbm=0.0,
@@ -318,22 +320,24 @@ def test_report_json_and_table(bench):
 def test_scenario_validation():
     geom = ArrayGeometry(2, 2, 0.016)
     with pytest.raises(DomainError):
-        LinkScenario(geom, Point3(0, 0, 0.0), Point3(0, 0, 5.0), 0.0545, 0.016, 0.016, 0.0, 0.0, 0.0)
+        LinkScenario(geom, FeedSpec(Point3(0, 0, 0.3)), Point3(0, 0, 0.0), 0.0545, 0.016, 0.016, 0.0)
     with pytest.raises(DomainError):
-        LinkScenario(geom, Point3(0, 0, 0.3), Point3(0, 0, 5.0), -1.0, 0.016, 0.016, 0.0, 0.0, 0.0)
+        LinkScenario(geom, FeedSpec(Point3(0, 0, 0.3)), Point3(0, 0, 5.0), -1.0, 0.016, 0.016, 0.0)
     with pytest.raises(DomainError):
         LinkScenario(
-            geom, Point3(0, 0, 0.3), Point3(0, 0, 5.0), 0.0545, 0.016, 0.016, math.nan, 0.0, 0.0
+            geom, FeedSpec(Point3(0, 0, 0.3)), Point3(0, 0, 5.0), 0.0545, 0.016, 0.016, math.nan
         )
 
 
-@pytest.mark.parametrize("field", ["q_t", "q_r"])
+@pytest.mark.parametrize("field", ["q_f", "q_r"])
 @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
 def test_scenario_rejects_bad_horn_exponents(bench, field, value):
-    from dataclasses import replace
-
+    # the feed horn's exponent is its FeedSpec's, the receive horn's the scenario's
     with pytest.raises(DomainError, match=f"{field} must be finite and >= 0"):
-        replace(bench, **{field: value})
+        if field == "q_f":
+            replace(bench, feed=replace(bench.feed, q_f=value))
+        else:
+            replace(bench, q_r=value)
 
 
 def test_with_rx_and_with_mask_builders(bench, board):

@@ -42,7 +42,6 @@ NONDEFAULT = {
     "RISIM_LINK_GAIN_RX_DBI": "13.5",
     "RISIM_LINK_NOISE_FLOOR_DBM": "-91.0",
     "RISIM_LINK_RX_POSITION_M": "3.3,0.05,3.1",
-    "RISIM_LINK_Q_T": "6.0",
     "RISIM_LINK_Q_R": "8.0",
     "RISIM_LINK_INCLUDE_HARDWARE_LOSS": "1",
     "RISIM_LINK_HARDWARE_LOSS_DB_DIELECTRIC_AND_DIODE": "2.5",
@@ -135,7 +134,17 @@ def test_outputs_match_pinned_manifest(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text())["files"] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"versions": versions(), "files": output_hashes(Path(tmp))}
     MANIFEST.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {len(doc['files'])} hashes to {MANIFEST}", file=sys.stderr)
+    new = doc["files"]
+    # every entry that moved, so a diff's list of changed outputs comes from here
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            print(f"removed {name}: {old[name]}")
+        elif name not in old:
+            print(f"added   {name}: {new[name]}")
+        elif old[name] != new[name]:
+            print(f"changed {name}: {old[name]} -> {new[name]}")
+    print(f"wrote {len(new)} hashes to {MANIFEST}", file=sys.stderr)

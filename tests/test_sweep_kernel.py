@@ -46,7 +46,7 @@ def oracle_single_pass(scenario):
     in table order."""
     geom = scenario.geom
     k0 = 2 * np.pi / scenario.wavelength
-    r_t = distance_grid(geom, scenario.feed)
+    r_t = distance_grid(geom, scenario.feed.position)
     r_r = distance_grid(geom, scenario.rx)
     applied = np.radians(scenario.mask.bits.astype(float) * 180.0)
     psi = applied - k0 * (r_t + r_r)

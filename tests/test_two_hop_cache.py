@@ -1,7 +1,7 @@
 """Values computed once: the element lattice of an ArrayGeometry, the
-states of a UnitCellReflection, the two-hop terms of a LinkScenario and the
+states of a UnitCellReflection, the two-hop terms of a LinkScenario, the
 feed hop that synthesis, the near-field cut and every scenario on one feed
-share.
+share, and the feed taper that the cut and those scenarios share.
 
 A cached value must equal a fresh computation bit for bit, whatever the
 order of the calls that read it, and must equal a test-local copy of the
@@ -20,6 +20,7 @@ from risim import (
     ArrayGeometry,
     CodingMask,
     Direction,
+    FeedSpec,
     LinkScenario,
     Point3,
     UnitCellReflection,
@@ -34,6 +35,7 @@ from risim import (
 )
 from risim.geometry import feed_hop, node_hop
 from risim.linkbudget import f_combine_grid, required_cascade_mask, single_pass_power_dbm
+from risim.patterns import feed_taper
 
 MODES = ("analytic", "mask", "single_pass", "none")
 
@@ -56,9 +58,10 @@ def oracle_two_hop(sc):
         vn = np.sqrt(vx * vx + vy * vy + vz * vz)
         return np.clip((vx * bx + vy * by + vz * bz) / (vn * bn), 0.0, 1.0)
 
-    r_t, r_r = dist(sc.feed), dist(sc.rx)
+    feed = sc.feed.position
+    r_t, r_r = dist(feed), dist(sc.rx)
     q = 2 * sc.cell.q_e
-    taper = (off_axis_cos(sc.feed) ** sc.q_t) * (sc.feed.z / r_t) ** q * (sc.rx.z / r_r) ** q * (
+    taper = (off_axis_cos(feed) ** sc.feed.q_f) * (feed.z / r_t) ** q * (sc.rx.z / r_r) ** q * (
         off_axis_cos(sc.rx) ** sc.q_r
     )
     return np.sqrt(taper) / (r_t * r_r), 2 * np.pi / sc.wavelength * (r_t + r_r)
@@ -68,7 +71,7 @@ def copy_of(sc):
     """An equal scenario built from scratch, with nothing cached."""
     return LinkScenario(
         sc.geom, sc.feed, sc.rx, sc.wavelength, sc.tx_power_dbm, sc.gain_tx_dbi,
-        sc.gain_rx_dbi, sc.q_t, sc.q_r, sc.noise_floor_dbm, sc.mask,
+        sc.gain_rx_dbi, sc.q_r, sc.noise_floor_dbm, sc.mask,
         sc.include_hardware_loss, sc.hardware_loss_db, cell=sc.cell,
     )
 
@@ -92,7 +95,7 @@ points = st.builds(
     pitch=st.floats(min_value=0.002, max_value=0.05),
     feed=points,
     rx=points,
-    q_t=exponents,
+    q_f=exponents,
     q_r=exponents,
     q_e=st.floats(min_value=0.0, max_value=2.0),
     seed=st.integers(min_value=0, max_value=2**30 - 1),
@@ -101,13 +104,13 @@ points = st.builds(
     second=st.permutations(MODES),
 )
 def test_every_mode_equals_a_fresh_scenario_and_the_uncached_formula(
-    cfg, shape, pitch, feed, rx, q_t, q_r, q_e, seed, hardware, first, second
+    cfg, shape, pitch, feed, rx, q_f, q_r, q_e, seed, hardware, first, second
 ):
     geom = ArrayGeometry(*shape, pitch)
     mask = CodingMask(geom, np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8))
     base = cfg.link
     sc = replace(
-        base, geom=geom, feed=feed, rx=rx, q_t=q_t, q_r=q_r, mask=mask,
+        base, geom=geom, feed=FeedSpec(feed, q_f), rx=rx, q_r=q_r, mask=mask,
         include_hardware_loss=hardware, cell=replace(base.cell, q_e=q_e),
     )
     once, twice = reports(sc, first), reports(sc, second)
@@ -174,9 +177,9 @@ def test_scenarios_differing_in_one_feed_hop_input_read_in_alternation(cfg):
     base = cfg.link
     variants = [
         base,
-        replace(base, feed=Point3(0.05, 0.03, 0.25)),
+        replace(base, feed=replace(base.feed, position=Point3(0.05, 0.03, 0.25))),
         replace(base, geom=ArrayGeometry(16, 10, 0.02)),
-        replace(base, q_t=5.0),
+        replace(base, feed=replace(base.feed, q_f=5.0)),
         replace(base, cell=replace(base.cell, q_e=0.65)),
     ]
     expected = [oracle_two_hop(sc) for sc in variants]
@@ -192,7 +195,8 @@ def test_scenarios_differing_in_one_feed_hop_input_read_in_alternation(cfg):
 
 def test_feed_hop_arrays_are_read_only(cfg):
     sc = cfg.link
-    for grid in (*feed_hop(sc.geom, sc.feed), *node_hop(sc.geom, sc.rx)):
+    taper = feed_taper(sc.geom, sc.feed, sc.cell.q_e)
+    for grid in (*feed_hop(sc.geom, sc.feed.position), *node_hop(sc.geom, sc.rx), taper):
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
 
@@ -210,10 +214,12 @@ def test_scenarios_on_one_feed_compute_its_hop_once(cfg, monkeypatch):
     monkeypatch.setattr(geometry, "_off_axis_cos", counting("cos", geometry._off_axis_cos))
     monkeypatch.setattr(geometry, "distance_grid", counting("dist", geometry.distance_grid))
     feed_hop.cache_clear()
+    feed_taper.cache_clear()
     base, n = cfg.link, 6
-    assert base.feed == cfg.feed.position
-    build_codebook(base.geom, base.feed, base.wavelength, 0.0, 60.0, 1.5)
-    mask = nearfield_steering_mask(base.geom, base.feed, Direction(30.0), base.wavelength)
+    assert base.feed is cfg.feed
+    feed = base.feed.position
+    build_codebook(base.geom, feed, base.wavelength, 0.0, 60.0, 1.5)
+    mask = nearfield_steering_mask(base.geom, feed, Direction(30.0), base.wavelength)
     pattern_nearfield(
         base.geom, mask, base.cell, cfg.feed, base.cell.q_e, 0.0, default_theta_grid(), base.wavelength
     )
@@ -223,7 +229,10 @@ def test_scenarios_on_one_feed_compute_its_hop_once(cfg, monkeypatch):
             received_power(sc, q)
     names = [name for name, _ in calls]
     assert names.count("cos") == n + 1 and names.count("dist") == n + 1
-    assert sorted(name for name, node in calls if node == base.feed) == ["cos", "dist"]
+    assert sorted(name for name, node in calls if node == feed) == ["cos", "dist"]
+    # the near cut builds the feed's taper; the scenarios read it
+    info = feed_taper.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, n, 1)
 
 
 def test_cell_states_are_built_once_and_read_only():
