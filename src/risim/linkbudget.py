@@ -62,6 +62,8 @@ class LinkScenario:
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
             raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
+        if not isinstance(self.feed, FeedSpec):
+            raise DomainError(f"feed must be a FeedSpec, got {type(self.feed).__name__}")
         check_node("rx", self.rx)
         object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
         powers = (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm)

@@ -25,9 +25,16 @@ from .geometry import (
 )
 from .masks import CodingMask
 
-# [-90, 90] at a millidegree step: a cut then holds a (180001, M*N) complex term
-# array, 461 MB on the 16 x 10 board
+# [-90, 90] at a millidegree step: the cached observation table is then a
+# (180001, M*N) complex array, 461 MB on the 16 x 10 board, and it stays
+# resident until a cut on another grid replaces it
 MAX_THETA_SAMPLES = 180_001
+
+# Bytes of one row block of a cut's product and row sum: rows per block are
+# this budget over the 16 * M * N bytes of a row (at least one), so a block
+# stays in cache between the product and the sum; 102 rows on the 16 x 10
+# board. 128 KB and 640 KB ran the default cut no faster.
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -196,25 +203,26 @@ def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg,
 @lru_cache(maxsize=1)
 def _observation_table(
     geom: ArrayGeometry, phi_plane_deg: float, wavelength: float, theta_bytes: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(j k0 sin(theta) w) over the theta grid and the distinct in-plane
-    element coordinates w, shape (T, distinct w), and the index gathering
-    it back to the M*N elements; both read-only.
+) -> np.ndarray:
+    """exp(j k0 sin(theta) w) over the theta grid and the M*N elements, w
+    being the element's coordinate along the cut plane: a read-only,
+    C-contiguous (T, M*N) array.
 
-    The grid arrives as bytes, so the key is its exact bits (-0.0 is not
-    0.0) and a caller mutating its array afterwards cannot desynchronize
-    the cache. One table is held at a time: far and near cuts on one plane
-    and grid share it, and it is never larger than the (T, M*N) term array
-    each cut allocates.
+    The complex exp runs once per distinct w (16 on the phi = 0 cut of the
+    16x10 board) and np.take gathers it to the elements once, when the cache
+    fills. The grid arrives as bytes, so the key is its exact bits (-0.0 is
+    not 0.0) and a caller mutating its array afterwards cannot desynchronize
+    the cache. One table is held at a time, so far and near cuts on one plane
+    and grid share it; it stays resident between cuts.
     """
     k0 = 2 * np.pi / wavelength
     ph = math.radians(phi_plane_deg)
     X, Y = element_grid(geom)
     w, inv = np.unique((X * math.cos(ph) + Y * math.sin(ph)).ravel(), return_inverse=True)
     sin_t = np.sin(np.radians(np.frombuffer(theta_bytes)))
-    table = np.exp(1j * (k0 * sin_t[:, None] * w[None, :]))
-    table.flags.writeable = inv.flags.writeable = False
-    return table, inv
+    table = np.take(np.exp(1j * (k0 * sin_t[:, None] * w[None, :])), inv, axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _cut_field(
@@ -223,18 +231,25 @@ def _cut_field(
     """Per theta, the sum over elements of base * exp(j k0 sin(theta) w),
     w being the element's coordinate along the cut plane.
 
-    The complex exp runs once per distinct w (16 on the phi = 0 cut of the
-    16x10 board) and is cached per grid; np.take gathers it back to a
-    C-contiguous (T, M*N) array, so every element's exp input, product and
-    row-sum order, and thus every bit, match the dense formula. Product plus
-    row sum (no matmul) keeps cuts partition-independent; signed theta
-    enters through sin(theta), so the symmetric half of the cut is the exact
-    floating-point mirror.
+    The exp table comes from the per-grid cache; the product with base and
+    its row sum run a block of _BLOCK_BYTES at a time, so a cut allocates one
+    block, not a (T, M*N) term array. Each row multiplies and sums the same
+    contiguous M*N values in the same order as the dense formula, so every
+    bit matches it whatever the block size. Product plus row sum (no matmul)
+    keeps cuts partition-independent; signed theta enters through
+    sin(theta), so the symmetric half of the cut is the exact floating-point
+    mirror.
     """
-    table, inv = _observation_table(geom, phi_plane_deg, wavelength, theta.tobytes())
-    terms = np.take(table, inv, axis=1)
-    terms *= base
-    return terms.sum(axis=1)
+    table = _observation_table(geom, phi_plane_deg, wavelength, theta.tobytes())
+    count, size = table.shape
+    rows = max(1, _BLOCK_BYTES // table[0].nbytes)
+    field = np.empty(count, complex)
+    block = np.empty((min(rows, count), size), complex)
+    for start in range(0, count, rows):
+        part = block[: min(rows, count - start)]
+        np.multiply(table[start : start + rows], base, out=part)
+        part.sum(axis=1, out=field[start : start + rows])
+    return field
 
 
 def array_factor_far(
@@ -444,17 +459,27 @@ def _exp_fields(x: np.ndarray, p: int) -> np.ndarray:
     return _point_fields(x, n, ok, p, f"%.{p}e", ord("e"), sign, mag // 10 + _ZERO, mag % 10 + _ZERO)
 
 
+@lru_cache(maxsize=1)
+def _theta_fields(theta_bytes: bytes) -> np.ndarray:
+    """The "%.4f" field matrix of one theta column, read-only and keyed on
+    the grid's exact bits, as _observation_table is."""
+    fields = _fixed_fields(np.frombuffer(theta_bytes), 4)
+    fields.flags.writeable = False
+    return fields
+
+
 def write_pattern_csv(cut: PatternCut, path, comments: dict | None = None) -> None:
     """CSV cut: `#`-prefixed context lines, then theta_deg,gain_db,re,im rows
     formatted "%.4f,%.6f,%.9e,%.9e". The body is formatted a column at a
-    time, byte for byte as that `%` template writes it."""
+    time, byte for byte as that `%` template writes it; the theta column
+    once per grid."""
     header = _comment_header(comments) + "theta_deg,gain_db,re,im\n"
     theta, gain = (np.asarray(v, dtype=float) for v in (cut.theta_deg, cut.gain_db))
     f = cut.field
     parts = _exp_fields(np.concatenate([f.real, f.imag], dtype=float), 9)
     rows = len(theta)
     comma, newline = (np.full((1, rows), ord(c), np.uint8) for c in ",\n")
-    columns = [_fixed_fields(theta, 4), comma, _fixed_fields(gain, 6), comma]
+    columns = [_theta_fields(theta.tobytes()), comma, _fixed_fields(gain, 6), comma]
     columns += [parts[:, :rows], comma, parts[:, rows:], newline]
     body = np.concatenate(columns).T.tobytes().translate(None, b"\0")
     with open(path, "w") as fh:

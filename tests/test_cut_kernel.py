@@ -8,8 +8,10 @@ per-row f-string formatters they replaced.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from risim import (
@@ -31,6 +33,7 @@ from risim import (
     write_pattern_csv,
     write_sweep_csv,
 )
+from risim import patterns
 from risim.geometry import node_hop
 from risim.patterns import _cut_field, _mask_coefficients, _observation_table
 
@@ -158,6 +161,54 @@ def test_board_cuts_equal_dense_oracle(board, cfg):
         assert same_bits(cut.field, oracle_cut_field(board, 0.0, GRID, LAMBDA_BENCH, base))
 
 
+def block_rows(geom):
+    return max(1, patterns._BLOCK_BYTES // (16 * geom.m_count * geom.n_count))
+
+
+def assert_far_and_near_equal_oracle(geom, theta, seed):
+    rng = np.random.default_rng(seed)
+    mask = CodingMask(geom, rng.integers(0, 2, (geom.m_count, geom.n_count), dtype=np.uint8))
+    feed = FeedSpec(Point3(0.1, 0.05, 0.3))
+    for base in (
+        far_base(geom, mask, Direction(20.0), LAMBDA_BENCH),
+        near_base(geom, mask, feed, 0.5, LAMBDA_BENCH),
+    ):
+        field = _cut_field(geom, 0.0, theta, LAMBDA_BENCH, base)
+        assert same_bits(field, oracle_cut_field(geom, 0.0, theta, LAMBDA_BENCH, base))
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_cuts_across_block_edges_equal_dense_oracle(board, blocks, extra):
+    # grids one short of a block, exactly a block, one over and a ragged third block
+    rows = block_rows(board)
+    assert 1 < rows < (GRID.size - 1) // 2
+    count = blocks * rows + extra
+    assert_far_and_near_equal_oracle(board, np.linspace(-90.0, 90.0, count), seed=count)
+
+
+def test_rows_larger_than_the_block_budget_run_one_per_block():
+    side = math.isqrt(patterns._BLOCK_BYTES // 16) + 1
+    geom = ArrayGeometry(side, side, 0.004)
+    assert block_rows(geom) == 1
+    assert_far_and_near_equal_oracle(geom, np.array([-60.0, -0.0, 12.5]), seed=side)
+
+
+def test_a_warm_cut_allocates_one_block_not_a_term_array(board, cfg):
+    # with the table cached, neither kernel allocates a (T, M*N) array
+    lam, steer = cfg.wavelength, Direction(30.0)
+    far = farfield_steering_mask(board, steer, lam)
+    near = nearfield_steering_mask(board, cfg.feed.position, steer, lam)
+    array_factor_far(board, far, CELL, Direction(0.0), 0.0, GRID, lam)
+    tracemalloc.start()
+    try:
+        array_factor_far(board, far, CELL, Direction(0.0), 0.0, GRID, lam)
+        pattern_nearfield(board, near, CELL, cfg.feed, cfg.cell.q_e, 0.0, GRID, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * GRID.size * board.m_count * board.n_count * 16
+
+
 CACHE_GEOMS = [ArrayGeometry(1, 1, 0.016), ArrayGeometry(4, 3, 0.01), ArrayGeometry(16, 10, 0.016)]
 CACHE_GRIDS = [GRID, GRID[::3], np.array([-0.0, 0.5]), np.array([0.0, 0.5]), np.array([-0.0]), np.array([0.0])]
 
@@ -203,8 +254,26 @@ def test_observation_table_is_one_read_only_entry_shared_by_far_and_near(board, 
     pattern_nearfield(board, near, CELL, cfg.feed, cfg.cell.q_e, 0.0, GRID, cfg.wavelength)
     info = _observation_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    table, inv = _observation_table(board, 0.0, cfg.wavelength, GRID.tobytes())
-    assert not table.flags.writeable and not inv.flags.writeable
+    table = _observation_table(board, 0.0, cfg.wavelength, GRID.tobytes())
+    assert table.shape == (GRID.size, board.m_count * board.n_count)
+    assert table.dtype == complex and table.flags.c_contiguous and not table.flags.writeable
+
+
+def test_theta_column_cache_is_keyed_on_exact_bits(tmp_path):
+    def first_theta(theta):
+        cut = PatternCut(0.0, theta, np.ones(theta.size, complex), np.zeros(theta.size))
+        write_pattern_csv(cut, tmp_path / "cut.csv")
+        assert (tmp_path / "cut.csv").read_bytes() == old_pattern_csv(cut, {})
+        return (tmp_path / "cut.csv").read_text().splitlines()[1].split(",")[0]
+
+    negative, positive = np.array([-0.0, 0.5]), np.array([0.0, 0.5])
+    assert [first_theta(negative), first_theta(positive)] == ["-0.0000", "0.0000"]
+    assert [first_theta(positive), first_theta(negative)] == ["0.0000", "-0.0000"]
+    # a grid mutated in place after a write is formatted anew
+    grid = np.array([-1.0, 0.5])
+    assert first_theta(grid) == "-1.0000"
+    grid[0] = -0.25
+    assert first_theta(grid) == "-0.2500"
 
 
 SPECIAL = [-math.inf, math.nan, -0.0, 0.0, 1e-300, -123.4567891, 5e5]

@@ -329,6 +329,13 @@ def test_scenario_validation():
         )
 
 
+@pytest.mark.parametrize("feed", [Point3(0.12, 0.072, 0.3), (0.12, 0.072, 0.3), None])
+def test_scenario_rejects_a_feed_that_is_not_a_feed_spec(bench, feed):
+    # a bare node would otherwise fail only at the first received_power
+    with pytest.raises(DomainError, match="feed must be a FeedSpec"):
+        replace(bench, feed=feed)
+
+
 @pytest.mark.parametrize("field", ["q_f", "q_r"])
 @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
 def test_scenario_rejects_bad_horn_exponents(bench, field, value):
