@@ -217,10 +217,14 @@ def _section(name: str, build):
         raise ConfigError(f"invalid config section {name}: {exc}") from exc
 
 
+# equal geometries resolve to one object, whose element lattice is then built once
+_array_geometry = functools.lru_cache(maxsize=1)(ArrayGeometry)
+
+
 def _build(doc: dict) -> ScenarioConfig:
     """Construct each section's domain object once, checking them in schema order."""
     wavelength = _section("frequency_hz", lambda: wavelength_from_frequency(doc["frequency_hz"]))
-    geometry = _section("geometry", lambda: ArrayGeometry(**doc["geometry"]))
+    geometry = _section("geometry", lambda: _array_geometry(**doc["geometry"]))
     cell = _section("cell", lambda: UnitCellReflection(**doc["cell"]))
     f = doc["feed"]
     feed = _section("feed", lambda: FeedSpec(Point3(*f["position_m"]), f["q_f"]))

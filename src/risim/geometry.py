@@ -144,17 +144,17 @@ def projection_stack(geom: ArrayGeometry, steers) -> np.ndarray:
 
     For element (m, n) this is p*sin(theta)*((m-1)*cos(phi) + (n-1)*sin(phi)),
     the in-plane path-length term of a plane wave travelling along the
-    direction. Scalar trig per pair, elementwise after: row k is bitwise pair k.
+    direction. Scalar trig; the in-plane sum once per distinct phi (a codebook
+    has one), times each pair's sin(theta): row k is bitwise pair k.
     """
-    rad = [(math.radians(th), math.radians(ph)) for th, ph in steers]
-    trig = np.array([(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in rad])
-    sin_th, cos_ph, sin_ph = trig.T[:, :, None, None]
     X, Y = element_grid(geom)
-    # X is constant along n and Y along m: one column and one row broadcast
-    # to the same scalar products as the full lattices
-    proj = X[:, :1] * cos_ph + Y[:1, :] * sin_ph
-    proj *= sin_th
-    return proj
+    planes = {}  # 0.0 and -0.0 share a grid: X + Y * +-0.0 rounds alike
+    for _, ph in steers:
+        if ph not in planes:  # a column and a row broadcast to the lattices' products
+            r = math.radians(ph)
+            planes[ph] = X[:, :1] * math.cos(r) + Y[:1, :] * math.sin(r)
+    sin_th = np.array([math.sin(math.radians(th)) for th, _ in steers])[:, None, None]
+    return sin_th * (planes[ph] if len(planes) == 1 else np.array([planes[ph] for _, ph in steers]))
 
 
 def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:

@@ -190,7 +190,10 @@ def unit_cell_gain(cell_dx: float, cell_dy: float, wavelength: float) -> float:
     """Effective aperture gain of one unit cell, dBi: 4*pi*dx*dy/lambda^2."""
     if not (cell_dx > 0 and cell_dy > 0 and wavelength > 0):
         raise DomainError("cell dimensions and wavelength must be > 0")
-    area = wavelength**2  # 0.0 once the square underflows
+    try:
+        area = wavelength**2  # 0.0 once the square underflows
+    except OverflowError:  # past ~1.3e154 m, where a near-zero frequency puts it
+        area = math.inf
     ratio = 4 * math.pi * cell_dx * cell_dy / area if area else math.inf
     return 10.0 * _log10("unit cell gain", ratio)
 

@@ -51,7 +51,8 @@ def wrap_deg(phases_deg):
 
 
 def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
-    """wrap_deg over a float array's own buffer, which it returns."""
+    """wrap_deg over a float array's own buffer, which it returns; the floor
+    form runs its masked fix-ups only when a result falls outside [0, 360)."""
     if (
         ph.size >= WRAP_FLOOR_MIN_SIZE
         and ph.dtype == np.float64
@@ -62,6 +63,8 @@ def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
         np.floor(q, out=q)
         q *= 360.0
         ph -= q
+        if ph.min() >= 0.0 and ph.max() < 360.0:
+            return ph
         # a negative x above -360 * 2**-1075 (~ -8.9e-322) divides to -0.0 and floors to 0, not -1
         np.add(ph, 360.0, out=ph, where=ph < 0.0)
     else:  # NaN, inf and huge phases take this path too
@@ -189,29 +192,29 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     check_node("feed", feed)
     k0 = 2 * np.pi / wavelength
-    # an extreme pitch overflows to inf/NaN here, which _one_bit rejects; the
-    # feed hop's cosine grids, which synthesis does not read, are built here too
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # one buffer from the projection on: k0 * distance - k0 * proj, in place
-        ph = projection_stack(geom, steers)
-        ph *= k0
-        np.subtract(k0 * feed_hop(geom, feed)[0], ph, out=ph)
-        return _wrap_deg_inplace(np.degrees(ph, out=ph))
+    # one buffer from the projection on: k0 * distance - k0 * proj, in place
+    ph = projection_stack(geom, steers)
+    ph *= k0
+    np.subtract(k0 * feed_hop(geom, feed)[0], ph, out=ph)
+    return _wrap_deg_inplace(np.multiply(ph, 180.0 / math.pi, out=ph))  # np.degrees' factor
 
 
-def _recentered_deg(phases_deg: np.ndarray) -> np.ndarray:
+def _recentered_deg(ph: np.ndarray) -> np.ndarray:
     """Rotate each of K stacked (K, M, N) float grids to a zero circular-mean
     phase, in place: the argument's buffer is overwritten and returned.
     A 1-bit quantizer keeps only the side of its bin boundaries a phase falls
     on, so centering the population splits it evenly across the two bins and
-    minimizes the pointing bias of quantized spherical-compensation masks."""
-    ph = np.radians(phases_deg, out=phases_deg)
-    z = 1j * ph.reshape(len(ph), -1)
+    minimizes the pointing bias of quantized spherical-compensation masks.
+    Units change by multiplies; exp(j ph) runs in one buffer holding 0 + j ph."""
+    ph *= math.pi / 180.0  # np.radians' own factor
+    z = np.zeros((len(ph), ph[0].size), complex)
+    z.imag = ph.reshape(len(ph), -1)
     # the row sum and the division are the two ufuncs np.mean runs
     mean = np.exp(z, out=z).sum(axis=1)
+    del z  # freed before the wrap allocates its quotient grid
     mean /= ph[0].size
     ph -= np.angle(mean)[:, None, None]
-    return _wrap_deg_inplace(np.degrees(ph, out=ph))
+    return _wrap_deg_inplace(np.multiply(ph, 180.0 / math.pi, out=ph))
 
 
 def quantize_1bit(mask: PhaseMask) -> CodingMask:
@@ -247,7 +250,11 @@ def _nearfield_bits(geom: ArrayGeometry, feed: Point3, steers, wavelength: float
     """Steering bits toward each of K (theta, phi) pairs in degrees, shape
     (K, M, N). Every stage is elementwise or a per-row reduction, so row k
     is bit-identical to direction k alone."""
-    return _one_bit(_recentered_deg(_compensation_deg(geom, feed, steers, wavelength)))
+    # an extreme pitch overflows to inf/NaN in the compensation, and exp(0 + j NaN)
+    # flags invalid in the recentering: _one_bit rejects the NaN. The feed hop's
+    # cosine grids, which synthesis does not read, are built under this state too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _one_bit(_recentered_deg(_compensation_deg(geom, feed, steers, wavelength)))
 
 
 def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:

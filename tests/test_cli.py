@@ -428,6 +428,19 @@ def test_power_out_of_float_range_exits_3(runner, tmp_path, command, env, quanti
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["linkbudget"], LOCALIZE_30])
+@pytest.mark.parametrize("frequency", ["1e-150", "1e-290"])
+def test_wavelength_whose_square_overflows_exits_3(runner, tmp_path, command, frequency):
+    # lambda = c / f lies in (1.3e154, 1.8e308) m: finite, but Python's lambda**2 raises
+    env = {"RISIM_FREQUENCY_HZ": frequency}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 3
+    assert result.output.splitlines() == [
+        "domain error: unit cell gain leaves the float range (power ratio 0.0)"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_linkbudget_scalar_failure_comes_before_any_grid_warning(runner, tmp_path):
     env = {"RISIM_GEOMETRY_PERIODICITY_M": "1e300"}

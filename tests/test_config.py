@@ -15,6 +15,7 @@ from risim import (
     Point3,
     ScenarioConfig,
     UnitCellReflection,
+    element_grid,
     load_config,
     parse_config,
     render_config,
@@ -65,6 +66,15 @@ def test_render_parse_round_trip():
     assert parse_config(render_config(cfg), env={}) == cfg
     tweaked = parse_config(doc_with(geometry="{m_count: 8}", frequency_hz="6.0e+9"), env={})
     assert parse_config(render_config(tweaked), env={}) == tweaked
+
+
+def test_equal_geometries_share_one_lattice():
+    a = load_config()
+    b = parse_config(ALL_SECTIONS, env={"RISIM_SWEEP_STEP_DEG": "1.25"})
+    assert b.geometry is a.geometry
+    assert all(x is y for x, y in zip(element_grid(a.geometry), element_grid(b.geometry)))
+    other = load_config(env={"RISIM_GEOMETRY_M_COUNT": "8"})
+    assert element_grid(other.geometry)[0].shape == (8, 10)
 
 
 def test_load_from_file(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from risim import (
     ArrayGeometry,
@@ -82,6 +82,30 @@ def test_projection_out_phi90_depends_only_on_n(board):
 def test_projection_stack_rows_equal_projection_grid(thetas, phis, shape, pitch):
     geom = ArrayGeometry(*shape, pitch)
     steers = list(zip(thetas, phis))
+    stack = projection_stack(geom, steers)
+    assert stack.shape == (len(steers), *shape)
+    for row, (theta, phi) in zip(stack, steers):
+        single = projection_grid(geom, Direction(theta, phi))
+        assert np.array_equal(row.view(np.int64), single.view(np.int64))
+
+
+@given(
+    steers=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=89.9),
+            st.one_of(st.sampled_from([0.0, -0.0, 180.0, 37.5]), st.floats(0.0, 359.9)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    pitch=st.floats(min_value=0.002, max_value=0.05),
+)
+@example(steers=[(30.0, 0.0), (30.0, -0.0), (45.0, 180.0), (12.5, 0.0)], shape=(16, 10), pitch=0.016)
+@example(steers=[(30.0, -0.0), (30.0, 0.0), (30.0, -0.0)], shape=(16, 10), pitch=0.016)
+def test_projection_stack_rows_with_mixed_phis_equal_projection_grid(steers, shape, pitch):
+    # repeated phis, 0.0 beside -0.0 and 180.0 share or split the per-phi in-plane grids
+    geom = ArrayGeometry(*shape, pitch)
     stack = projection_stack(geom, steers)
     assert stack.shape == (len(steers), *shape)
     for row, (theta, phi) in zip(stack, steers):
