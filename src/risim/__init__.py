@@ -26,7 +26,6 @@ from .masks import (
     nearfield_steering_mask,
     quantize_1bit,
     snell_gradient,
-    wrap_deg,
 )
 from .patterns import (
     FeedSpec,

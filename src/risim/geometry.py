@@ -30,8 +30,9 @@ MAX_NODE_DISTANCE_M = 1e100
 
 def wavelength_from_frequency(frequency_hz: float) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
-    if not 0 < frequency_hz < math.inf:
-        raise DomainError(f"frequency must be positive and finite, got {frequency_hz}")
+    # below c / DBL_MAX the quotient overflows to inf, and k0 to 0
+    if not (0 < frequency_hz < math.inf and SPEED_OF_LIGHT / frequency_hz < math.inf):
+        raise DomainError(f"frequency must be finite and above c / DBL_MAX ~ 1.67e-300 Hz, got {frequency_hz}")
     return SPEED_OF_LIGHT / frequency_hz
 
 

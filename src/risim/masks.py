@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,16 +43,10 @@ WRAP_FLOOR_MIN_SIZE = 1024
 WRAP_FLOOR_BOUND = 360.0 * 2.0**40
 
 
-def wrap_deg(phases_deg):
-    """Wrap angles in degrees to [0, 360), into a new array; the argument is
-    left as it is."""
-    ph = np.asarray(phases_deg)
-    return _wrap_deg_inplace(ph.astype(np.result_type(ph, 360.0)))
-
-
 def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
-    """wrap_deg over a float array's own buffer, which it returns; the floor
-    form runs its masked fix-ups only when a result falls outside [0, 360)."""
+    """Wrap angles in degrees to [0, 360) over a float array's own buffer,
+    which it returns; the floor form runs its masked fix-ups only when a
+    result falls outside [0, 360)."""
     if (
         ph.size >= WRAP_FLOOR_MIN_SIZE
         and ph.dtype == np.float64
@@ -182,39 +176,49 @@ def snell_gradient(
     return PhaseMask(geom, _wrap_deg_inplace(np.degrees(phase_rad)))
 
 
+@lru_cache(maxsize=1)
+def _feed_phase(geom: ArrayGeometry, feed: Point3, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+    """k0 r over the feed hop's distances and its phasor exp(j k0 r), read-only
+    and cached for one geometry, feed and wavelength, as feed_hop is."""
+    kr = 2 * np.pi / wavelength * feed_hop(geom, feed)[0]
+    phasor = np.exp(1j * kr)
+    kr.flags.writeable = phasor.flags.writeable = False
+    return kr, phasor
+
+
 def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
     """Continuous phase collimating a close-in spherical feed wavefront into a
     plane wave toward each of K (theta, phi) pairs in degrees, shape (K, M, N):
-    element (m, n) carries k0 * (feed distance - proj_out), wrapped. The raw
-    wrap retains the common distance offset; _recentered_deg rotates it out
-    before quantization."""
+    element (m, n) carries k0 * (feed distance - proj_out) less the row's
+    circular mean, wrapped once. Centering splits the phases evenly across a
+    1-bit quantizer's two bins; the raw distance offset biases the beam."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     check_node("feed", feed)
     k0 = 2 * np.pi / wavelength
-    # one buffer from the projection on: k0 * distance - k0 * proj, in place
+    kr, feed_phasor = _feed_phase(geom, feed, wavelength)
+    # one buffer from the projection on: k0 * distance - k0 * proj - mean, in place
     ph = projection_stack(geom, steers)
     ph *= k0
-    np.subtract(k0 * feed_hop(geom, feed)[0], ph, out=ph)
+    mean = _circular_means(feed_phasor, ph)
+    np.subtract(kr, ph, out=ph)
+    ph -= mean[:, None, None]
     return _wrap_deg_inplace(np.multiply(ph, 180.0 / math.pi, out=ph))  # np.degrees' factor
 
 
-def _recentered_deg(ph: np.ndarray) -> np.ndarray:
-    """Rotate each of K stacked (K, M, N) float grids to a zero circular-mean
-    phase, in place: the argument's buffer is overwritten and returned.
-    A 1-bit quantizer keeps only the side of its bin boundaries a phase falls
-    on, so centering the population splits it evenly across the two bins and
-    minimizes the pointing bias of quantized spherical-compensation masks.
-    Units change by multiplies; exp(j ph) runs in one buffer holding 0 + j ph."""
-    ph *= math.pi / 180.0  # np.radians' own factor
-    z = np.zeros((len(ph), ph[0].size), complex)
-    z.imag = ph.reshape(len(ph), -1)
-    # the row sum and the division are the two ufuncs np.mean runs
-    mean = np.exp(z, out=z).sum(axis=1)
-    del z  # freed before the wrap allocates its quotient grid
-    mean /= ph[0].size
-    ph -= np.angle(mean)[:, None, None]
-    return _wrap_deg_inplace(np.multiply(ph, 180.0 / math.pi, out=ph))
+def _circular_means(feed_phasor: np.ndarray, kproj: np.ndarray) -> np.ndarray:
+    """Circular mean of each row of k0 r - kproj, radians, shape (K,). As
+    X_0 = Y_0 = 0, kproj's first column and row are the separable factors' phases:
+    sum_m exp(-j kproj[k, m, 0]) sum_n exp(j k0 r_mn) exp(-j kproj[k, 0, n]).
+    The N-factor is skipped where it is 1 (sin(theta) sin(phi) = 0, as on phi = 0).
+    No BLAS: its blocking may depend on K, and row k must be direction k alone."""
+    outer = np.exp(-1j * kproj[:, :, 0])
+    terms = outer * feed_phasor.sum(axis=1)
+    for k, v in enumerate(kproj[:, 0, -1].tolist()):
+        if v:
+            terms[k] = outer[k] * (feed_phasor * np.exp(-1j * kproj[k, 0])).sum(axis=1)
+    total = terms.sum(axis=1)
+    return np.arctan2(total.imag, total.real)  # np.angle's own formula
 
 
 def quantize_1bit(mask: PhaseMask) -> CodingMask:
@@ -237,24 +241,20 @@ def nearfield_steering_mask(
     geom: ArrayGeometry, feed: Point3, steer: Direction, wavelength: float
 ) -> CodingMask:
     """1-bit mask collimating a near-field feed toward `steer`: the
-    one-direction case of the codebook synthesis.
-
-    The continuous compensation is recentered before quantization; the raw
-    distance offset otherwise biases the quantized beam by a few degrees.
-    """
+    one-direction case of the codebook synthesis, whose compensation is
+    centered on its circular mean before quantization."""
     steers = [(steer.theta_deg, steer.phi_deg)]
     return CodingMask(geom, _nearfield_bits(geom, feed, steers, wavelength)[0])
 
 
 def _nearfield_bits(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
     """Steering bits toward each of K (theta, phi) pairs in degrees, shape
-    (K, M, N). Every stage is elementwise or a per-row reduction, so row k
-    is bit-identical to direction k alone."""
-    # an extreme pitch overflows to inf/NaN in the compensation, and exp(0 + j NaN)
-    # flags invalid in the recentering: _one_bit rejects the NaN. The feed hop's
+    (K, M, N). Every stage, the circular means too, is elementwise or a
+    per-row reduction, so row k is bit-identical to direction k alone."""
+    # an extreme pitch overflows to inf/NaN, which _one_bit rejects; the feed hop's
     # cosine grids, which synthesis does not read, are built under this state too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _one_bit(_recentered_deg(_compensation_deg(geom, feed, steers, wavelength)))
+        return _one_bit(_compensation_deg(geom, feed, steers, wavelength))
 
 
 def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
@@ -284,8 +284,8 @@ def build_codebook(
 
     Each entry is the quantized near-field compensation toward that angle,
     which is the mask maximizing received power for a user in that
-    direction. All entries are synthesized in one batched pass over one
-    feed-distance grid; entry k equals nearfield_steering_mask bit for bit.
+    direction. All entries are synthesized in one batched pass, their means
+    from K x M exponentials; entry k equals nearfield_steering_mask bit for bit.
     """
     angles = codebook_angles(start_deg, stop_deg, step_deg)
     steers = [(a, 0.0) for a in angles.tolist()]

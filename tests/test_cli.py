@@ -416,7 +416,8 @@ def test_non_finite_ledger_item_exits_2(runner, tmp_path, raw):
             "received power",
         ),
         ({"RISIM_FREQUENCY_HZ": "1e300"}, "unit cell gain"),
-        ({"RISIM_FREQUENCY_HZ": "1e-300"}, "unit cell gain"),
+        # just above c / DBL_MAX (~1.67e-300 Hz): a finite wavelength whose square overflows
+        ({"RISIM_FREQUENCY_HZ": "1.7e-300"}, "unit cell gain"),
         ({"RISIM_GEOMETRY_PERIODICITY_M": "1e-300"}, "unit cell gain"),
     ],
 )
@@ -425,6 +426,31 @@ def test_power_out_of_float_range_exits_3(runner, tmp_path, command, env, quanti
     result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
     assert result.exit_code == 3
     assert f"domain error: {quantity} leaves the float range" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("frequency", ["1e-300", "1.6e-300"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["pattern", "--mode", "far"],
+        ["pattern", "--mode", "near"],
+        ["export-frame", "--mode", "far"],
+        ["export-frame", "--mode", "near"],
+        ["linkbudget"],
+        LOCALIZE_30,
+    ],
+)
+def test_frequency_whose_wavelength_overflows_exits_2(runner, tmp_path, command, frequency):
+    # below c / DBL_MAX (~1.67e-300 Hz) c / f is inf and k0 is 0: every command
+    # would otherwise synthesize flat masks or fail late on the cell gain
+    env = {"RISIM_FREQUENCY_HZ": frequency}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "config error: invalid config section frequency_hz:"
+        f" frequency must be finite and above c / DBL_MAX ~ 1.67e-300 Hz, got {frequency}"
+    ]
     assert list(tmp_path.iterdir()) == []
 
 

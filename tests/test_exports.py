@@ -17,7 +17,7 @@ EXPORTED = [
     "phase_error_loss", "projection_grid", "quantize_1bit", "read_frame", "received_power",
     "render_config", "rmse", "serialize_mask", "simulate_sweep",
     "snell_gradient", "snr_ceiling", "ue_point", "unit_cell_gain", "wavelength_from_frequency",
-    "wrap_deg", "write_frame", "write_pattern_csv", "write_sweep_csv",
+    "write_frame", "write_pattern_csv", "write_sweep_csv",
 ]
 
 
@@ -28,4 +28,4 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert public == EXPORTED
-    assert len(EXPORTED) == 58
+    assert len(EXPORTED) == 57

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,12 +17,11 @@ from risim import (
     nearfield_steering_mask,
     quantize_1bit,
     snell_gradient,
-    wrap_deg,
 )
 
 from risim import masks
-from risim.geometry import feed_hop, projection_grid
-from risim.masks import MAX_CODEBOOK_ENTRIES, _compensation_deg, _recentered_deg, codebook_angles
+from risim.geometry import distance_grid, feed_hop, projection_grid
+from risim.masks import MAX_CODEBOOK_ENTRIES, _compensation_deg, _wrap_deg_inplace, codebook_angles
 
 from conftest import LAMBDA_BENCH
 
@@ -32,10 +32,15 @@ def circular_diff_deg(a, b):
     return d
 
 
+def wrap_copy(phases_deg):
+    """The synthesis wrap over a float copy; the argument is left as it is."""
+    return _wrap_deg_inplace(np.array(phases_deg, dtype=float))
+
+
 def test_wrap_deg_range():
-    vals = wrap_deg(np.array([-720.0, -1e-14, 0.0, 359.999, 360.0, 1234.5]))
+    vals = wrap_copy([-720.0, -1e-14, 0.0, 359.999, 360.0, 1234.5])
     assert np.all((vals >= 0.0) & (vals < 360.0))
-    assert wrap_deg(360.0) == 0.0
+    assert wrap_copy(360.0) == 0.0
 
 
 def test_snell_identity_directions_all_zero(board):
@@ -49,7 +54,7 @@ def test_snell_30deg_per_step_increment(board):
     mask = snell_gradient(board, Direction(0.0), Direction(30.0, 0.0), LAMBDA_BENCH)
     step = circular_diff_deg(mask.phases_deg[1:, :], mask.phases_deg[:-1, :])
     assert np.allclose(step, -52.8396, atol=0.01)
-    assert wrap_deg(step[0, 0]) == pytest.approx(307.16, abs=0.01)
+    assert wrap_copy(step[0, 0]) == pytest.approx(307.16, abs=0.01)
     # constant along n
     assert np.allclose(np.diff(mask.phases_deg, axis=1), 0.0, atol=1e-9)
 
@@ -58,7 +63,7 @@ def test_snell_linear_along_m(board):
     mask = snell_gradient(board, Direction(0.0), Direction(30.0, 0.0), LAMBDA_BENCH)
     m_idx = np.arange(board.m_count)
     step = -math.degrees(2 * math.pi / LAMBDA_BENCH * 0.016 * 0.5)
-    expected = wrap_deg(step * m_idx)
+    expected = wrap_copy(step * m_idx)
     assert np.allclose(circular_diff_deg(mask.phases_deg[:, 0], expected), 0.0, atol=1e-9)
 
 
@@ -89,7 +94,7 @@ def test_snell_normal_incidence_skips_zero_projection_bitwise(phi_in, d_out):
     geom = ArrayGeometry(6, 4, 0.016)
     inc, out = Direction(0.0, phi_in), Direction(*d_out)
     k0 = 2 * np.pi / LAMBDA_BENCH
-    two_grids = wrap_deg(np.degrees(k0 * (projection_grid(geom, inc) - projection_grid(geom, out))))
+    two_grids = wrap_copy(np.degrees(k0 * (projection_grid(geom, inc) - projection_grid(geom, out))))
     got = snell_gradient(geom, inc, out, LAMBDA_BENCH).phases_deg
     assert np.array_equal(got.view(np.int64), two_grids.view(np.int64))
 
@@ -105,13 +110,18 @@ def test_nearfield_radially_symmetric_under_boresight_feed():
 
 
 def test_nearfield_pinned_corner_phase(board):
-    # wrap(k0 * sqrt(0.24^2 + 0.144^2 + 0.3^2)) at the bench wavelength,
-    # recomputed from the closed form
+    # wrap(k0 * sqrt(0.24^2 + 0.144^2 + 0.3^2) - mean) at the bench wavelength,
+    # the mean being the circular mean of k0 * r over the board, both
+    # recomputed from the closed form element by element
     ph = _compensation_deg(board, Point3(0.0, 0.0, 0.3), [(0.0, 0.0)], LAMBDA_BENCH)[0]
+    k0 = 2 * math.pi / LAMBDA_BENCH
     dist = math.sqrt(0.24**2 + 0.144**2 + 0.3**2)
-    expected = math.degrees(2 * math.pi / LAMBDA_BENCH * dist) % 360.0
-    assert ph[15, 9] == pytest.approx(expected, abs=1e-6)
-    assert expected == pytest.approx(190.16, abs=0.05)
+    raw = math.degrees(k0 * dist) % 360.0
+    assert raw == pytest.approx(190.16, abs=0.05)
+    mean = cmath.phase(sum(
+        cmath.exp(1j * k0 * math.hypot(m * 0.016, n * 0.016, 0.3)) for m in range(16) for n in range(10)
+    ))
+    assert ph[15, 9] == pytest.approx((raw - math.degrees(mean)) % 360.0, abs=1e-6)
 
 
 def test_nearfield_rejects_in_plane_feed(board):
@@ -199,19 +209,23 @@ def test_quantize_idempotent(seed):
 
 def test_half_turn_offset_flips_every_bit(board, rng):
     mask = PhaseMask(board, rng.uniform(0.0, 360.0, (16, 10)))
-    shifted = PhaseMask(board, wrap_deg(mask.phases_deg + 180.0))
+    shifted = PhaseMask(board, wrap_copy(mask.phases_deg + 180.0))
     assert np.array_equal(quantize_1bit(shifted).bits, 1 - quantize_1bit(mask).bits)
 
 
-def test_recentering_zeroes_circular_mean(rng):
-    phases = rng.uniform(0.0, 300.0, (16, 10))
-    centered = _recentered_deg(phases[None].copy())[0]  # recenters in place
-    mean = np.angle(np.mean(np.exp(1j * np.radians(centered))))
-    assert abs(mean) < 1e-9
-    # relative phase structure is preserved
-    d0 = circular_diff_deg(phases, phases[0, 0])
-    d1 = circular_diff_deg(centered, centered[0, 0])
-    assert np.allclose(circular_diff_deg(d0, d1), 0.0, atol=1e-9)
+def test_recentering_zeroes_circular_mean(board):
+    feed = Point3(0.12, 0.072, 0.3)
+    steers = [(th, ph) for th in (0.0, 20.0, 45.0, 70.0) for ph in (0.0, 37.0, 180.0)]
+    centered = _compensation_deg(board, feed, steers, LAMBDA_BENCH)
+    k0 = 2 * np.pi / LAMBDA_BENCH
+    for (th, ph), row in zip(steers, centered):
+        mean = np.angle(np.mean(np.exp(1j * np.radians(row))))
+        assert abs(mean) < 1e-9
+        # relative phase structure is preserved
+        raw = np.degrees(k0 * (distance_grid(board, feed) - projection_grid(board, Direction(th, ph))))
+        d0 = circular_diff_deg(raw, raw[0, 0])
+        d1 = circular_diff_deg(row, row[0, 0])
+        assert np.allclose(circular_diff_deg(d0, d1), 0.0, atol=1e-9)
 
 
 def test_codebook_reference_parameters(board):

@@ -1,6 +1,8 @@
-"""The in-place codebook synthesis against reference copies of its earlier
-out-of-place formulas: every wrapped phase, recentered phase and bit equal
-bit for bit, and a bound on the memory one codebook takes to build."""
+"""The in-place codebook synthesis against an out-of-place reference copy of
+its formula: every centered phase and bit equal bit for bit. Against the
+earlier formula, which centered on the direct mean of the wrapped phases:
+equal bits for near feeds. And bounds on the memory and the exponentials one
+codebook takes to build."""
 
 import math
 import tracemalloc
@@ -9,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from risim import ArrayGeometry, Point3, build_codebook, wrap_deg
+from risim import ArrayGeometry, Point3, build_codebook
 from risim import masks
 from risim.geometry import distance_grid, element_grid
-from risim.masks import WRAP_FLOOR_BOUND, WRAP_FLOOR_MIN_SIZE
+from risim.masks import WRAP_FLOOR_BOUND, WRAP_FLOOR_MIN_SIZE, _wrap_deg_inplace
 
 from conftest import LAMBDA_BENCH
 
@@ -31,16 +33,35 @@ def ref_projection_stack(geom, steers):
 
 
 def ref_compensation_deg(geom, feed, steers, wavelength):
+    """k0 r - k0 proj less each row's circular mean, from the separable
+    factors with the (K, N) one taken on every row, then wrapped once."""
+    k0 = 2 * np.pi / wavelength
+    with np.errstate(over="ignore", invalid="ignore"):
+        kr = k0 * distance_grid(geom, feed)
+        kproj = k0 * ref_projection_stack(geom, steers)
+        outer = np.exp(-1j * kproj[:, :, 0])
+        inner = (np.exp(1j * kr)[None] * np.exp(-1j * kproj[:, 0, :])[:, None, :]).sum(axis=2)
+        mean = np.angle((outer * inner).sum(axis=1))
+        return ref_wrap(np.degrees(kr - kproj - mean[:, None, None]))
+
+
+def ref_direct_mean_deg(geom, feed, steers, wavelength):
+    """The earlier formula: wrap k0 r - k0 proj, subtract the direct circular
+    mean of every element's phasor, wrap again."""
     k0 = 2 * np.pi / wavelength
     with np.errstate(over="ignore", invalid="ignore"):
         proj = ref_projection_stack(geom, steers)
-        return ref_wrap(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj))
-
-
-def ref_recentered_deg(phases_deg):
-    ph = np.radians(phases_deg)
+        ph = np.radians(ref_wrap(np.degrees(k0 * distance_grid(geom, feed) - k0 * proj)))
     mean = np.angle(np.mean(np.exp(1j * ph.reshape(len(ph), -1)), axis=1))
     return ref_wrap(np.degrees(ph - mean[:, None, None]))
+
+
+def ref_bits(phases_deg):
+    return (phases_deg >= 90.0) & (phases_deg < 270.0)
+
+
+def wrap_copy(phases_deg):
+    return _wrap_deg_inplace(np.array(phases_deg, dtype=float))
 
 
 def same_bits(a, b):
@@ -83,7 +104,7 @@ def phase_sample(seed, size, log_scale, specials):
 def test_wrap_deg_equals_mod_and_guard(seed, size, log_scale, specials):
     x = phase_sample(seed, size, log_scale, specials)
     before = x.copy()
-    assert same_bits(wrap_deg(x), ref_wrap(x))
+    assert same_bits(wrap_copy(x), ref_wrap(x))
     assert same_bits(x, before)  # the caller's array is left as it is
 
 
@@ -98,15 +119,15 @@ def test_wrap_deg_takes_the_floor_form_only_on_large_finite_grids(monkeypatch):
         raise AssertionError("np.mod called")
 
     monkeypatch.setattr(masks.np, "mod", no_mod)
-    assert same_bits(wrap_deg(large), expected)
+    assert same_bits(wrap_copy(large), expected)
     for x in (small, np.where(np.arange(large.size) == 3, math.nan, large), large * 1e12):
         with pytest.raises(AssertionError, match="np.mod called"):
-            wrap_deg(x)
+            wrap_copy(x)
 
 
 @pytest.mark.parametrize("value", [-1e-14, 360.0, -720.0, 1234.5, 7])
 def test_wrap_deg_takes_scalars(value):
-    got = wrap_deg(value)
+    got = wrap_copy(value)
     assert isinstance(got, np.ndarray) and got.shape == ()
     assert same_bits(got, ref_wrap(np.float64(value)))
 
@@ -129,14 +150,9 @@ def test_synthesis_equals_reference(shape, pitch, wavelength, feed_xy, feed_log_
     geom = ArrayGeometry(*shape, pitch)
     feed = Point3(*feed_xy, 10.0**feed_log_z)
     steers = [(th, phi) for th in thetas]
-    comp = masks._compensation_deg(geom, feed, steers, wavelength)
     ref_comp = ref_compensation_deg(geom, feed, steers, wavelength)
-    assert same_bits(comp, ref_comp)
-    centered = masks._recentered_deg(comp)
-    ref_centered = ref_recentered_deg(ref_comp)
-    assert same_bits(centered, ref_centered)
-    bits = masks._nearfield_bits(geom, feed, steers, wavelength)
-    assert np.array_equal(bits, (ref_centered >= 90.0) & (ref_centered < 270.0))
+    assert same_bits(masks._compensation_deg(geom, feed, steers, wavelength), ref_comp)
+    assert np.array_equal(masks._nearfield_bits(geom, feed, steers, wavelength), ref_bits(ref_comp))
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,8 +161,26 @@ def test_codebook_bits_equal_reference(board, start, step, log_z):
     feed = Point3(0.12, 0.072, 10.0**log_z)
     book = build_codebook(board, feed, LAMBDA_BENCH, start, 80.0, step)
     steers = [(a, 0.0) for a in book.angles.tolist()]
-    ref = ref_recentered_deg(ref_compensation_deg(board, feed, steers, LAMBDA_BENCH))
-    assert np.array_equal(book.bits, (ref >= 90.0) & (ref < 270.0))
+    ref = ref_compensation_deg(board, feed, steers, LAMBDA_BENCH)
+    assert np.array_equal(book.bits, ref_bits(ref))
+
+
+# the two formulas round k0 r at its own magnitude in different places: below 1e6 m
+# they agreed on all of ~222 M sampled bits, at 1e6-1e7 m 3 of ~32 M differed and at
+# 1e7-1e8 m 43 of ~17 M, so the bound keeps a decade clear of the first difference
+@settings(max_examples=60, deadline=None)
+@given(
+    step=st.floats(0.2, 1.5),
+    phi=st.one_of(st.just(0.0), st.just(180.0), st.floats(0.0, 359.99)),
+    feed_xy=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    log_z=st.floats(-3.0, 5.0),
+)
+@example(step=1.0, phi=0.0, feed_xy=(0.12, 0.072), log_z=5.0)
+def test_bits_equal_direct_mean_for_near_feeds(board, step, phi, feed_xy, log_z):
+    feed = Point3(*feed_xy, 10.0**log_z)
+    steers = [(th, phi) for th in np.arange(0.0, 89.9, step).tolist()]
+    bits = masks._nearfield_bits(board, feed, steers, LAMBDA_BENCH)
+    assert np.array_equal(bits, ref_bits(ref_direct_mean_deg(board, feed, steers, LAMBDA_BENCH)))
 
 
 def test_codebook_memory_peak(board):
@@ -159,7 +193,29 @@ def test_codebook_memory_peak(board):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one phase buffer and its complex exponential, built as 0 + j ph with no cast
-    # buffer and released before the wrap: 3.05 grids, against 4.74 with 1j * ph
-    # and the exponential held, and 6.05 for the out-of-place synthesis
-    assert peak <= 3.1 * book.bits.size * 8
+    # one phase buffer from the projection to the bits, with no (K, M*N) complex
+    # array: the peak is the projection's broadcast product, the buffer plus
+    # numpy's two 64 KB iterator buffers (~1.7 grids at K = 61). Measured 2.745
+    # grids, against 3.05 when the mean took exp(j ph) of every element and
+    # 6.05 for the out-of-place synthesis
+    assert peak <= 2.76 * book.bits.size * 8
+
+
+def test_codebook_mean_takes_k_times_m_plus_n_exponentials(board, monkeypatch):
+    # the 61-entry default sweep, warm: the feed phasor is cached, each entry
+    # takes M exponentials and, on phi = 0, none of its N; K * M * N before
+    feed = Point3(0.12, 0.072, 0.3)
+    build_codebook(board, feed, LAMBDA_BENCH, 0.0, 60.0, 1.0)
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    book = build_codebook(board, feed, LAMBDA_BENCH, 0.0, 60.0, 1.0)
+    k, m, n = book.bits.shape
+    assert sum(counted) <= k * (m + n)
+    assert sum(counted) == k * m
