@@ -172,8 +172,11 @@ def snell_gradient(
     # normal incidence projects every element to a signed zero; subtracting the
     # scalar 0.0 instead gives the same wrapped bits (np.mod maps -0.0 to 0.0)
     proj_in = projection_grid(geom, incidence) if incidence.theta_deg else 0.0
-    phase_rad = k0 * (proj_in - projection_grid(geom, reflection))
-    return PhaseMask(geom, _wrap_deg_inplace(np.degrees(phase_rad)))
+    # an extreme pitch overflows to inf/NaN, which PhaseMask rejects, as in _nearfield_bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase_rad = k0 * (proj_in - projection_grid(geom, reflection))
+        phases = _wrap_deg_inplace(np.degrees(phase_rad))
+    return PhaseMask(geom, phases)
 
 
 @lru_cache(maxsize=1)

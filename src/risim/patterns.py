@@ -116,7 +116,9 @@ def feed_taper(geom: ArrayGeometry, feed: FeedSpec, q_e: float) -> np.ndarray:
 class PatternCut:
     """Sampled complex field over signed theta in one azimuth plane.
 
-    gain_db is normalized so the maximum sample is exactly 0 dB.
+    gain_db is normalized so the maximum sample is exactly 0 dB. theta_deg
+    and gain_db are stored as float arrays and field as a complex array, so
+    a cut built from lists reads as one built from arrays.
     """
 
     phi_plane_deg: float
@@ -125,11 +127,14 @@ class PatternCut:
     gain_db: np.ndarray
 
     def __post_init__(self) -> None:
-        th = _theta_grid(self.theta_deg, self.phi_plane_deg)
-        for name in ("field", "gain_db"):
-            shape = np.shape(getattr(self, name))
+        th = _theta_grid(self.theta_deg, self.phi_plane_deg)[0]
+        for name, dtype in (("field", complex), ("gain_db", float)):
+            values = getattr(self, name)
+            shape = np.shape(values)
             if shape != th.shape:
                 raise DomainError(f"{name} shape {shape} does not match theta grid shape {th.shape}")
+            object.__setattr__(self, name, np.asarray(values, dtype=dtype))
+        object.__setattr__(self, "theta_deg", th)
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,15 @@ def default_theta_grid(step_deg: float = 0.25) -> np.ndarray:
     count = round(intervals)
     if abs(intervals - count) > 1e-9 * intervals:
         raise DomainError(f"theta step {step_deg:g} does not divide 180 degrees into whole intervals")
-    return np.linspace(-90.0, 90.0, count + 1)
+    return _linspace_grid(count + 1).copy()
+
+
+@lru_cache(maxsize=1)
+def _linspace_grid(samples: int) -> np.ndarray:
+    """default_theta_grid's linspace, read-only; the last sample count's is kept."""
+    grid = np.linspace(-90.0, 90.0, samples)
+    grid.flags.writeable = False
+    return grid
 
 
 def _mask_coefficients(mask: CodingMask, cell: UnitCellReflection) -> np.ndarray:
@@ -172,32 +185,71 @@ def _normalize(phi_plane_deg: float, theta_deg: np.ndarray, field: np.ndarray) -
     return PatternCut(phi_plane_deg, theta_deg, field, gain_db)
 
 
-def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> np.ndarray:
+def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> tuple[np.ndarray, _ThetaGrid]:
     """The cut plane and theta grid checks shared by the kernels and PatternCut;
-    the grid as floats. The kernels run them before any table is built."""
+    the grid as floats and its _ThetaGrid. The kernels run them before any
+    table is built."""
     if not math.isfinite(phi_plane_deg):
         raise DomainError(f"phi_plane_deg must be finite, got {phi_plane_deg}")
     theta = np.asarray(theta_grid_deg, dtype=float)
     if theta.ndim != 1 or theta.size == 0:
         raise DomainError("theta grid must be a nonempty 1-D array")
+    return theta, _checked_grid(theta.tobytes())
+
+
+class _ThetaGrid:
+    """What every cut on one theta grid shares, each part built on first use:
+    the CSV theta column, its separator rows and the near envelope's base."""
+
+    def __init__(self, theta: np.ndarray) -> None:
+        self.theta = theta
+
+    @cached_property
+    def theta_fields(self) -> np.ndarray:
+        """The "%.4f" field matrix of the theta column."""
+        return _fixed_fields(self.theta, 4)
+
+    @cached_property
+    def separators(self) -> tuple[np.ndarray, np.ndarray]:
+        """The comma and newline rows of a CSV body, each (1, T)."""
+        return tuple(np.full((1, self.theta.size), ord(c), np.uint8) for c in ",\n")
+
+    @cached_property
+    def cos_clipped(self) -> np.ndarray:
+        """clip(cos(theta), 0): the near envelope before its ** q_e."""
+        return np.clip(np.cos(np.radians(self.theta)), 0.0, None)
+
+
+@lru_cache(maxsize=1)
+def _checked_grid(theta_bytes: bytes) -> _ThetaGrid:
+    """The _ThetaGrid of a 1-D float grid, its values checked once per grid.
+    The key is the grid's exact bits, as _observation_table's is (-0.0 is not
+    0.0), so a grid mutated in place is a new key and is checked again; a
+    grid that fails raises and is not cached."""
+    theta = np.frombuffer(theta_bytes)
+    _check_theta_values(theta)
+    return _ThetaGrid(theta)
+
+
+def _check_theta_values(theta: np.ndarray) -> None:
     if not np.isfinite(theta).all():
         raise DomainError("theta grid must be finite")
     if np.any(np.diff(theta) <= 0):
         raise DomainError("theta grid must be strictly increasing")
     if theta[0] < -90.0 or theta[-1] > 90.0:
         raise DomainError("theta grid must lie within [-90, 90]")
-    return theta
 
 
 def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg, wavelength: float):
-    """The checks both cut kernels open with; the theta grid as floats and k0."""
+    """The checks both cut kernels open with; the theta grid as floats, its
+    _ThetaGrid and k0."""
     if not (wavelength > 0):
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     if not isinstance(mask, CodingMask):
         raise DomainError(f"unsupported mask type {type(mask).__name__}")
     if mask.geom != geom:
         raise DomainError("mask geometry does not match the array geometry")
-    return _theta_grid(theta_grid_deg, phi_plane_deg), 2 * np.pi / wavelength
+    return *_theta_grid(theta_grid_deg, phi_plane_deg), 2 * np.pi / wavelength
 
 
 @lru_cache(maxsize=1)
@@ -268,7 +320,7 @@ def array_factor_far(
     phase k0*(incidence projection - observation projection); the sum runs
     in _cut_field, the cut kernel shared with pattern_nearfield.
     """
-    theta, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
+    theta, _, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     coeff = _mask_coefficients(mask, cell).ravel()
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
@@ -296,15 +348,14 @@ def pattern_nearfield(
     scales each sample. q_e sets both element factors of the cut; cell
     supplies only the reflection states.
     """
-    theta, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
+    theta, grid, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     check_exponent("q_e", q_e)
     r_feed = feed_hop(geom, feed.position)[0]
     amp = np.sqrt(feed_taper(geom, feed, q_e)) / r_feed
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
     field = _cut_field(geom, phi_plane_deg, theta, wavelength, base)
-    envelope = np.clip(np.cos(np.radians(theta)), 0.0, None) ** q_e
-    return _normalize(phi_plane_deg, theta, envelope * field)
+    return _normalize(phi_plane_deg, theta, grid.cos_clipped**q_e * field)
 
 
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:
@@ -315,6 +366,10 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     positive theta. The mirror lobe is the maximum within 5 degrees of the
     negated main lobe. The sidelobe level is the highest sample outside the
     first nulls bracketing the main lobe, -inf if nothing radiates there.
+    The first nulls are found by strict descent: on each side the lobe takes
+    in samples while each magnitude is strictly below the one before it
+    (nearer the main lobe), so it ends before the first sample that ties its
+    neighbour (a plateau) or is NaN.
     """
     gain = cut.gain_db
     theta = cut.theta_deg
@@ -332,17 +387,25 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     mirror_window = np.abs(theta - (-main_deg)) <= 5.0
     mirror_db = float(gain[mirror_window].max()) if mirror_window.any() else -math.inf
 
-    lo = main_idx
-    while lo > 0 and mags[lo - 1] < mags[lo]:
-        lo -= 1
-    hi = main_idx
-    while hi < len(mags) - 1 and mags[hi + 1] < mags[hi]:
-        hi += 1
+    lo, hi = _main_lobe_span(mags, main_idx)
     outside = np.ones(len(mags), dtype=bool)
     outside[lo : hi + 1] = False
     sll_db = float(gain[outside].max()) if outside.any() else -math.inf
 
     return PatternMetrics(main_deg, peak_db_raw, mirror_db, sll_db)
+
+
+def _main_lobe_span(mags: np.ndarray, peak: int) -> tuple[int, int]:
+    """First and last index of the strict descent from mags[peak] to each
+    side: the samples the main lobe covers up to its first nulls."""
+    # the last sample left of peak that does not rise strictly into the next,
+    # and the first from peak on that does not fall strictly to the next;
+    # `not <` keeps NaN a stop
+    stops = np.flatnonzero(~(mags[:peak] < mags[1 : peak + 1]))
+    lo = int(stops[-1]) + 1 if stops.size else 0
+    stops = np.flatnonzero(~(mags[peak + 1 :] < mags[peak:-1]))
+    hi = peak + int(stops[0]) if stops.size else len(mags) - 1
+    return lo, hi
 
 
 def _comment_header(comments: dict | None) -> str:
@@ -459,27 +522,18 @@ def _exp_fields(x: np.ndarray, p: int) -> np.ndarray:
     return _point_fields(x, n, ok, p, f"%.{p}e", ord("e"), sign, mag // 10 + _ZERO, mag % 10 + _ZERO)
 
 
-@lru_cache(maxsize=1)
-def _theta_fields(theta_bytes: bytes) -> np.ndarray:
-    """The "%.4f" field matrix of one theta column, read-only and keyed on
-    the grid's exact bits, as _observation_table is."""
-    fields = _fixed_fields(np.frombuffer(theta_bytes), 4)
-    fields.flags.writeable = False
-    return fields
-
-
 def write_pattern_csv(cut: PatternCut, path, comments: dict | None = None) -> None:
     """CSV cut: `#`-prefixed context lines, then theta_deg,gain_db,re,im rows
     formatted "%.4f,%.6f,%.9e,%.9e". The body is formatted a column at a
-    time, byte for byte as that `%` template writes it; the theta column
-    once per grid."""
+    time, byte for byte as that `%` template writes it; the theta column and
+    the separators once per grid."""
     header = _comment_header(comments) + "theta_deg,gain_db,re,im\n"
-    theta, gain = (np.asarray(v, dtype=float) for v in (cut.theta_deg, cut.gain_db))
+    grid = _checked_grid(cut.theta_deg.tobytes())
     f = cut.field
     parts = _exp_fields(np.concatenate([f.real, f.imag], dtype=float), 9)
-    rows = len(theta)
-    comma, newline = (np.full((1, rows), ord(c), np.uint8) for c in ",\n")
-    columns = [_theta_fields(theta.tobytes()), comma, _fixed_fields(gain, 6), comma]
+    rows = len(grid.theta)
+    comma, newline = grid.separators
+    columns = [grid.theta_fields, comma, _fixed_fields(cut.gain_db, 6), comma]
     columns += [parts[:, :rows], comma, parts[:, rows:], newline]
     body = np.concatenate(columns).T.tobytes().translate(None, b"\0")
     with open(path, "w") as fh:

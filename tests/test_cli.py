@@ -512,6 +512,31 @@ def test_non_finite_phase_grid_prints_only_its_error(runner, tmp_path, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("pitch", ["1e304", "1e307"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["pattern", "--mode", "far", "--steer", "30"],
+        ["pattern", "--mode", "near"],
+        ["export-frame", "--mode", "far", "--steer", "30"],
+        ["export-frame", "--mode", "near", "--steer", "30"],
+        ["linkbudget"],
+        LOCALIZE_30,
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_pitch_prints_one_error_line(runner, tmp_path, command, pitch):
+    # the phases overflow to inf/NaN; a numpy warning raised on the way would
+    # turn into a traceback exit here instead of the one domain error line
+    env = {"RISIM_GEOMETRY_PERIODICITY_M": pitch}
+    result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("domain error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # every float key of DEFAULTS and every default ledger item, by env name;
 # step_deg is left out because it sizes the codebook arrays
 FUZZ_NAMES = ["RISIM_FREQUENCY_HZ"] + [

@@ -129,7 +129,7 @@ def test_default_cuts_rarely_fall_back_to_percent(cfg, monkeypatch, tmp_path):
     ]
     for cut in cuts:
         left_out.clear()
-        patterns._theta_fields.cache_clear()  # so the theta column is formatted here
+        patterns._checked_grid.cache_clear()  # so the theta column is formatted here
         write_pattern_csv(cut, tmp_path / "cut.csv")
         assert len(left_out) == 3 and sum(left_out) <= 6, left_out
 
