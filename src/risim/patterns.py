@@ -26,14 +26,17 @@ from .geometry import (
 from .masks import CodingMask
 
 # [-90, 90] at a millidegree step: the cached observation table is then a
-# (180001, M*N) complex array, 461 MB on the 16 x 10 board, and it stays
-# resident until a cut on another grid replaces it
+# (180001, W) complex array, W being the cut plane's count of distinct element
+# coordinates: 46 MB on the 16 x 10 board's phi = 0 plane (W = 16), 461 MB
+# on a plane where no two elements share one (W = M*N). It stays resident
+# until a cut on another grid replaces it
 MAX_THETA_SAMPLES = 180_001
 
 # Bytes of one row block of a cut's product and row sum: rows per block are
-# this budget over the 16 * M * N bytes of a row (at least one), so a block
-# stays in cache between the product and the sum; 102 rows on the 16 x 10
-# board. 128 KB and 640 KB ran the default cut no faster.
+# this budget over the 16 * W bytes of a table row (at least one), so a block
+# stays in cache between the product and the sum; 1024 rows on the 16 x 10
+# board's phi = 0 plane (W = 16), 102 where W = M*N = 160. 128 KB and
+# 640 KB ran a W = 160 cut no faster.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -198,11 +201,13 @@ def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> tuple[np.ndarray, _Thet
 
 
 class _ThetaGrid:
-    """What every cut on one theta grid shares, each part built on first use:
-    the CSV theta column, its separator rows and the near envelope's base."""
+    """What every cut on one theta grid shares: the grid's bytes (the key of
+    both per-grid caches) and, each built on first use, the CSV theta column,
+    its separator rows and the near envelope's base."""
 
-    def __init__(self, theta: np.ndarray) -> None:
-        self.theta = theta
+    def __init__(self, key: bytes) -> None:
+        self.key = key
+        self.theta = np.frombuffer(key)
 
     @cached_property
     def theta_fields(self) -> np.ndarray:
@@ -226,9 +231,9 @@ def _checked_grid(theta_bytes: bytes) -> _ThetaGrid:
     The key is the grid's exact bits, as _observation_table's is (-0.0 is not
     0.0), so a grid mutated in place is a new key and is checked again; a
     grid that fails raises and is not cached."""
-    theta = np.frombuffer(theta_bytes)
-    _check_theta_values(theta)
-    return _ThetaGrid(theta)
+    grid = _ThetaGrid(theta_bytes)
+    _check_theta_values(grid.theta)
+    return grid
 
 
 def _check_theta_values(theta: np.ndarray) -> None:
@@ -255,51 +260,58 @@ def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg,
 @lru_cache(maxsize=1)
 def _observation_table(
     geom: ArrayGeometry, phi_plane_deg: float, wavelength: float, theta_bytes: bytes
-) -> np.ndarray:
-    """exp(j k0 sin(theta) w) over the theta grid and the M*N elements, w
-    being the element's coordinate along the cut plane: a read-only,
-    C-contiguous (T, M*N) array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(j k0 sin(theta) w) over the theta grid and the W distinct values
+    of w, the element coordinate along the cut plane, as a C-contiguous
+    (T, W) array, with inv, the (M*N,) index of each element's column; both
+    read-only.
 
-    The complex exp runs once per distinct w (16 on the phi = 0 cut of the
-    16x10 board) and np.take gathers it to the elements once, when the cache
-    fills. The grid arrives as bytes, so the key is its exact bits (-0.0 is
-    not 0.0) and a caller mutating its array afterwards cannot desynchronize
-    the cache. One table is held at a time, so far and near cuts on one plane
-    and grid share it; it stays resident between cuts.
+    W is 16 on the phi = 0 plane of the 16x10 board and M*N on a plane where
+    no two elements share w; the planes at 90, 180 and 270 degrees fall in
+    between (39, 48 and 66 on the board), as their cos or sin is not exactly
+    0. The grid arrives as bytes, so the key is its exact bits (-0.0 is not
+    0.0) and a caller mutating its array afterwards cannot desynchronize the
+    cache. One entry is held at a time, so far and near cuts on one plane and
+    grid share it; it stays resident between cuts.
     """
     k0 = 2 * np.pi / wavelength
     ph = math.radians(phi_plane_deg)
     X, Y = element_grid(geom)
     w, inv = np.unique((X * math.cos(ph) + Y * math.sin(ph)).ravel(), return_inverse=True)
     sin_t = np.sin(np.radians(np.frombuffer(theta_bytes)))
-    table = np.take(np.exp(1j * (k0 * sin_t[:, None] * w[None, :])), inv, axis=1)
-    table.flags.writeable = False
-    return table
+    table = np.exp(1j * (k0 * sin_t[:, None] * w[None, :]))
+    table.flags.writeable = inv.flags.writeable = False
+    return table, inv
 
 
 def _cut_field(
-    geom: ArrayGeometry, phi_plane_deg: float, theta: np.ndarray, wavelength: float, base
+    geom: ArrayGeometry, phi_plane_deg: float, theta: np.ndarray, wavelength: float, base, theta_bytes=None
 ) -> np.ndarray:
     """Per theta, the sum over elements of base * exp(j k0 sin(theta) w),
-    w being the element's coordinate along the cut plane.
+    w being the element's coordinate along the cut plane. theta_bytes is
+    theta.tobytes(), for a caller that already holds it.
 
-    The exp table comes from the per-grid cache; the product with base and
-    its row sum run a block of _BLOCK_BYTES at a time, so a cut allocates one
-    block, not a (T, M*N) term array. Each row multiplies and sums the same
-    contiguous M*N values in the same order as the dense formula, so every
-    bit matches it whatever the block size. Product plus row sum (no matmul)
-    keeps cuts partition-independent; signed theta enters through
-    sin(theta), so the symmetric half of the cut is the exact floating-point
-    mirror.
+    Elements sharing w share the exponential, so base is first summed per
+    distinct w, in element order, into W groups; the exp table comes from
+    the per-grid cache, and its product with the groups and the row sum run
+    a block of _BLOCK_BYTES at a time, so a cut allocates one block, not a
+    (T, W) term array. Each row multiplies and sums the same contiguous W
+    values in the same order, so every bit is the same whatever the block
+    size. Product plus row sum (no matmul) keeps cuts partition-independent;
+    signed theta enters through sin(theta), so the symmetric half of the cut
+    is the exact floating-point mirror.
     """
-    table = _observation_table(geom, phi_plane_deg, wavelength, theta.tobytes())
-    count, size = table.shape
+    key = theta.tobytes() if theta_bytes is None else theta_bytes
+    table, inv = _observation_table(geom, phi_plane_deg, wavelength, key)
+    count, width = table.shape
+    groups = np.zeros(width, complex)
+    np.add.at(groups, inv, base)
     rows = max(1, _BLOCK_BYTES // table[0].nbytes)
     field = np.empty(count, complex)
-    block = np.empty((min(rows, count), size), complex)
+    block = np.empty((min(rows, count), width), complex)
     for start in range(0, count, rows):
         part = block[: min(rows, count - start)]
-        np.multiply(table[start : start + rows], base, out=part)
+        np.multiply(table[start : start + rows], groups, out=part)
         part.sum(axis=1, out=field[start : start + rows])
     return field
 
@@ -320,11 +332,11 @@ def array_factor_far(
     phase k0*(incidence projection - observation projection); the sum runs
     in _cut_field, the cut kernel shared with pattern_nearfield.
     """
-    theta, _, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
+    theta, grid, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     coeff = _mask_coefficients(mask, cell).ravel()
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
-    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base)
+    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base, grid.key)
     return _normalize(phi_plane_deg, theta, field)
 
 
@@ -354,7 +366,7 @@ def pattern_nearfield(
     amp = np.sqrt(feed_taper(geom, feed, q_e)) / r_feed
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
-    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base)
+    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base, grid.key)
     return _normalize(phi_plane_deg, theta, grid.cos_clipped**q_e * field)
 
 

@@ -1,10 +1,13 @@
 """Bit-exact equivalence of the shared cut kernel and the CSV writers.
 
-Far and near cuts evaluate one complex exponential per distinct in-plane
-element coordinate and gather it back to every element. Each field sample
-must equal a test-local copy (oracle) of the dense (T, M*N) formula the
-kernel replaced, bit for bit, and the writers must emit the bytes of the
-per-row f-string formatters they replaced.
+Far and near cuts sum the element weights per distinct in-plane element
+coordinate w, in element order, then multiply the W group sums by one
+complex exponential per w and sum each row. Each field sample must equal a
+test-local copy (oracle) of that grouped formula, evaluated densely as one
+(T, W) array, bit for bit; it must stay within a derived floating-point
+bound of the (T, M*N) per-element formula the kernel replaced; and the
+writers must emit the bytes of the per-row f-string formatters they
+replaced.
 """
 
 import math
@@ -43,13 +46,30 @@ GRID = default_theta_grid()
 CELL = UnitCellReflection.measured()
 
 
-def oracle_cut_field(geom, phi_plane_deg, theta, wavelength, base):
-    """Dense per-(theta, element) phase, exp and row sum, as computed before
-    the shared kernel."""
-    k0 = 2 * np.pi / wavelength
+def in_plane_coordinates(geom, phi_plane_deg):
     ph = math.radians(phi_plane_deg)
     X, Y = element_grid(geom)
-    w = (X * math.cos(ph) + Y * math.sin(ph)).ravel()
+    return (X * math.cos(ph) + Y * math.sin(ph)).ravel()
+
+
+def oracle_cut_field(geom, phi_plane_deg, theta, wavelength, base):
+    """The grouped formula in one dense pass: base summed per distinct w in
+    element order, then the (T, W) phase, exp, product and row sum."""
+    k0 = 2 * np.pi / wavelength
+    w, inv = np.unique(in_plane_coordinates(geom, phi_plane_deg), return_inverse=True)
+    groups = np.zeros(w.size, complex)
+    for element, column in enumerate(inv.tolist()):
+        groups[column] += base[element]
+    sin_t = np.sin(np.radians(np.asarray(theta, dtype=float)))
+    obs = k0 * sin_t[:, None] * w[None, :]
+    return (np.exp(1j * obs) * groups[None, :]).sum(axis=1)
+
+
+def dense_cut_field(geom, phi_plane_deg, theta, wavelength, base):
+    """Per-(theta, element) phase, exp, product and row sum over all M*N
+    elements, as computed before the kernel grouped the elements."""
+    k0 = 2 * np.pi / wavelength
+    w = in_plane_coordinates(geom, phi_plane_deg)
     sin_t = np.sin(np.radians(np.asarray(theta, dtype=float)))
     obs = k0 * sin_t[:, None] * w[None, :]
     return (np.exp(1j * obs) * base[None, :]).sum(axis=1)
@@ -147,8 +167,7 @@ def test_kernel_rows_are_partition_independent(case):
 
 def test_board_cuts_equal_dense_oracle(board, cfg):
     # the CLI's own cuts: the 16x10 board, full grid, far and near steering
-    # masks. A deterministic guard against gathering with rot[:, inv]: that
-    # array is not C-contiguous, so its row sums round differently.
+    # masks, ten elements to each of the 16 groups
     feed = cfg.feed
     for steer in (Direction(0.0), Direction(30.0), Direction(45.0, 180.0)):
         far = farfield_steering_mask(board, steer, LAMBDA_BENCH)
@@ -161,11 +180,13 @@ def test_board_cuts_equal_dense_oracle(board, cfg):
         assert same_bits(cut.field, oracle_cut_field(board, 0.0, GRID, LAMBDA_BENCH, base))
 
 
-def block_rows(geom):
-    return max(1, patterns._BLOCK_BYTES // (16 * geom.m_count * geom.n_count))
+def block_rows(geom, phi_plane_deg):
+    # the kernel's row budget: one table row holds W complex values
+    width = np.unique(in_plane_coordinates(geom, phi_plane_deg)).size
+    return max(1, patterns._BLOCK_BYTES // (16 * width))
 
 
-def assert_far_and_near_equal_oracle(geom, theta, seed):
+def assert_far_and_near_equal_oracle(geom, phi, theta, seed):
     rng = np.random.default_rng(seed)
     mask = CodingMask(geom, rng.integers(0, 2, (geom.m_count, geom.n_count), dtype=np.uint8))
     feed = FeedSpec(Point3(0.1, 0.05, 0.3))
@@ -173,24 +194,28 @@ def assert_far_and_near_equal_oracle(geom, theta, seed):
         far_base(geom, mask, Direction(20.0), LAMBDA_BENCH),
         near_base(geom, mask, feed, 0.5, LAMBDA_BENCH),
     ):
-        field = _cut_field(geom, 0.0, theta, LAMBDA_BENCH, base)
-        assert same_bits(field, oracle_cut_field(geom, 0.0, theta, LAMBDA_BENCH, base))
+        field = _cut_field(geom, phi, theta, LAMBDA_BENCH, base)
+        assert same_bits(field, oracle_cut_field(geom, phi, theta, LAMBDA_BENCH, base))
 
 
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
 def test_cuts_across_block_edges_equal_dense_oracle(board, blocks, extra):
-    # grids one short of a block, exactly a block, one over and a ragged third block
-    rows = block_rows(board)
-    assert 1 < rows < (GRID.size - 1) // 2
-    count = blocks * rows + extra
-    assert_far_and_near_equal_oracle(board, np.linspace(-90.0, 90.0, count), seed=count)
+    # grids one short of a block, exactly a block, one over and a ragged third
+    # block, with W = 16 (phi = 0: one block holds the default grid) and
+    # W = 160 (phi = 37: the default grid spans several blocks)
+    assert block_rows(board, 0.0) > GRID.size
+    assert 1 < block_rows(board, 37.0) < (GRID.size - 1) // 2
+    for phi in (0.0, 37.0):
+        count = blocks * block_rows(board, phi) + extra
+        assert_far_and_near_equal_oracle(board, phi, np.linspace(-90.0, 90.0, count), seed=count)
 
 
 def test_rows_larger_than_the_block_budget_run_one_per_block():
+    # off-axis, every element has its own w, so a row holds side**2 values
     side = math.isqrt(patterns._BLOCK_BYTES // 16) + 1
     geom = ArrayGeometry(side, side, 0.004)
-    assert block_rows(geom) == 1
-    assert_far_and_near_equal_oracle(geom, np.array([-60.0, -0.0, 12.5]), seed=side)
+    assert block_rows(geom, 37.0) == 1
+    assert_far_and_near_equal_oracle(geom, 37.0, np.array([-60.0, -0.0, 12.5]), seed=side)
 
 
 def test_a_warm_cut_allocates_one_block_not_a_term_array(board, cfg):
@@ -254,9 +279,70 @@ def test_observation_table_is_one_read_only_entry_shared_by_far_and_near(board, 
     pattern_nearfield(board, near, CELL, cfg.feed, cfg.cell.q_e, 0.0, GRID, cfg.wavelength)
     info = _observation_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    table = _observation_table(board, 0.0, cfg.wavelength, GRID.tobytes())
-    assert table.shape == (GRID.size, board.m_count * board.n_count)
+
+
+def test_kernels_key_the_table_on_the_checked_grid_bytes(board, cfg, monkeypatch):
+    # the kernels hand the table cache the bytes the grid check already
+    # made, rather than converting the grid a second time
+    keys = []
+    table = patterns._observation_table
+
+    def recording_table(geom, phi, wavelength, theta_bytes):
+        keys.append(theta_bytes)
+        return table(geom, phi, wavelength, theta_bytes)
+
+    monkeypatch.setattr(patterns, "_observation_table", recording_table)
+    grid = default_theta_grid()
+    mask = farfield_steering_mask(board, Direction(30.0), cfg.wavelength)
+    array_factor_far(board, mask, CELL, Direction(0.0), 0.0, grid, cfg.wavelength)
+    pattern_nearfield(board, mask, CELL, cfg.feed, cfg.cell.q_e, 0.0, grid, cfg.wavelength)
+    entry = patterns._checked_grid(grid.tobytes())
+    assert len(keys) == 2 and all(key is entry.key for key in keys)
+
+
+@pytest.mark.parametrize("phi, width", [(0.0, 16), (37.0, 160)])
+def test_observation_table_has_one_column_per_distinct_in_plane_coordinate(board, cfg, phi, width):
+    # on the board's phi = 0 plane the 10 elements of each column share w;
+    # at 37 degrees no two elements do
+    table, inv = _observation_table(board, phi, cfg.wavelength, GRID.tobytes())
+    assert table.shape == (GRID.size, width)
     assert table.dtype == complex and table.flags.c_contiguous and not table.flags.writeable
+    assert inv.shape == (board.m_count * board.n_count,) and not inv.flags.writeable
+    assert set(inv.tolist()) == set(range(width))
+    w = in_plane_coordinates(board, phi)
+    assert np.array_equal(np.unique(w)[inv], w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=cut_cases(),
+    feed_z=st.floats(min_value=0.05, max_value=2.0),
+    q_e=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_grouped_cut_is_within_rounding_of_the_per_element_sum(case, feed_z, q_e):
+    # Both formulas multiply the same exp values (|exp| = 1 to a few ulps):
+    # the per-element one sums n = M*N products; the grouped one sums each
+    # group's n_c weights, then W products, and (n_c - 1) + (W - 1) <= n - 1.
+    # Summing n complex terms in any order errs by at most
+    # sqrt(2) (n - 1) u sum|terms| and a complex product by sqrt(5) u of its
+    # size (u = eps / 2, first order), so each formula is within
+    # (sqrt(2) (n - 1) + sqrt(5)) u sum|base| of the exact sum, and the two
+    # are within 2 n eps sum|base| of each other (n >= 2; at n = 1 they are
+    # equal). The near envelope e <= 1 scales that and rounds each side once
+    # more: e (2 n + 1) eps sum|base|.
+    geom, mask, phi, theta, _ = case
+    n, eps = geom.m_count * geom.n_count, np.finfo(float).eps
+    inc = Direction(25.0, 30.0)
+    far = array_factor_far(geom, mask, CELL, inc, phi, theta, LAMBDA_BENCH).field
+    base = far_base(geom, mask, inc, LAMBDA_BENCH)
+    dense = dense_cut_field(geom, phi, theta, LAMBDA_BENCH, base)
+    assert np.all(np.abs(far - dense) <= 2 * n * eps * np.abs(base).sum())
+    feed = FeedSpec(Point3(0.1, 0.05, feed_z))
+    near = pattern_nearfield(geom, mask, CELL, feed, q_e, phi, theta, LAMBDA_BENCH).field
+    base = near_base(geom, mask, feed, q_e, LAMBDA_BENCH)
+    envelope = np.clip(np.cos(np.radians(theta)), 0.0, None) ** q_e
+    dense = envelope * dense_cut_field(geom, phi, theta, LAMBDA_BENCH, base)
+    assert np.all(np.abs(near - dense) <= envelope * (2 * n + 1) * eps * np.abs(base).sum())
 
 
 def test_theta_column_cache_is_keyed_on_exact_bits(tmp_path):
