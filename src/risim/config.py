@@ -13,6 +13,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
@@ -184,28 +185,42 @@ def _from_env(name: str, raw: str, default):
     return _check(f"environment override {name}", default, value)
 
 
-def _overrides(doc: dict, prefix: str = ENV_PREFIX):
-    """(env name, mapping, key) for every value of a resolved document:
-    each key, and each ledger item, including items a YAML file added."""
+def _overrides(doc: dict, path: tuple = ()):
+    """(env name, key path) for every value of a document: each key, and
+    each ledger item, including items a YAML file added."""
     for key, value in doc.items():
-        name = f"{prefix}_{key}".upper()
         if isinstance(value, dict):
-            yield from _overrides(value, name)
+            yield from _overrides(value, (*path, key))
         else:
-            yield name, doc, key
+            yield "_".join((ENV_PREFIX, *path, key)).upper(), (*path, key)
+
+
+@functools.lru_cache(maxsize=8)
+def _override_paths(ledger_items: tuple) -> MappingProxyType:
+    """Read-only env name -> key path of every override, for one tuple of
+    ledger item names: the only part of the schema's shape a YAML file can
+    change. A clash raises, and an exception is never cached."""
+    link = dict(DEFAULTS["link"], hardware_loss_db=dict.fromkeys(ledger_items))
+    targets = {}
+    for name, path in _overrides(dict(DEFAULTS, link=link)):
+        if (taken := targets.setdefault(name, path)) != path:
+            raise ConfigError(
+                f"config keys {taken[-1]!r} and {path[-1]!r} share the override name {name}"
+            )
+    return MappingProxyType(targets)
 
 
 def _apply_env(doc: dict, env) -> None:
     """Apply RISIM_* overrides; any other RISIM_* name is a typo and an error.
     A resolved value has its default's type, so it tells _from_env the kind."""
-    targets = {}
-    for name, mapping, key in _overrides(doc):
-        if (taken := targets.setdefault(name, (mapping, key))[1]) != key:
-            raise ConfigError(f"config keys {taken!r} and {key!r} share the override name {name}")
+    targets = _override_paths(tuple(doc["link"]["hardware_loss_db"]))
     for name in sorted(n for n in env if n.startswith(f"{ENV_PREFIX}_")):
         if name not in targets:
             raise ConfigError(f"unknown environment override {name}")
-        mapping, key = targets[name]
+        *parents, key = targets[name]
+        mapping = doc
+        for parent in parents:
+            mapping = mapping[parent]
         mapping[key] = _from_env(name, env[name], mapping[key])
 
 

@@ -75,24 +75,43 @@ class LinkScenario:
 
     @cached_property
     def _two_hop_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two-hop terms at the scenario's own rx, computed once per
+        scenario; every accounting mode reduces these two."""
+        return self._two_hop_at(self.rx)
+
+    def _two_hop_at(self, rx: Point3) -> tuple[np.ndarray, np.ndarray]:
         """Per-element two-hop amplitude sqrt(taper)/(r_feed * r_rx) and path
-        phase k0*(r_feed + r_rx), read-only and computed once per scenario;
-        every accounting mode reduces these two."""
-        r_t, r_r, taper = self._hops()
+        phase k0*(r_feed + r_rx), read-only, for a receiver at rx in place of
+        the scenario's; a sweep truth reads them without a scenario copy."""
+        r_t, r_r, taper = self._hops(rx)
         amp = np.sqrt(taper) / (r_t * r_r)
         path = 2 * np.pi / self.wavelength * (r_t + r_r)
         amp.flags.writeable = path.flags.writeable = False
         return amp, path
 
-    def _hops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _hops(self, rx: Point3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Feed and rx distance grids and the combined taper of both hops.
         Only the rx hop is computed here; the feed hop and its taper come
         from feed_hop and feed_taper, shared by every scenario on one feed."""
         q = 2 * self.cell.q_e  # 1.0 by default, and x**1.0 is x bit for bit
         r_t = feed_hop(self.geom, self.feed.position)[0]
-        r_r, cos_r, off_r = node_hop(self.geom, self.rx)
+        r_r, cos_r, off_r = node_hop(self.geom, rx)
         taper = feed_taper(self.geom, self.feed, self.cell.q_e) * cos_r**q * (off_r**self.q_r)
         return r_t, r_r, taper
+
+    @cached_property
+    def _head_db(self) -> tuple[float, ...]:
+        """The values of the ledger's _HEAD_TERMS, the terms ahead of the
+        accumulation, computed once per scenario. Pure scalar work, so an
+        out-of-range scalar fails before any element grid."""
+        p, lam = self.geom.periodicity_m, self.wavelength
+        return (
+            self.tx_power_dbm,
+            self.gain_tx_dbi,
+            self.gain_rx_dbi,
+            2.0 * unit_cell_gain(p, p, lam),
+            10.0 * _log10("spreading", lam**2 * p * p / (64 * math.pi**3)),
+        )
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
         return replace(self, mask=mask)
@@ -132,7 +151,7 @@ class LinkReport:
 def f_combine_grid(scenario: LinkScenario) -> np.ndarray:
     """Combined normalized radiation taper of both horns and the element
     pattern on both hops, per element, in [0, 1]."""
-    return scenario._hops()[2]
+    return scenario._hops(scenario.rx)[2]
 
 
 def _single_pass_sums(amp, path, bits, cell: UnitCellReflection) -> list[float]:
@@ -142,11 +161,17 @@ def _single_pass_sums(amp, path, bits, cell: UnitCellReflection) -> list[float]:
     and gathered per grid by np.where, so bool and 0/1 integer bits select
     alike; one contiguous row sum and a scalar abs per mask keep row k
     bit-identical to mask k alone. Each state is its own exp:
-    exp(j*(pi - p)) is not bitwise -exp(-j*p)."""
+    exp(j*(pi - p)) is not bitwise -exp(-j*p). Each row sum's modulus is
+    Python's abs, libm's hypot as numpy's scalar abs is; numpy's array abs
+    may differ in the last bit."""
     mag, phase = cell.states()
     table = (amp.reshape(-1) * mag[:, None]) * np.exp(1j * (phase[:, None] - path.reshape(-1)))
     terms = np.where(bits.reshape(len(bits), -1), table[1], table[0])
-    return [float(abs(s)) for s in terms.sum(axis=1)]
+    sums = terms.sum(axis=1)
+    try:
+        return [abs(s) for s in sums.tolist()]
+    except OverflowError:  # finite parts whose modulus passes the float range
+        return [float(abs(s)) for s in sums]  # numpy's scalar abs reads inf there
 
 
 def geometric_accumulation(scenario: LinkScenario) -> float:
@@ -212,54 +237,58 @@ def integrate_psd(psd_per_subcarrier_dbm: float, n_subcarriers: int) -> float:
     return psd_per_subcarrier_dbm + 10.0 * math.log10(n_subcarriers)
 
 
-def _scalar_terms(scenario: LinkScenario) -> tuple[dict, dict]:
-    """The ledger terms ahead of the accumulation, in table order, and the
-    hardware loss items. Pure scalar work, so an out-of-range scalar fails
-    before any element grid."""
-    p, lam = scenario.geom.periodicity_m, scenario.wavelength
-    head = {
-        "tx_power_dbm": scenario.tx_power_dbm,
-        "gain_tx_db": scenario.gain_tx_dbi,
-        "gain_rx_db": scenario.gain_rx_dbi,
-        "unit_cell_gain_x2_db": 2.0 * unit_cell_gain(p, p, lam),
-        "spreading_db": 10.0 * _log10("spreading", lam**2 * p * p / (64 * math.pi**3)),
-    }
-    return head, dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
-
-
+_HEAD_TERMS = ("tx_power_dbm", "gain_tx_db", "gain_rx_db", "unit_cell_gain_x2_db", "spreading_db")
 _TAIL_TERMS = ("accumulation_db", "phase_error_loss_db", "hardware_loss_db")
 
 
-def _ledger_values(head_db: tuple, hw_db: float, acc: float, lpe_db: float) -> tuple:
-    """The ledger's values in table order, head terms then _TAIL_TERMS, and the
-    received power, dBm, which is their builtin sum and nothing else; its mW
-    value must be a positive finite float."""
-    values = (*head_db, 20.0 * math.log10(acc) if acc > 0 else -math.inf, lpe_db, hw_db)
-    total = sum(values)
-    if not _MW_FLOAT_RANGE_DBM[0] <= total <= _MW_FLOAT_RANGE_DBM[1]:
-        raise DomainError(f"received power leaves the float range ({total!r} dBm)")
-    return values, total
+def _hardware_items(scenario: LinkScenario) -> dict:
+    """The hardware loss items the ledger subtracts, dB: none unless included."""
+    return dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
 
 
-def _ledger(head: dict, hw_items: dict, acc: float, lpe_db: float) -> tuple[dict, float]:
-    """Every dB term in table order and the received power, dBm, their sum."""
-    values, total = _ledger_values(tuple(head.values()), -sum(hw_items.values()), acc, lpe_db)
-    return dict(zip((*head, *_TAIL_TERMS), values)), total
+def _ledger_totals(head_db: tuple, hw_db: float, accs: list, lpe_db: float) -> tuple[list, list]:
+    """Accumulation terms, dB, and received powers, dBm, of K ledgers that
+    share every term but the accumulation. A total is its ledger's values
+    in table order, head terms then _TAIL_TERMS, added left to right: written
+    out here, because builtin sum compensates float sums from Python 3.12.
+    The head is added once, and each mW value 10**(dBm/10) must be a
+    positive finite float; the first total that is not raises."""
+    head = 0.0
+    for value in head_db:
+        head += value
+    acc_db = [20.0 * math.log10(acc) if acc > 0 else -math.inf for acc in accs]
+    totals = [head + a + lpe_db + hw_db for a in acc_db]
+    lo, hi = _MW_FLOAT_RANGE_DBM
+    # a NaN total needs an infinite shared term, which leaves every total NaN
+    # or infinite; min and max start from the first, so one check sees them
+    if not (lo <= min(totals) and max(totals) <= hi):
+        bad = next(t for t in totals if not lo <= t <= hi)
+        raise DomainError(f"received power leaves the float range ({bad!r} dBm)")
+    return acc_db, totals
+
+
+def _single_pass_dbm(scenario: LinkScenario, rx: Point3, bits: np.ndarray) -> list[float]:
+    """The single-pass kernel: received power, dBm, at rx in place of the
+    scenario's receiver, under each of K stacked (K, M, N) bit grids in place
+    of its mask. The two-hop terms are the scenario's cached ones when rx is
+    its own; neither rx nor bits is checked here."""
+    head_db, hw_db = scenario._head_db, -sum(_hardware_items(scenario).values())
+    amp, path = scenario._two_hop_terms if rx is scenario.rx else scenario._two_hop_at(rx)
+    accs = _single_pass_sums(amp, path, bits, scenario.cell)
+    return _ledger_totals(head_db, hw_db, accs, 0.0)[1]
 
 
 def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarray:
     """Single-pass received power, dBm, under each of K stacked (K, M, N) bit
     grids in place of the scenario mask. received_power(..., "single_pass")
-    is the K = 1 case, so entry k equals it with mask k bit for bit."""
+    runs the same sum and ledger pass at K = 1, so entry k equals it with
+    mask k bit for bit."""
     bits = np.asarray(bits)
     shape, grid = bits.shape, (scenario.geom.m_count, scenario.geom.n_count)
     if not (len(shape) == 3 and shape[0] >= 1 and shape[1:] == grid):
         raise DomainError(f"bit stack shape {shape} is not (K >= 1, {grid[0]}, {grid[1]})")
     check_bits(bits)
-    head, hw_items = _scalar_terms(scenario)
-    head_db, hw_db = tuple(head.values()), -sum(hw_items.values())
-    accs = _single_pass_sums(*scenario._two_hop_terms, bits, scenario.cell)
-    return np.array([_ledger_values(head_db, hw_db, acc, 0.0)[1] for acc in accs])
+    return np.array(_single_pass_dbm(scenario, scenario.rx, bits))
 
 
 def received_power(scenario: LinkScenario, quantization: str = "analytic") -> LinkReport:
@@ -275,6 +304,7 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
       - "single_pass": the cell states the mask selects inside the sum, no
         separate loss factor; the one-mask case of single_pass_power_dbm.
       - "none": ideal continuous phasing, no loss.
+    Every mode adds its ledger in the one order _ledger_totals writes out.
     """
     if quantization not in _ACCOUNTING_MODES:
         raise ConfigError(
@@ -283,7 +313,8 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
     if quantization in ("mask", "single_pass") and scenario.mask is None:
         raise ConfigError(f"quantization mode {quantization!r} requires a scenario mask")
 
-    head, hw_items = _scalar_terms(scenario)
+    head_db, hw_items = scenario._head_db, _hardware_items(scenario)
+    hw_db = -sum(hw_items.values())
     amp, path = scenario._two_hop_terms
     lpe_db = 0.0
     if quantization == "single_pass":
@@ -295,7 +326,8 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         elif quantization == "mask":
             required = _cascade_mask(scenario.geom, path)
             lpe_db = phase_error_loss(required, scenario.mask, scenario.cell)
-    terms, received_dbm = _ledger(head, hw_items, acc, lpe_db)
+    (acc_db,), (received_dbm,) = _ledger_totals(head_db, hw_db, [acc], lpe_db)
+    terms = dict(zip((*_HEAD_TERMS, *_TAIL_TERMS), (*head_db, acc_db, lpe_db, hw_db)))
     return LinkReport(
         accumulation_linear=acc,
         phase_error_loss_db=lpe_db,

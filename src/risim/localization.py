@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Direction, Point3
-from .linkbudget import LinkScenario, single_pass_power_dbm
+from .geometry import Direction, Point3, check_node
+from .linkbudget import LinkScenario, _single_pass_dbm
 from .masks import Codebook
 from .patterns import _comment_header
 
@@ -64,22 +64,25 @@ def simulate_sweep(
 
     Each entry's RSSI is the single-pass received power (the entry's
     two-state phases inside the coherent sum), which is the only accounting
-    in which the applied mask discriminates entries. The two-hop terms are
-    computed once and all entries are scored in one batched row sum, the
-    same kernel received_power(..., "single_pass") runs for one mask, so
+    in which the applied mask discriminates entries. The user's point is
+    checked as a receiver and handed to the single-pass kernel without a
+    scenario copy: the two-hop terms are computed once, all entries are
+    scored in one batched row sum and their ledgers in one pass, the same
+    sum and pass received_power(..., "single_pass") runs for one mask, so
     every entry equals that direct recompute bit for bit. Deterministic for
     a fixed seed.
     """
     if codebook.geom != scenario.geom:
         raise DomainError("codebook geometry does not match the array geometry")
     rx = ue_point(true_ue, scenario)
-    rssi = single_pass_power_dbm(scenario.with_rx(rx), codebook.bits)
+    check_node("rx", rx)
+    rssi = np.array(_single_pass_dbm(scenario, rx, codebook.bits))
     if noise.kind == "gaussian_db" and noise.sigma_db > 0:
         rng = np.random.default_rng(seed)
         rssi = rssi + rng.normal(0.0, noise.sigma_db, len(rssi))
         if not np.isfinite(rssi).all():
             raise DomainError(f"noisy RSSI is not finite (sigma_db={noise.sigma_db:g})")
-    return SweepTrace(codebook.angles_deg(), rssi)
+    return SweepTrace(codebook.angles, rssi)
 
 
 def estimate_angle(trace: SweepTrace) -> float:
@@ -100,6 +103,7 @@ def rmse(estimates_deg, truths_deg) -> float:
 def write_sweep_csv(trace: SweepTrace, path, comments: dict | None = None) -> None:
     """CSV trace: `#`-prefixed context lines, then steer_deg,rssi_dbm rows."""
     header = _comment_header(comments) + "steer_deg,rssi_dbm\n"
-    rows = map("%.4f,%.9f\n".__mod__, zip(trace.steer_deg.tolist(), trace.rssi_dbm.tolist()))
+    fields = [0.0] * (2 * len(trace.steer_deg))
+    fields[::2], fields[1::2] = trace.steer_deg.tolist(), trace.rssi_dbm.tolist()
     with open(path, "w") as fh:
-        fh.write(header + "".join(rows))
+        fh.write(header + "%.4f,%.9f\n" * len(trace.steer_deg) % tuple(fields))

@@ -6,6 +6,15 @@ from risim import ArrayGeometry, load_config
 # the reference bench numbers quote this rounded wavelength
 LAMBDA_BENCH = 0.0545
 
+
+def left_to_right_sum(values) -> float:
+    """A dB ledger's total in its one order: each value added left to right,
+    as builtin sum did before Python 3.12 began compensating float sums."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
 # one line per acceptance criterion, echoed after the run regardless of capture
 ACCEPTANCE_LINES = []
 

@@ -266,6 +266,28 @@ def test_loss_items_sharing_an_override_name_rejected():
         )
 
 
+def test_override_table_is_built_once_per_ledger_and_its_errors_repeat():
+    from risim import config
+
+    config._override_paths.cache_clear()
+    for seed in ("3", "4", "5"):
+        assert parse_config(None, env={"RISIM_SWEEP_SEED": seed}).sweep.seed == int(seed)
+    info = config._override_paths.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # a file's ledger names its own item overrides, and only those
+    own = doc_with(link="{include_hardware_loss: true, hardware_loss_db: {connectors: 0.5}}")
+    env = {"RISIM_LINK_HARDWARE_LOSS_DB_CONNECTORS": "0.25"}
+    assert parse_config(own, env=env).link.hardware_loss_db == {"connectors": 0.25}
+    clash = doc_with(link="{hardware_loss_db: {cables: 1.0, CABLES: 2.0}}")
+    cables = {"RISIM_LINK_HARDWARE_LOSS_DB_CABLES": "1"}
+    for _ in range(2):  # an exception is never cached: every resolution raises
+        with pytest.raises(ConfigError, match="share the override name"):
+            parse_config(clash, env={})
+        with pytest.raises(ConfigError, match=f"unknown environment override {next(iter(cables))}"):
+            parse_config(own, env=cables)
+    assert parse_config(None, env=cables).link.hardware_loss_db["cables"] == 1.0
+
+
 @pytest.mark.parametrize(
     "section, key, text, value",
     [

@@ -164,3 +164,18 @@ def test_writers_share_one_header(tmp_path, writer):
     assert path.read_text().startswith(header)
     if writer == "frame":
         assert read_frame(path) == FRAME
+
+
+@pytest.mark.parametrize(
+    "steer, rssi",
+    [
+        ([30.0], [-44.123456789]),
+        ([0.0, 1.25, 59.99995], [-0.0, -1e-10, -123.4567890125]),
+        ([1.0, 2.0], [math.inf, math.nan]),
+    ],
+)
+def test_sweep_csv_body_equals_per_row_percent(tmp_path, steer, rssi):
+    path = tmp_path / "trace.csv"
+    write_sweep_csv(SweepTrace(np.array(steer), np.array(rssi)), path, {"truth_deg": 30.0})
+    rows = "".join("%.4f,%.9f\n" % row for row in zip(steer, rssi))
+    assert path.read_text() == "# truth_deg = 30.0\nsteer_deg,rssi_dbm\n" + rows

@@ -27,6 +27,8 @@ from risim import (
 )
 from risim.linkbudget import f_combine_grid, required_cascade_mask, single_pass_power_dbm
 
+from conftest import left_to_right_sum
+
 
 @pytest.fixture(scope="module")
 def bench(cfg):
@@ -171,7 +173,7 @@ def test_received_power_terms_sum_to_total(bench):
     sc = bench.with_mask(quantize_1bit(required_cascade_mask(bench)))
     for mode in ("analytic", "mask", "single_pass", "none"):
         report = received_power(sc, mode)
-        assert report.received_power_dbm == sum(report.terms_db.values())
+        assert report.received_power_dbm == left_to_right_sum(report.terms_db.values())
 
 
 def test_received_power_tx_power_linearity(bench):

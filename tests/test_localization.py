@@ -11,6 +11,7 @@ from risim import (
     CodingMask,
     Direction,
     DomainError,
+    LinkScenario,
     NoiseModel,
     Point3,
     SweepTrace,
@@ -67,6 +68,38 @@ def test_codebook_and_sweep_build_no_per_entry_objects(cfg, monkeypatch):
     # the per-entry view still builds on demand, so the counter does count
     assert len(codebook.entries) == 41
     assert sorted(set(built)) == ["CodebookEntry", "CodingMask"] and len(built) == 82
+
+
+def test_sweep_truths_build_no_link_scenario(cfg, monkeypatch):
+    built = []
+    init = LinkScenario.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkScenario, "__init__", counting)
+    codebook = cfg.steering_codebook()
+    for truth in (30.0, 45.0):
+        simulate_sweep(codebook, Direction(truth), cfg.link)
+    assert built == []
+    # placing the user by a scenario copy does build one, so the counter counts
+    cfg.link.with_rx(ue_point(Direction(30.0), cfg.link))
+    assert built == ["LinkScenario"]
+
+
+def test_sweep_user_on_the_surface_raises_the_receiver_check(cfg):
+    # z = 1e-160 squares to a subnormal, but the user 89.99 deg off axis sits
+    # at z ~ 1.7e-164, whose square underflows to 0
+    c = cfg.geometry.center()
+    scenario = replace(cfg.link, rx=Point3(c.x, c.y, 1e-160))
+    text = "rx must sit off the surface (z > 0 and z*z > 0), got z=1.7453292431338716e-164"
+    with pytest.raises(DomainError) as swept:
+        simulate_sweep(cfg.steering_codebook(), Direction(89.99), scenario)
+    assert str(swept.value) == text
+    with pytest.raises(DomainError) as moved:
+        scenario.with_rx(ue_point(Direction(89.99), scenario))
+    assert str(moved.value) == text
 
 
 @pytest.mark.parametrize("truth", [0.0, 15.0, 30.0, 45.0, 60.0])

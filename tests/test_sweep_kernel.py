@@ -29,9 +29,15 @@ from risim import (
     ue_point,
     unit_cell_gain,
 )
-from risim.linkbudget import _single_pass_sums, f_combine_grid
+from risim.linkbudget import (
+    L_PE_1BIT_DB,
+    _MW_FLOAT_RANGE_DBM,
+    _ledger_totals,
+    _single_pass_sums,
+    f_combine_grid,
+)
 
-from conftest import LAMBDA_BENCH
+from conftest import LAMBDA_BENCH, left_to_right_sum
 
 
 def rx_at(scenario, theta_deg, range_m):
@@ -42,8 +48,8 @@ def rx_at(scenario, theta_deg, range_m):
 
 def oracle_single_pass(scenario):
     """Per-mask single-pass accumulation, as computed one scenario at a time
-    before the batched kernel, and its dBm as the sum of the dB ledger terms
-    in table order."""
+    before the batched kernel, and its dBm as the dB ledger terms added left
+    to right in table order."""
     geom = scenario.geom
     k0 = 2 * np.pi / scenario.wavelength
     r_t = distance_grid(geom, scenario.feed.position)
@@ -64,7 +70,7 @@ def oracle_single_pass(scenario):
         0.0,
         -sum(hw_items.values()),
     ]
-    return acc, sum(terms_db)
+    return acc, left_to_right_sum(terms_db)
 
 
 def oracle_stack_sums(amp, path, bits):
@@ -110,17 +116,33 @@ CELLS = st.builds(
     range_m=st.floats(min_value=0.5, max_value=20.0),
     hardware=st.booleans(),
     cell=CELLS,
+    span=st.just((0.0, 60.0)),
+    q_r=st.floats(min_value=0.0, max_value=12.0),
 )
-@example(step=1.5, truth=30.0, range_m=5.0, hardware=True, cell=UnitCellReflection())
-@example(step=1.5, truth=30.0, range_m=5.0, hardware=False, cell=UnitCellReflection.measured())
-def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m, hardware, cell):
-    codebook = build_codebook(
-        cfg.geometry, cfg.feed.position, cfg.wavelength, 0.0, 60.0, step
-    )
+@example(
+    step=1.5, truth=30.0, range_m=5.0, hardware=True, cell=UnitCellReflection(),
+    span=(0.0, 60.0), q_r=7.0,
+)
+@example(
+    step=1.5, truth=30.0, range_m=5.0, hardware=False, cell=UnitCellReflection.measured(),
+    span=(0.0, 60.0), q_r=7.0,
+)
+# one entry: start == stop
+@example(
+    step=1.5, truth=30.0, range_m=5.0, hardware=True, cell=UnitCellReflection(),
+    span=(30.0, 30.0), q_r=7.0,
+)
+# receive-horn and element exponents off their defaults of 7 and 0.5
+@example(
+    step=1.5, truth=42.0, range_m=3.0, hardware=False, cell=UnitCellReflection(q_e=1.75),
+    span=(0.0, 60.0), q_r=2.5,
+)
+def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m, hardware, cell, span, q_r):
+    codebook = build_codebook(cfg.geometry, cfg.feed.position, cfg.wavelength, *span, step)
     # the user sits toward truth at the scenario's rx range, here range_m
     scenario = replace(
         cfg.link, rx=rx_at(cfg.link, truth, range_m),
-        include_hardware_loss=hardware, hardware_loss_db=LEDGER_3, cell=cell,
+        include_hardware_loss=hardware, hardware_loss_db=LEDGER_3, cell=cell, q_r=q_r,
     )
     rx = ue_point(Direction(truth), scenario)
     trace = simulate_sweep(codebook, Direction(truth), scenario)
@@ -129,6 +151,89 @@ def test_sweep_rssi_equals_direct_single_pass(cfg, step, truth, range_m, hardwar
         for e in codebook.entries
     ]
     assert trace.rssi_dbm.tolist() == direct
+
+
+def test_sweep_rssi_takes_libm_abs_and_log10_per_entry(cfg):
+    # numpy's array abs and log10 may take SIMD paths that differ from libm
+    # in the last bit; the sweep must not, or its argmax RSSI would no longer
+    # equal a one-mask recompute (criterion 08)
+    codebook = cfg.steering_codebook()
+    mag, phase = cfg.link.cell.states()
+    values = list(received_power(cfg.link, "none").terms_db.values())
+    head, hw_db = values[:5], values[-1]
+    for truth in np.arange(0.0, 61.0, 2.5).tolist():
+        rx = ue_point(Direction(truth), cfg.link)
+        amp, path = cfg.link.with_rx(rx)._two_hop_terms
+        table = (amp.reshape(-1) * mag[:, None]) * np.exp(1j * (phase[:, None] - path.reshape(-1)))
+        sums = np.where(codebook.bits.reshape(len(codebook), -1), table[1], table[0]).sum(axis=1)
+        expected = [
+            left_to_right_sum((*head, 20.0 * math.log10(abs(s)), 0.0, hw_db)) for s in sums.tolist()
+        ]
+        trace = simulate_sweep(codebook, Direction(truth), cfg.link)
+        assert trace.rssi_dbm.tolist() == expected
+
+
+def oracle_ledger(head_db, hw_db, acc, lpe_db):
+    """One ledger as computed per entry before the one-pass kernel: its
+    values in table order added left to right, and a range check."""
+    acc_db = 20.0 * math.log10(acc) if acc > 0 else -math.inf
+    total = left_to_right_sum((*head_db, acc_db, lpe_db, hw_db))
+    if not _MW_FLOAT_RANGE_DBM[0] <= total <= _MW_FLOAT_RANGE_DBM[1]:
+        raise DomainError(f"received power leaves the float range ({total!r} dBm)")
+    return acc_db, total
+
+
+# mostly bench-sized terms, and some wide enough that head sums overflow and
+# infinite terms meet, giving NaN totals
+DB_VALUES = st.one_of(st.floats(min_value=-200.0, max_value=200.0), st.floats(allow_nan=False))
+ACCUMULATIONS = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.floats(min_value=0.0, allow_nan=False),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    head_db=st.tuples(*[DB_VALUES] * 5),
+    hw_db=DB_VALUES,
+    lpe_db=st.one_of(st.floats(max_value=0.0, allow_nan=False), st.just(-math.inf)),
+    accs=st.lists(ACCUMULATIONS, min_size=1, max_size=8),
+)
+@example(head_db=(1e308, 1e308, 0.0, 0.0, 0.0), hw_db=-math.inf, lpe_db=0.0, accs=[1.0, 2.0])
+@example(head_db=(0.0,) * 5, hw_db=-math.inf, lpe_db=0.0, accs=[1.0, math.inf])
+@example(head_db=(0.0,) * 5, hw_db=0.0, lpe_db=0.0, accs=[1.0, 0.0, math.nan, 1e-300])
+# only the middle total leaves the range
+@example(head_db=(0.0,) * 5, hw_db=0.0, lpe_db=0.0, accs=[1.0, 1e-200, 1.0])
+# bench-like terms whose totals depend on the order of the tail additions
+@example(
+    head_db=(-7.87, 12.0, 12.0, 0.6932, -77.0301), hw_db=-9.87, lpe_db=L_PE_1BIT_DB,
+    accs=[74.19, 100.0],
+)
+def test_ledger_pass_equals_per_entry_ledgers(head_db, hw_db, lpe_db, accs):
+    try:
+        expected = [oracle_ledger(head_db, hw_db, acc, lpe_db) for acc in accs]
+    except DomainError as exc:
+        with pytest.raises(DomainError) as raised:
+            _ledger_totals(head_db, hw_db, accs, lpe_db)
+        assert str(raised.value) == str(exc)
+        return
+    acc_db, totals = _ledger_totals(head_db, hw_db, accs, lpe_db)
+    assert [v.hex() for v in acc_db] == [a.hex() for a, _ in expected]
+    assert [v.hex() for v in totals] == [t.hex() for _, t in expected]
+
+
+def test_row_sum_modulus_past_the_float_range_reads_inf():
+    # finite real and imaginary parts of 1.5e308 have a modulus past the
+    # float range: Python's complex abs raises there, numpy's scalar abs and
+    # the kernel read inf, and the ledger names it
+    amp = np.zeros((1, 2))
+    amp[0] = 1.5e308
+    path = np.array([[0.0, -math.pi / 2]])
+    (acc,) = _single_pass_sums(amp, path, np.zeros((1, 1, 2), dtype=bool), UnitCellReflection())
+    assert acc == math.inf
+    with pytest.raises(DomainError, match=r"received power leaves the float range \(inf dBm\)"):
+        _ledger_totals((0.0,) * 5, 0, [acc], 0.0)
 
 
 def test_sweep_and_direct_raise_the_same_domain_error(cfg):
@@ -203,7 +308,7 @@ def test_single_pass_equals_oracle(cfg, seed, theta, range_m, hardware, shape):
     acc, dbm = oracle_single_pass(scenario)
     assert report.accumulation_linear == acc
     assert report.received_power_dbm == dbm
-    assert report.received_power_dbm == sum(report.terms_db.values())
+    assert report.received_power_dbm == left_to_right_sum(report.terms_db.values())
 
 
 SHAPES = st.one_of(
