@@ -10,8 +10,6 @@ error, 3 domain error.
 from __future__ import annotations
 
 import functools
-import json
-import math
 import sys
 from dataclasses import asdict, replace
 
@@ -23,6 +21,7 @@ from .geometry import Direction
 from .hardware import serialize_mask, write_frame
 from .localization import estimate_angle, rmse, simulate_sweep, write_sweep_csv
 from .masks import farfield_steering_mask, nearfield_steering_mask
+from .output import write_json
 from .patterns import (
     array_factor_far,
     default_theta_grid,
@@ -98,12 +97,8 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
             "frequency_hz": cfg.frequency_hz,
         },
     )
-    # strict JSON: metrics a degenerate or delta-like cut leaves undefined are null
-    doc = {"mode": mode, "steer_deg": steer, **asdict(metrics)}
-    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in doc.items()}
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    # metrics a degenerate or delta-like cut leaves undefined are written as null
+    write_json({"mode": mode, "steer_deg": steer, **asdict(metrics)}, json_path)
     click.echo(
         f"{mode} cut steered to {steer:g} deg: main lobe {metrics.main_lobe_deg:g} deg, "
         f"mirror {metrics.mirror_lobe_db:.2f} dB, SLL {metrics.sidelobe_level_db:.2f} dB "
@@ -173,9 +168,7 @@ def cmd_localize(config_path, truths, seed, out) -> None:
         "noise": {"kind": noise.kind, "sigma_db": noise.sigma_db},
         "seed": sweep.seed,
     }
-    with open(f"{out}.summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(summary, f"{out}.summary.json")
     for truth, est, err in zip(truth_values, estimates, errors):
         click.echo(f"truth {truth:6.2f} deg -> estimate {est:6.2f} deg (error {err:+.2f})")
     click.echo(f"rmse {summary['rmse_deg']:.3f} deg -> {out}.summary.json")
@@ -189,9 +182,7 @@ def cmd_linkbudget(config_path, out) -> None:
     """Received-power accounting for the configured scenario."""
     cfg = load_config(config_path)
     report = received_power(cfg.link)
-    with open(out, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    write_json(report.to_dict(), out)
     click.echo(report.table())
     click.echo(f"-> {out}")
 

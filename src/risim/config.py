@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -134,7 +135,7 @@ def _plain(value):
     """A domain value in its schema type: a Point3 as a list, a ledger as a dict."""
     if isinstance(value, Point3):
         return [value.x, value.y, value.z]
-    return dict(value) if isinstance(value, dict) else value
+    return dict(value) if isinstance(value, Mapping) else value
 
 
 def _copy(doc: dict) -> dict:

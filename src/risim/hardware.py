@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import ArrayGeometry
 from .masks import CodingMask
-from .patterns import _comment_header
+from .output import read_payload, write_text
 
 # the fabricated board: 16 columns along x, 10 rows along y, 16 mm pitch
 BOARD_GEOMETRY = ArrayGeometry(16, 10, 0.016)
@@ -68,15 +68,12 @@ def deserialize_frame(frame: RegisterFrame) -> CodingMask:
 
 def write_frame(frame: RegisterFrame, path, comments: dict | None = None) -> None:
     """Frame file: optional `#` comment lines, then 40 uppercase hex chars."""
-    header = _comment_header(comments)
-    with open(path, "w") as fh:
-        fh.write(header + frame.to_hex() + "\n")
+    write_text(frame.to_hex() + "\n", path, comments)
 
 
 def read_frame(path) -> RegisterFrame:
     """Parse a frame file written by write_frame."""
-    with open(path) as fh:
-        payload = [line.strip() for line in fh if line.strip() and not line.lstrip().startswith("#")]
+    payload = read_payload(path)
     if len(payload) != 1 or len(payload[0]) != 2 * FRAME_OCTETS:
         raise DomainError(f"frame file must hold one line of {2 * FRAME_OCTETS} hex characters")
     try:

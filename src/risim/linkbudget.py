@@ -9,7 +9,6 @@ quantization phase-error loss.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -21,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, check_node, feed_hop, node_hop
-from .masks import CodingMask, PhaseMask, _wrap_deg_inplace, check_bits
+from .masks import CodingMask, PhaseMask, _wrap_deg_inplace
+from .output import to_json
 from .patterns import FeedSpec, UnitCellReflection, check_exponent, feed_taper
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
@@ -65,7 +65,7 @@ class LinkScenario:
         if not isinstance(self.feed, FeedSpec):
             raise DomainError(f"feed must be a FeedSpec, got {type(self.feed).__name__}")
         check_node("rx", self.rx)
-        object.__setattr__(self, "hardware_loss_db", dict(self.hardware_loss_db))
+        object.__setattr__(self, "hardware_loss_db", MappingProxyType(dict(self.hardware_loss_db)))
         powers = (self.tx_power_dbm, self.gain_tx_dbi, self.gain_rx_dbi, self.noise_floor_dbm)
         if not all(map(math.isfinite, (*powers, *self.hardware_loss_db.values()))):
             raise DomainError("powers, gains and hardware loss items must be finite")
@@ -132,10 +132,12 @@ class LinkReport:
     terms_db: dict
     hardware_loss_items_db: dict
 
+    def to_dict(self) -> dict:
+        """The JSON document: the accounting mode, then the fields in declaration order."""
+        return {"quantization": self.quantization, **asdict(self)}
+
     def to_json(self) -> str:
-        # the accounting mode leads; the fields follow in declaration order
-        doc = {"quantization": self.quantization, **asdict(self)}
-        return json.dumps(doc, indent=2, allow_nan=False)
+        return to_json(self.to_dict())
 
     def table(self) -> str:
         """Aligned breakdown, one line per dB term."""
@@ -278,19 +280,6 @@ def _single_pass_dbm(scenario: LinkScenario, rx: Point3, bits: np.ndarray) -> li
     return _ledger_totals(head_db, hw_db, accs, 0.0)[1]
 
 
-def single_pass_power_dbm(scenario: LinkScenario, bits: np.ndarray) -> np.ndarray:
-    """Single-pass received power, dBm, under each of K stacked (K, M, N) bit
-    grids in place of the scenario mask. received_power(..., "single_pass")
-    runs the same sum and ledger pass at K = 1, so entry k equals it with
-    mask k bit for bit."""
-    bits = np.asarray(bits)
-    shape, grid = bits.shape, (scenario.geom.m_count, scenario.geom.n_count)
-    if not (len(shape) == 3 and shape[0] >= 1 and shape[1:] == grid):
-        raise DomainError(f"bit stack shape {shape} is not (K >= 1, {grid[0]}, {grid[1]})")
-    check_bits(bits)
-    return np.array(_single_pass_dbm(scenario, scenario.rx, bits))
-
-
 def received_power(scenario: LinkScenario, quantization: str = "analytic") -> LinkReport:
     """Received carrier power and its full dB accounting.
 
@@ -302,7 +291,7 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         scenario mask on the scenario cell against the exact
         cascade-cancelling phase.
       - "single_pass": the cell states the mask selects inside the sum, no
-        separate loss factor; the one-mask case of single_pass_power_dbm.
+        separate loss factor; the one-mask case of the codebook sweep.
       - "none": ideal continuous phasing, no loss.
     Every mode adds its ledger in the one order _ledger_totals writes out.
     """

@@ -12,7 +12,7 @@ from .errors import DomainError
 from .geometry import Direction, Point3, check_node
 from .linkbudget import LinkScenario, _single_pass_dbm
 from .masks import Codebook
-from .patterns import _comment_header
+from .output import write_text
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,17 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class SweepTrace:
-    """Per-codebook-entry RSSI, in codebook order."""
+    """Per-codebook-entry RSSI, in codebook order, stored as 1-D float arrays."""
 
     steer_deg: np.ndarray
     rssi_dbm: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.steer_deg) != len(self.rssi_dbm) or len(self.steer_deg) == 0:
-            raise DomainError("trace angle and RSSI sequences must be nonempty and equal length")
+        steer, rssi = np.asarray(self.steer_deg, dtype=float), np.asarray(self.rssi_dbm, dtype=float)
+        if steer.ndim != 1 or steer.shape != rssi.shape or steer.size == 0:
+            raise DomainError("trace angle and RSSI sequences must be nonempty, 1-D and equal length")
+        object.__setattr__(self, "steer_deg", steer)
+        object.__setattr__(self, "rssi_dbm", rssi)
 
 
 def ue_point(true_ue: Direction, scenario: LinkScenario) -> Point3:
@@ -101,9 +104,8 @@ def rmse(estimates_deg, truths_deg) -> float:
 
 
 def write_sweep_csv(trace: SweepTrace, path, comments: dict | None = None) -> None:
-    """CSV trace: `#`-prefixed context lines, then steer_deg,rssi_dbm rows."""
-    header = _comment_header(comments) + "steer_deg,rssi_dbm\n"
+    """CSV trace: `#`-prefixed context lines, then "%.4f,%.9f" steer_deg,rssi_dbm rows."""
     fields = [0.0] * (2 * len(trace.steer_deg))
     fields[::2], fields[1::2] = trace.steer_deg.tolist(), trace.rssi_dbm.tolist()
-    with open(path, "w") as fh:
-        fh.write(header + "%.4f,%.9f\n" * len(trace.steer_deg) % tuple(fields))
+    body = "%.4f,%.9f\n" * len(trace.steer_deg) % tuple(fields)
+    write_text("steer_deg,rssi_dbm\n" + body, path, comments)

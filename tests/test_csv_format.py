@@ -30,8 +30,8 @@ from risim import (
     write_pattern_csv,
     write_sweep_csv,
 )
-from risim import patterns
-from risim.patterns import _exp_fields, _fixed_fields
+from risim import output, patterns
+from risim.output import _exp_fields, _fixed_fields
 
 SPECS = [(4, "f"), (6, "f"), (9, "e")]
 
@@ -118,8 +118,8 @@ def test_default_cuts_rarely_fall_back_to_percent(cfg, monkeypatch, tmp_path):
         left_out.append(int(np.count_nonzero(~ok)))
         return fallback(fields, x, ok, spec)
 
-    fallback = patterns._with_fallback
-    monkeypatch.setattr(patterns, "_with_fallback", counting)
+    fallback = output._with_fallback
+    monkeypatch.setattr(output, "_with_fallback", counting)
     geom, cell, grid, steer = cfg.geometry, cfg.cell, default_theta_grid(), Direction(30.0)
     far = farfield_steering_mask(geom, steer, cfg.wavelength)
     near = nearfield_steering_mask(geom, cfg.feed.position, steer, cfg.wavelength)

@@ -7,8 +7,10 @@ import pytest
 
 from risim import (
     ArrayGeometry,
+    Codebook,
     CodingMask,
     ConfigError,
+    Direction,
     DomainError,
     FeedSpec,
     L_PE_1BIT_DB,
@@ -22,10 +24,11 @@ from risim import (
     phase_error_loss,
     quantize_1bit,
     received_power,
+    simulate_sweep,
     snr_ceiling,
     unit_cell_gain,
 )
-from risim.linkbudget import f_combine_grid, required_cascade_mask, single_pass_power_dbm
+from risim.linkbudget import f_combine_grid, required_cascade_mask
 
 from conftest import left_to_right_sum
 
@@ -308,6 +311,16 @@ def test_hardware_loss_ledger(bench):
     assert report.received_power_dbm == pytest.approx(-53.7, abs=3.1)
 
 
+def test_hardware_ledger_is_read_only(bench):
+    lossy = replace(bench, include_hardware_loss=True)
+    before = received_power(lossy)
+    with pytest.raises(TypeError):
+        lossy.hardware_loss_db["cables"] = 1e9
+    assert received_power(lossy) == before
+    assert lossy.hardware_loss_db == {"dielectric_and_diode": 3.0, "cables": 6.87}
+    assert type(before.hardware_loss_items_db) is dict
+
+
 def test_report_json_and_table(bench):
     report = received_power(bench)
     doc = json.loads(report.to_json())
@@ -368,17 +381,17 @@ def test_mask_on_another_geometry_is_a_domain_error(bench, geom, quantization):
 @pytest.mark.parametrize("value", [2, -0.5, math.nan])
 def test_single_pass_power_rejects_a_bit_stack_that_is_not_0_or_1(bench, value):
     with pytest.raises(DomainError, match="bit grid entries must be 0 or 1"):
-        single_pass_power_dbm(bench, np.full((1, 16, 10), value))
+        codebook = Codebook(bench.geom, [0.0], np.full((1, 16, 10), value))
+        simulate_sweep(codebook, Direction(30.0), bench)
 
 
 def test_single_pass_power_reads_0_1_numbers_like_bools(bench, rng):
     bits = rng.integers(0, 2, (3, 16, 10))
-    expected = single_pass_power_dbm(bench, bits.astype(bool)).tolist()
-    assert single_pass_power_dbm(bench, bits).tolist() == expected
-    assert single_pass_power_dbm(bench, bits.astype(float)).tolist() == expected
 
+    def sweep(stack):
+        codebook = Codebook(bench.geom, [0.0, 1.5, 3.0], stack)
+        return simulate_sweep(codebook, Direction(30.0), bench).rssi_dbm.tolist()
 
-@pytest.mark.parametrize("shape", [(2, 10, 16), (0, 16, 10), (16, 10), (1, 1, 16, 10)])
-def test_single_pass_power_requires_a_bit_stack_on_the_scenario_grid(bench, shape):
-    with pytest.raises(DomainError, match=r"bit stack shape .* is not \(K >= 1, 16, 10\)"):
-        single_pass_power_dbm(bench, np.zeros(shape, dtype=bool))
+    expected = sweep(bits.astype(bool))
+    assert sweep(bits) == expected
+    assert sweep(bits.astype(float)) == expected

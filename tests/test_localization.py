@@ -282,6 +282,9 @@ def test_sweep_csv_format(tmp_path, codebook, bench):
     trace = sweep_at(codebook, bench, 30.0)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(trace, path, {"truth_deg": 30.0, "noise": "none"})
+    listed = SweepTrace(trace.steer_deg.tolist(), trace.rssi_dbm.tolist())
+    write_sweep_csv(listed, tmp_path / "listed.csv", {"truth_deg": 30.0, "noise": "none"})
+    assert (tmp_path / "listed.csv").read_bytes() == path.read_bytes()
     lines = path.read_text().splitlines()
     assert lines[0] == "# truth_deg = 30.0"
     assert lines[2] == "steer_deg,rssi_dbm"

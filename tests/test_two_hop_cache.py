@@ -34,7 +34,7 @@ from risim import (
     received_power,
 )
 from risim.geometry import feed_hop, node_hop
-from risim.linkbudget import f_combine_grid, required_cascade_mask, single_pass_power_dbm
+from risim.linkbudget import f_combine_grid, required_cascade_mask
 from risim.patterns import feed_taper
 
 MODES = ("analytic", "mask", "single_pass", "none")
@@ -121,9 +121,7 @@ def test_every_mode_equals_a_fresh_scenario_and_the_uncached_formula(
     assert np.array_equal(sc._two_hop_terms[1], path)
     assert fresh["none"].accumulation_linear == float(amp.sum())
     assert geometric_accumulation(sc) == float(amp.sum())
-    assert single_pass_power_dbm(sc, mask.bits[None]).tolist() == [
-        fresh["single_pass"].received_power_dbm
-    ]
+    assert received_power(sc, "single_pass") == fresh["single_pass"]
     r_t, r_r = distance_grid(geom, feed), distance_grid(geom, rx)
     assert np.array_equal(np.sqrt(f_combine_grid(sc)) / (r_t * r_r), sc._two_hop_terms[0])
 
