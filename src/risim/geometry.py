@@ -36,6 +36,21 @@ def wavelength_from_frequency(frequency_hz: float) -> float:
     return SPEED_OF_LIGHT / frequency_hz
 
 
+def wavenumber(wavelength: float) -> float:
+    """Free-space wavenumber 2 pi / wavelength, radians per meter."""
+    if not (wavelength > 0):
+        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    return 2 * np.pi / wavelength
+
+
+def azimuth_trig(phi_deg: float) -> tuple[float, float]:
+    """(cos, sin) of a finite azimuth in degrees: exact at multiples of 90, math's elsewhere."""
+    quarter, rest = divmod(math.fmod(phi_deg, 360.0), 90.0)  # fmod is exact at any size
+    if rest == 0.0:  # a zero takes its partner's sign, so phi + 180 negates phi's pair
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, -1.0))[int(quarter) % 4]
+    return math.cos(math.radians(phi_deg)), math.sin(math.radians(phi_deg))
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Rectangular lattice of unit cells.
@@ -101,10 +116,8 @@ class Direction:
     def unit_vector(self) -> np.ndarray:
         """Cartesian unit vector (pointing away from the surface, z >= 0)."""
         th = math.radians(self.theta_deg)
-        ph = math.radians(self.phi_deg)
-        return np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
+        cos_ph, sin_ph = azimuth_trig(self.phi_deg)
+        return np.array([math.sin(th) * cos_ph, math.sin(th) * sin_ph, math.cos(th)])
 
 
 @dataclass(frozen=True)
@@ -139,23 +152,22 @@ def projection_grid(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     return projection_stack(geom, [(direction.theta_deg, direction.phi_deg)])[0]
 
 
-def projection_stack(geom: ArrayGeometry, steers) -> np.ndarray:
-    """Projection of every element position onto each of K (theta, phi)
-    pairs in degrees, shape (K, m_count, n_count), meters.
-
-    For element (m, n) this is p*sin(theta)*((m-1)*cos(phi) + (n-1)*sin(phi)),
-    the in-plane path-length term of a plane wave travelling along the
-    direction. Scalar trig; the in-plane sum once per distinct phi (a codebook
-    has one), times each pair's sin(theta): row k is bitwise pair k.
-    """
+def in_plane_grid(geom: ArrayGeometry, phi_deg: float) -> np.ndarray:
+    """Each element's coordinate along the azimuth phi in degrees, shape
+    (m_count, n_count), meters: (m-1)*p*cos(phi) + (n-1)*p*sin(phi) for element (m, n)."""
     X, Y = element_grid(geom)
-    planes = {}  # 0.0 and -0.0 share a grid: X + Y * +-0.0 rounds alike
-    for _, ph in steers:
-        if ph not in planes:  # a column and a row broadcast to the lattices' products
-            r = math.radians(ph)
-            planes[ph] = X[:, :1] * math.cos(r) + Y[:1, :] * math.sin(r)
+    cos_ph, sin_ph = azimuth_trig(phi_deg)
+    return X[:, :1] * cos_ph + Y[:1, :] * sin_ph  # a column and a row broadcast to (M, N)
+
+
+def projection_stack(geom: ArrayGeometry, steers) -> np.ndarray:
+    """Projection of every element position onto each of K (theta, phi) pairs in
+    degrees, sin(theta) * in_plane_grid(phi), shape (K, m_count, n_count), meters:
+    the in-plane path-length term of a plane wave travelling along the direction.
+    The grid is built once per distinct phi (a codebook has one); row k is bitwise pair k."""
+    planes = {ph: in_plane_grid(geom, ph) for ph in dict.fromkeys(ph for _, ph in steers)}
     sin_th = np.array([math.sin(math.radians(th)) for th, _ in steers])[:, None, None]
-    return sin_th * (planes[ph] if len(planes) == 1 else np.array([planes[ph] for _, ph in steers]))
+    return sin_th * (planes[steers[0][1]] if len(planes) == 1 else np.array([planes[ph] for _, ph in steers]))
 
 
 def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:

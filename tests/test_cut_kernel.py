@@ -46,10 +46,19 @@ GRID = default_theta_grid()
 CELL = UnitCellReflection.measured()
 
 
+# cos and sin on the four axis planes, exact as the kernel's are; a zero takes
+# the sign of its partner
+AXIS_TRIG = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, -0.0), 270.0: (-0.0, -1.0)}
+
+
 def in_plane_coordinates(geom, phi_plane_deg):
-    ph = math.radians(phi_plane_deg)
+    if phi_plane_deg in AXIS_TRIG:
+        cos_ph, sin_ph = AXIS_TRIG[phi_plane_deg]
+    else:
+        ph = math.radians(phi_plane_deg)
+        cos_ph, sin_ph = math.cos(ph), math.sin(ph)
     X, Y = element_grid(geom)
-    return (X * math.cos(ph) + Y * math.sin(ph)).ravel()
+    return (X * cos_ph + Y * sin_ph).ravel()
 
 
 def oracle_cut_field(geom, phi_plane_deg, theta, wavelength, base):
@@ -109,7 +118,7 @@ def old_sweep_csv(trace, comments):
     return ("\n".join(lines) + "\n").encode()
 
 
-phis = st.one_of(st.sampled_from([0.0, 90.0]), st.floats(min_value=0.0, max_value=359.9))
+phis = st.one_of(st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(min_value=0.0, max_value=359.9))
 
 
 @st.composite
@@ -300,9 +309,12 @@ def test_kernels_key_the_table_on_the_checked_grid_bytes(board, cfg, monkeypatch
     assert len(keys) == 2 and all(key is entry.key for key in keys)
 
 
-@pytest.mark.parametrize("phi, width", [(0.0, 16), (37.0, 160)])
+@pytest.mark.parametrize(
+    "phi, width", [(0.0, 16), (37.0, 160), (90.0, 10), (180.0, 16), (270.0, 10)]
+)
 def test_observation_table_has_one_column_per_distinct_in_plane_coordinate(board, cfg, phi, width):
-    # on the board's phi = 0 plane the 10 elements of each column share w;
+    # on the board's phi = 0 and 180 planes the 10 elements of each row of
+    # the lattice share w, on the 90 and 270 planes the 16 of each column;
     # at 37 degrees no two elements do
     table, inv = _observation_table(board, phi, cfg.wavelength, GRID.tobytes())
     assert table.shape == (GRID.size, width)
@@ -311,6 +323,24 @@ def test_observation_table_has_one_column_per_distinct_in_plane_coordinate(board
     assert set(inv.tolist()) == set(range(width))
     w = in_plane_coordinates(board, phi)
     assert np.array_equal(np.unique(w)[inv], w)
+
+
+@pytest.mark.parametrize("shape", [(16, 10), (7, 3), (5, 11)])
+def test_phi_90_cut_equals_the_transposed_boards_phi_0_cut(shape, cfg):
+    # swapping x and y maps the phi = 90 plane of an M x N board onto the
+    # phi = 0 plane of the N x M board: the same coordinates, groups summed
+    # in the same order, so the same bits
+    m, n = shape
+    geom, flipped = ArrayGeometry(m, n, 0.016), ArrayGeometry(n, m, 0.016)
+    bits = np.random.default_rng(m * n).integers(0, 2, shape, dtype=np.uint8)
+    mask, flipped_mask = CodingMask(geom, bits), CodingMask(flipped, bits.T)
+    cut = array_factor_far(geom, mask, CELL, Direction(25.0, 90.0), 90.0, GRID, LAMBDA_BENCH)
+    ref = array_factor_far(flipped, flipped_mask, CELL, Direction(25.0), 0.0, GRID, LAMBDA_BENCH)
+    assert same_bits(cut.field, ref.field) and same_bits(cut.gain_db, ref.gain_db)
+    feed, flipped_feed = FeedSpec(Point3(0.05, 0.02, 0.3)), FeedSpec(Point3(0.02, 0.05, 0.3))
+    cut = pattern_nearfield(geom, mask, CELL, feed, 0.5, 90.0, GRID, LAMBDA_BENCH)
+    ref = pattern_nearfield(flipped, flipped_mask, CELL, flipped_feed, 0.5, 0.0, GRID, LAMBDA_BENCH)
+    assert same_bits(cut.field, ref.field)
 
 
 @settings(max_examples=60, deadline=None)

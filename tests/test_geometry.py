@@ -6,16 +6,26 @@ from hypothesis import example, given, strategies as st
 
 from risim import (
     ArrayGeometry,
+    CodingMask,
     Direction,
     DomainError,
+    FeedSpec,
+    LinkScenario,
     Point3,
+    UnitCellReflection,
+    array_factor_far,
+    build_codebook,
+    default_theta_grid,
     distance_grid,
     element_grid,
+    nearfield_steering_mask,
+    pattern_nearfield,
     projection_grid,
+    snell_gradient,
     wavelength_from_frequency,
 )
 
-from risim.geometry import MAX_ELEMENTS, projection_stack
+from risim.geometry import MAX_ELEMENTS, azimuth_trig, in_plane_grid, projection_stack
 
 from conftest import LAMBDA_BENCH
 
@@ -214,3 +224,96 @@ def test_wavelength_from_frequency():
     assert lam == pytest.approx(LAMBDA_BENCH, abs=1e-4)
     with pytest.raises(DomainError):
         wavelength_from_frequency(0.0)
+
+
+def _hex(pair):
+    return [float(v).hex() for v in pair]
+
+
+@pytest.mark.parametrize(
+    "phi, expected",
+    [
+        (0.0, (1.0, 0.0)),
+        (-0.0, (1.0, 0.0)),
+        (90.0, (0.0, 1.0)),
+        (-90.0, (0.0, -1.0)),
+        (180.0, (-1.0, 0.0)),
+        (270.0, (0.0, -1.0)),
+        (360.0, (1.0, 0.0)),
+        (450.0, (0.0, 1.0)),
+        (360.0 * 2**60, (1.0, 0.0)),
+        (90.0 * (2**47 + 1), (0.0, 1.0)),
+    ],
+)
+def test_azimuth_trig_is_exact_on_the_axes(phi, expected):
+    assert azimuth_trig(phi) == expected
+
+
+def test_azimuth_trig_negates_on_the_opposite_axis():
+    # a zero takes its partner's sign, so phi + 180 is the bitwise negation
+    for phi in (0.0, 90.0, -90.0, 180.0, 270.0):
+        assert _hex(azimuth_trig(phi + 180.0)) == _hex(-v for v in azimuth_trig(phi))
+
+
+@given(phi=st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: math.fmod(x, 90.0) != 0.0))
+@example(phi=1e-300)
+@example(phi=90.0 + 2.0**-46)
+@example(phi=-5e-324)
+def test_azimuth_trig_off_the_axes_is_math_bit_for_bit(phi):
+    ph = math.radians(phi)
+    assert _hex(azimuth_trig(phi)) == _hex((math.cos(ph), math.sin(ph)))
+
+
+@given(
+    theta=st.floats(min_value=0.0, max_value=89.9),
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    pitch=st.floats(min_value=0.002, max_value=0.05),
+)
+@example(theta=30.0, shape=(16, 10), pitch=0.016)
+def test_phi_180_projection_is_the_bitwise_mirror_of_phi_0(theta, shape, pitch):
+    geom = ArrayGeometry(*shape, pitch)
+    for phi in (0.0, 90.0):
+        mirrored = projection_grid(geom, Direction(theta, phi + 180.0))
+        negated = -projection_grid(geom, Direction(theta, phi))
+        assert np.array_equal(mirrored.view(np.int64), negated.view(np.int64))
+
+
+def test_axis_planes_share_one_coordinate_per_row_or_column(board):
+    X, Y = element_grid(board)
+    assert np.array_equal(in_plane_grid(board, 0.0), X)
+    assert np.array_equal(in_plane_grid(board, 90.0), Y)
+    assert np.array_equal(in_plane_grid(board, 180.0), -X)
+    assert np.array_equal(in_plane_grid(board, 270.0), -Y)
+
+
+def _link(geom, wavelength):
+    return LinkScenario(geom, FeedSpec(Point3(0.12, 0.07, 0.3)), Point3(0.0, 0.0, 5.0), wavelength, 0.0, 0.0, 0.0)
+
+
+def _far_cut(geom, wavelength):
+    mask = CodingMask(geom, np.zeros((16, 10)))
+    return array_factor_far(geom, mask, UnitCellReflection(), Direction(0.0), 0.0, default_theta_grid(), wavelength)
+
+
+def _near_cut(geom, wavelength):
+    mask, feed = CodingMask(geom, np.zeros((16, 10))), FeedSpec(Point3(0.12, 0.07, 0.3))
+    return pattern_nearfield(geom, mask, UnitCellReflection(), feed, 0.5, 0.0, default_theta_grid(), wavelength)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda geom, lam: snell_gradient(geom, Direction(0.0), Direction(30.0), lam),
+        lambda geom, lam: nearfield_steering_mask(geom, Point3(0.12, 0.07, 0.3), Direction(30.0), lam),
+        lambda geom, lam: build_codebook(geom, Point3(0.12, 0.07, 0.3), lam, 0.0, 60.0, 1.0),
+        _far_cut,
+        _near_cut,
+        _link,
+    ],
+    ids=["snell_gradient", "nearfield_steering_mask", "build_codebook", "array_factor_far",
+         "pattern_nearfield", "LinkScenario"],
+)
+@pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan])
+def test_every_wavelength_consumer_rejects_a_non_positive_wavelength(board, make, wavelength):
+    with pytest.raises(DomainError, match=r"wavelength must be > 0, got"):
+        make(board, wavelength)

@@ -24,9 +24,20 @@ def ref_wrap(phases_deg):
     return np.where(w >= 360.0, 0.0, w)
 
 
+# cos and sin on the four axis planes, exact as synthesis takes them; a zero
+# takes the sign of its partner
+AXIS_TRIG = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, -0.0), 270.0: (-0.0, -1.0)}
+
+
+def ref_plane_trig(phi_deg):
+    if phi_deg in AXIS_TRIG:
+        return AXIS_TRIG[phi_deg]
+    ph = math.radians(phi_deg)
+    return math.cos(ph), math.sin(ph)
+
+
 def ref_projection_stack(geom, steers):
-    rad = [(math.radians(th), math.radians(ph)) for th, ph in steers]
-    trig = np.array([(math.sin(th), math.cos(ph), math.sin(ph)) for th, ph in rad])
+    trig = np.array([(math.sin(math.radians(th)), *ref_plane_trig(ph)) for th, ph in steers])
     sin_th, cos_ph, sin_ph = trig.T[:, :, None, None]
     X, Y = element_grid(geom)
     return sin_th * (X * cos_ph + Y * sin_ph)
