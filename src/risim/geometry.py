@@ -18,8 +18,8 @@ from .errors import DomainError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-# 256 x 256, about 400x the 16 x 10 board: one complex (721, M*N) cut term array then
-# takes 0.76 GB, so a larger count fails here instead of inside numpy's allocator
+# 256 x 256, about 400x the 16 x 10 board: a default cut's resident complex (721, W)
+# table, W up to M*N, then takes 0.76 GB, so a larger count fails here, not in numpy
 MAX_ELEMENTS = 65_536
 
 # feed and receiver distance from the origin, meters: far past any link the model
@@ -149,7 +149,7 @@ def element_grid(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
 def projection_grid(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     """Scalar projection of every element position onto a direction, shape
     (m_count, n_count), meters: the one-direction case of projection_stack."""
-    return projection_stack(geom, [(direction.theta_deg, direction.phi_deg)])[0]
+    return projection_stack(geom, [direction.theta_deg], direction.phi_deg)[0]
 
 
 def in_plane_grid(geom: ArrayGeometry, phi_deg: float) -> np.ndarray:
@@ -160,14 +160,13 @@ def in_plane_grid(geom: ArrayGeometry, phi_deg: float) -> np.ndarray:
     return X[:, :1] * cos_ph + Y[:1, :] * sin_ph  # a column and a row broadcast to (M, N)
 
 
-def projection_stack(geom: ArrayGeometry, steers) -> np.ndarray:
-    """Projection of every element position onto each of K (theta, phi) pairs in
-    degrees, sin(theta) * in_plane_grid(phi), shape (K, m_count, n_count), meters:
-    the in-plane path-length term of a plane wave travelling along the direction.
-    The grid is built once per distinct phi (a codebook has one); row k is bitwise pair k."""
-    planes = {ph: in_plane_grid(geom, ph) for ph in dict.fromkeys(ph for _, ph in steers)}
-    sin_th = np.array([math.sin(math.radians(th)) for th, _ in steers])[:, None, None]
-    return sin_th * (planes[steers[0][1]] if len(planes) == 1 else np.array([planes[ph] for _, ph in steers]))
+def projection_stack(geom: ArrayGeometry, thetas_deg, phi_deg: float) -> np.ndarray:
+    """Projection of every element position onto K directions, one per theta in
+    degrees, all in the one azimuth plane phi: sin(theta) * in_plane_grid(phi), shape
+    (K, m_count, n_count), meters, the in-plane path-length term of a plane wave
+    travelling along each direction. Row k is bitwise direction k alone."""
+    sin_th = np.array([math.sin(math.radians(th)) for th in thetas_deg])[:, None, None]
+    return sin_th * in_plane_grid(geom, phi_deg)
 
 
 def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:

@@ -271,10 +271,9 @@ def _ledger_totals(head_db: tuple, hw_db: float, accs: list, lpe_db: float) -> t
 def _single_pass_dbm(scenario: LinkScenario, rx: Point3, bits: np.ndarray) -> list[float]:
     """The single-pass kernel: received power, dBm, at rx in place of the
     scenario's receiver, under each of K stacked (K, M, N) bit grids in place
-    of its mask. The two-hop terms are the scenario's cached ones when rx is
-    its own; neither rx nor bits is checked here."""
+    of its mask; neither rx nor bits is checked here."""
     head_db, hw_db = scenario._head_db, -sum(_hardware_items(scenario).values())
-    amp, path = scenario._two_hop_terms if rx is scenario.rx else scenario._two_hop_at(rx)
+    amp, path = scenario._two_hop_at(rx)
     accs = _single_pass_sums(amp, path, bits, scenario.cell)
     return _ledger_totals(head_db, hw_db, accs, 0.0)[1]
 

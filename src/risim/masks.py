@@ -188,9 +188,11 @@ def _feed_phase(geom: ArrayGeometry, feed: Point3, wavelength: float) -> tuple[n
     return kr, phasor
 
 
-def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
-    """Continuous phase collimating a close-in spherical feed wavefront into a
-    plane wave toward each of K (theta, phi) pairs in degrees, shape (K, M, N):
+def _compensation_deg(
+    geom: ArrayGeometry, feed: Point3, thetas_deg, phi_deg: float, wavelength: float
+) -> np.ndarray:
+    """Continuous phase collimating a close-in spherical feed wavefront into a plane
+    wave toward each of K thetas in the one azimuth plane phi, degrees, shape (K, M, N):
     element (m, n) carries k0 * (feed distance - proj_out) less the row's
     circular mean, wrapped once. Centering splits the phases evenly across a
     1-bit quantizer's two bins; the raw distance offset biases the beam."""
@@ -198,7 +200,7 @@ def _compensation_deg(geom: ArrayGeometry, feed: Point3, steers, wavelength: flo
     check_node("feed", feed)
     kr, feed_phasor = _feed_phase(geom, feed, wavelength)
     # one buffer from the projection on: k0 * distance - k0 * proj - mean, in place
-    ph = projection_stack(geom, steers)
+    ph = projection_stack(geom, thetas_deg, phi_deg)
     ph *= k0
     mean = _circular_means(feed_phasor, ph)
     np.subtract(kr, ph, out=ph)
@@ -210,14 +212,12 @@ def _circular_means(feed_phasor: np.ndarray, kproj: np.ndarray) -> np.ndarray:
     """Circular mean of each row of k0 r - kproj, radians, shape (K,). As
     X_0 = Y_0 = 0, kproj's first column and row are the separable factors' phases:
     sum_m exp(-j kproj[k, m, 0]) sum_n exp(j k0 r_mn) exp(-j kproj[k, 0, n]).
-    The N-factor is skipped where it is 1 (sin(theta) sin(phi) = 0, as on phi = 0 and 180).
+    The rows share one plane: the N-factor runs on all if it has a y component, else on none.
     No BLAS: its blocking may depend on K, and row k must be direction k alone."""
-    outer = np.exp(-1j * kproj[:, :, 0])
-    terms = outer * feed_phasor.sum(axis=1)
-    for k, v in enumerate(kproj[:, 0, -1].tolist()):
-        if v:
-            terms[k] = outer[k] * (feed_phasor * np.exp(-1j * kproj[k, 0])).sum(axis=1)
-    total = terms.sum(axis=1)
+    outer, phasors = np.exp(-1j * kproj[:, :, 0]), feed_phasor
+    if kproj[:, 0, -1].any():  # not on phi = 0 and 180, where the N-factor is 1
+        phasors = feed_phasor * np.exp(-1j * kproj[:, 0])[:, None, :]
+    total = (outer * phasors.sum(axis=-1)).sum(axis=1)
     return np.arctan2(total.imag, total.real)  # np.angle's own formula
 
 
@@ -243,18 +243,19 @@ def nearfield_steering_mask(
     """1-bit mask collimating a near-field feed toward `steer`: the
     one-direction case of the codebook synthesis, whose compensation is
     centered on its circular mean before quantization."""
-    steers = [(steer.theta_deg, steer.phi_deg)]
-    return CodingMask(geom, _nearfield_bits(geom, feed, steers, wavelength)[0])
+    return CodingMask(geom, _nearfield_bits(geom, feed, [steer.theta_deg], steer.phi_deg, wavelength)[0])
 
 
-def _nearfield_bits(geom: ArrayGeometry, feed: Point3, steers, wavelength: float) -> np.ndarray:
-    """Steering bits toward each of K (theta, phi) pairs in degrees, shape
-    (K, M, N). Every stage, the circular means too, is elementwise or a
+def _nearfield_bits(
+    geom: ArrayGeometry, feed: Point3, thetas_deg, phi_deg: float, wavelength: float
+) -> np.ndarray:
+    """Steering bits toward each of K thetas in the one azimuth plane phi, degrees,
+    shape (K, M, N). Every stage, the circular means too, is elementwise or a
     per-row reduction, so row k is bit-identical to direction k alone."""
     # an extreme pitch overflows to inf/NaN, which _one_bit rejects; the feed hop's
     # cosine grids, which synthesis does not read, are built under this state too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _one_bit(_compensation_deg(geom, feed, steers, wavelength))
+        return _one_bit(_compensation_deg(geom, feed, thetas_deg, phi_deg, wavelength))
 
 
 def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
@@ -288,6 +289,5 @@ def build_codebook(
     from K x M exponentials; entry k equals nearfield_steering_mask bit for bit.
     """
     angles = codebook_angles(start_deg, stop_deg, step_deg)
-    steers = [(a, 0.0) for a in angles.tolist()]
-    return Codebook(geom, angles, _nearfield_bits(geom, feed, steers, wavelength))
+    return Codebook(geom, angles, _nearfield_bits(geom, feed, angles.tolist(), 0.0, wavelength))
 

@@ -28,11 +28,11 @@ from .geometry import (
 from .masks import CodingMask
 from .output import pattern_csv, pattern_grid_columns, write_text
 
-# [-90, 90] at a millidegree step: the cached observation table is then a
-# (180001, W) complex array, W being the cut plane's count of distinct element
-# coordinates: 46 MB on the 16 x 10 board's phi = 0 plane (W = 16), 461 MB
-# on a plane where no two elements share one (W = M*N). It stays resident
-# until a cut on another grid replaces it
+# the most samples a theta grid may have, [-90, 90] at a millidegree step: the cached
+# observation table is then a (180001, W) complex array, W being the cut plane's count
+# of distinct element coordinates: 46 MB on the 16 x 10 board's phi = 0 plane (W = 16),
+# 461 MB on a plane where no two elements share one (W = M*N). It stays resident until
+# a cut on another grid replaces it
 MAX_THETA_SAMPLES = 180_001
 
 # Bytes of one row block of a cut's product and row sum: rows per block are
@@ -198,8 +198,8 @@ def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> tuple[np.ndarray, _Thet
     if not math.isfinite(phi_plane_deg):
         raise DomainError(f"phi_plane_deg must be finite, got {phi_plane_deg}")
     theta = np.asarray(theta_grid_deg, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise DomainError("theta grid must be a nonempty 1-D array")
+    if theta.ndim != 1 or not 0 < theta.size <= MAX_THETA_SAMPLES:
+        raise DomainError(f"theta grid must be a nonempty 1-D array of at most {MAX_THETA_SAMPLES} samples")
     return theta, _checked_grid(theta.tobytes())
 
 

@@ -102,7 +102,7 @@ def test_snell_normal_incidence_skips_zero_projection_bitwise(phi_in, d_out):
 def test_nearfield_radially_symmetric_under_boresight_feed():
     geom = ArrayGeometry(5, 5, 0.016)
     feed = Point3(0.032, 0.032, 0.3)  # directly above element (3, 3)
-    ph = _compensation_deg(geom, feed, [(0.0, 0.0)], LAMBDA_BENCH)[0]
+    ph = _compensation_deg(geom, feed, [0.0], 0.0, LAMBDA_BENCH)[0]
     center = 2
     for di, dj in ((1, 0), (2, 1), (2, 2)):
         assert ph[center + di, center + dj] == pytest.approx(ph[center - di, center - dj], abs=1e-9)
@@ -113,7 +113,7 @@ def test_nearfield_pinned_corner_phase(board):
     # wrap(k0 * sqrt(0.24^2 + 0.144^2 + 0.3^2) - mean) at the bench wavelength,
     # the mean being the circular mean of k0 * r over the board, both
     # recomputed from the closed form element by element
-    ph = _compensation_deg(board, Point3(0.0, 0.0, 0.3), [(0.0, 0.0)], LAMBDA_BENCH)[0]
+    ph = _compensation_deg(board, Point3(0.0, 0.0, 0.3), [0.0], 0.0, LAMBDA_BENCH)[0]
     k0 = 2 * math.pi / LAMBDA_BENCH
     dist = math.sqrt(0.24**2 + 0.144**2 + 0.3**2)
     raw = math.degrees(k0 * dist) % 360.0
@@ -165,7 +165,7 @@ def test_nearfield_far_feed_limit_matches_snell(board):
     aperture = 0.24
     center = board.center()
     feed = Point3(center.x, center.y, 1e4 * aperture)
-    near = _compensation_deg(board, feed, [(30.0, 0.0)], LAMBDA_BENCH)[0]
+    near = _compensation_deg(board, feed, [30.0], 0.0, LAMBDA_BENCH)[0]
     far = snell_gradient(board, Direction(0.0), Direction(30.0, 0.0), LAMBDA_BENCH)
     near_rel = circular_diff_deg(near, near[0, 0])
     far_rel = circular_diff_deg(far.phases_deg, far.phases_deg[0, 0])
@@ -215,17 +215,18 @@ def test_half_turn_offset_flips_every_bit(board, rng):
 
 def test_recentering_zeroes_circular_mean(board):
     feed = Point3(0.12, 0.072, 0.3)
-    steers = [(th, ph) for th in (0.0, 20.0, 45.0, 70.0) for ph in (0.0, 37.0, 180.0)]
-    centered = _compensation_deg(board, feed, steers, LAMBDA_BENCH)
+    thetas = (0.0, 20.0, 45.0, 70.0)
     k0 = 2 * np.pi / LAMBDA_BENCH
-    for (th, ph), row in zip(steers, centered):
-        mean = np.angle(np.mean(np.exp(1j * np.radians(row))))
-        assert abs(mean) < 1e-9
-        # relative phase structure is preserved
-        raw = np.degrees(k0 * (distance_grid(board, feed) - projection_grid(board, Direction(th, ph))))
-        d0 = circular_diff_deg(raw, raw[0, 0])
-        d1 = circular_diff_deg(row, row[0, 0])
-        assert np.allclose(circular_diff_deg(d0, d1), 0.0, atol=1e-9)
+    for ph in (0.0, 37.0, 180.0):
+        centered = _compensation_deg(board, feed, thetas, ph, LAMBDA_BENCH)
+        for th, row in zip(thetas, centered):
+            mean = np.angle(np.mean(np.exp(1j * np.radians(row))))
+            assert abs(mean) < 1e-9
+            # relative phase structure is preserved
+            raw = np.degrees(k0 * (distance_grid(board, feed) - projection_grid(board, Direction(th, ph))))
+            d0 = circular_diff_deg(raw, raw[0, 0])
+            d1 = circular_diff_deg(row, row[0, 0])
+            assert np.allclose(circular_diff_deg(d0, d1), 0.0, atol=1e-9)
 
 
 def test_codebook_reference_parameters(board):

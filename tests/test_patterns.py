@@ -352,6 +352,26 @@ def test_invalid_cut_grid_rejected_before_any_table_is_built(board, grid, messag
     assert _observation_table.cache_info().misses == misses
 
 
+def test_cut_grid_past_max_theta_samples_rejected_before_any_table_is_built(board):
+    # a grid passed straight to a kernel or to PatternCut is bounded as default_theta_grid's is
+    mask = CodingMask(board, np.zeros((16, 10), dtype=np.uint8))
+    feed = FeedSpec(Point3(0.12, 0.072, 0.3))
+    grid = np.linspace(-90.0, 90.0, MAX_THETA_SAMPLES + 1)
+    zeros = np.zeros(grid.size)
+    message = f"at most {MAX_THETA_SAMPLES} samples"
+    misses = _observation_table.cache_info().misses
+    with pytest.raises(DomainError, match=message):
+        far_cut(board, mask, grid=grid)
+    with pytest.raises(DomainError, match=message):
+        pattern_nearfield(board, mask, CELL, feed, 0.5, 0.0, grid, LAMBDA_BENCH)
+    with pytest.raises(DomainError, match=message):
+        PatternCut(0.0, grid, zeros.astype(complex), zeros)
+    assert _observation_table.cache_info().misses == misses
+    # the bound itself is a valid grid
+    cut = PatternCut(0.0, grid[:-1], zeros[:-1].astype(complex), zeros[:-1])
+    assert cut.theta_deg.size == MAX_THETA_SAMPLES
+
+
 def test_pattern_cut_lengths_must_match_theta():
     theta = np.array([0.0, 1.0])
     with pytest.raises(DomainError, match="field shape"):

@@ -157,13 +157,20 @@ def test_wrap_deg_takes_scalars(value):
          phi=0.0, thetas=[float(a) for a in range(61)])
 @example(shape=(16, 10), pitch=0.016, wavelength=LAMBDA_BENCH, feed_xy=(0.0, 0.0), feed_log_z=99.9,
          phi=180.0, thetas=[30.0] * 280)
+# theta = 0 rows on planes with a y component, whose N-factor is computed, not skipped
+@example(shape=(16, 10), pitch=0.016, wavelength=LAMBDA_BENCH, feed_xy=(0.12, 0.072), feed_log_z=-0.52,
+         phi=90.0, thetas=[0.0, 20.0, 0.0, 45.0])
+@example(shape=(16, 10), pitch=0.016, wavelength=LAMBDA_BENCH, feed_xy=(0.12, 0.072), feed_log_z=-0.52,
+         phi=270.0, thetas=[0.0, 60.0])
+@example(shape=(7, 3), pitch=0.011, wavelength=LAMBDA_BENCH, feed_xy=(-0.3, 0.5), feed_log_z=0.0,
+         phi=37.5, thetas=[10.0, 0.0, 0.0, 89.0])
 def test_synthesis_equals_reference(shape, pitch, wavelength, feed_xy, feed_log_z, phi, thetas):
     geom = ArrayGeometry(*shape, pitch)
     feed = Point3(*feed_xy, 10.0**feed_log_z)
     steers = [(th, phi) for th in thetas]
     ref_comp = ref_compensation_deg(geom, feed, steers, wavelength)
-    assert same_bits(masks._compensation_deg(geom, feed, steers, wavelength), ref_comp)
-    assert np.array_equal(masks._nearfield_bits(geom, feed, steers, wavelength), ref_bits(ref_comp))
+    assert same_bits(masks._compensation_deg(geom, feed, thetas, phi, wavelength), ref_comp)
+    assert np.array_equal(masks._nearfield_bits(geom, feed, thetas, phi, wavelength), ref_bits(ref_comp))
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,8 +196,9 @@ def test_codebook_bits_equal_reference(board, start, step, log_z):
 @example(step=1.0, phi=0.0, feed_xy=(0.12, 0.072), log_z=5.0)
 def test_bits_equal_direct_mean_for_near_feeds(board, step, phi, feed_xy, log_z):
     feed = Point3(*feed_xy, 10.0**log_z)
-    steers = [(th, phi) for th in np.arange(0.0, 89.9, step).tolist()]
-    bits = masks._nearfield_bits(board, feed, steers, LAMBDA_BENCH)
+    thetas = np.arange(0.0, 89.9, step).tolist()
+    steers = [(th, phi) for th in thetas]
+    bits = masks._nearfield_bits(board, feed, thetas, phi, LAMBDA_BENCH)
     assert np.array_equal(bits, ref_bits(ref_direct_mean_deg(board, feed, steers, LAMBDA_BENCH)))
 
 
