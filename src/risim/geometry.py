@@ -24,7 +24,7 @@ MAX_ELEMENTS = 65_536
 
 # feed and receiver distance from the origin, meters: far past any link the model
 # describes, yet squares and products of two distances (~1e200) stay far inside the
-# float range, where Python's z**2 raises OverflowError past 1.3e154 m
+# float range, where a square z*z overflows to inf past 1.3e154 m
 MAX_NODE_DISTANCE_M = 1e100
 
 
@@ -170,9 +170,11 @@ def projection_stack(geom: ArrayGeometry, thetas_deg, phi_deg: float) -> np.ndar
 
 
 def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:
-    """Distance from a point to every element, shape (m_count, n_count)."""
+    """Distance from a point to every element, shape (m_count, n_count). Every
+    square is a product: a float's ** goes through libm pow, which can miss the last bit."""
     X, Y = element_grid(geom)
-    return np.sqrt((point.x - X) ** 2 + (point.y - Y) ** 2 + point.z**2)
+    dx, dy = X[:, :1] - point.x, Y[:1, :] - point.y  # a column and a row broadcast to (M, N)
+    return np.sqrt(dx * dx + dy * dy + point.z * point.z)
 
 
 def check_node(name: str, node: Point3) -> None:
@@ -187,26 +189,18 @@ def check_node(name: str, node: Point3) -> None:
         )
 
 
-def _off_axis_cos(geom: ArrayGeometry, node: Point3) -> np.ndarray:
-    """cos(angle between node->element and node->array-center), per element.
-
-    The node's boresight ray points at the array center; clipped to [0, 1]
-    so elements behind the horn plane contribute nothing.
-    """
-    center = geom.center()
-    bx, by, bz = center.x - node.x, center.y - node.y, center.z - node.z
-    bn = math.sqrt(bx * bx + by * by + bz * bz)
-    X, Y = element_grid(geom)
-    vx, vy, vz = X - node.x, Y - node.y, -node.z
-    vn = np.sqrt(vx * vx + vy * vy + vz * vz)
-    return np.clip((vx * bx + vy * by + vz * bz) / (vn * bn), 0.0, 1.0)
-
-
 def node_hop(geom: ArrayGeometry, node: Point3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (m_count, n_count) grids of the hop from a feed or receiver
-    to every element: distance r, normal cosine z / r and boresight cosine."""
+    to every element: distance r, normal cosine z / r and boresight cosine,
+    both over the one r. The boresight ray points at the array center; its
+    cosine is clipped to [0, 1] so elements behind the horn plane contribute nothing."""
     r = distance_grid(geom, node)
-    hop = (r, node.z / r, _off_axis_cos(geom, node))
+    X, Y = element_grid(geom)
+    c = geom.center()
+    bx, by, bz = c.x - node.x, c.y - node.y, c.z - node.z
+    dot = (X[:, :1] - node.x) * bx + (Y[:1, :] - node.y) * by - node.z * bz
+    off = np.clip(dot / (r * math.sqrt(bx * bx + by * by + bz * bz)), 0.0, 1.0)
+    hop = (r, node.z / r, off)
     for grid in hop:
         grid.flags.writeable = False
     return hop

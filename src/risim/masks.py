@@ -37,6 +37,12 @@ def check_bits(bits: np.ndarray) -> None:
         raise DomainError("bit grid entries must be 0 or 1")
 
 
+def _check_codebook_span(angles: np.ndarray) -> None:
+    """Increasing steer angles lie in [0, 90): their ends are checked."""
+    if not (0.0 <= angles[0] and angles[-1] < 90.0):
+        raise DomainError(f"codebook angles {angles[0]}..{angles[-1]} must lie in [0, 90)")
+
+
 # below ~1k elements one np.mod call costs less than the floor form's ufunc chain
 WRAP_FLOOR_MIN_SIZE = 1024
 # for |x| < 360 * 2**40, 360 * floor(x / 360) is exact and x minus it rounds once,
@@ -131,8 +137,7 @@ class Codebook:
             raise DomainError("codebook must contain at least one entry")
         if not np.all(np.diff(angles) > 0):
             raise DomainError("codebook angles must be strictly increasing")
-        if not (0.0 <= angles[0] and angles[-1] < 90.0):
-            raise DomainError(f"codebook angles {angles[0]}..{angles[-1]} must lie in [0, 90)")
+        _check_codebook_span(angles)
         shape = (len(angles), self.geom.m_count, self.geom.n_count)
         if bits.shape != shape:
             raise DomainError(f"codebook bit shape {bits.shape} does not match {shape}")
@@ -272,8 +277,7 @@ def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.nd
     if (stop_deg + step_deg / 2 - start_deg) / step_deg > MAX_CODEBOOK_ENTRIES:
         raise DomainError(f"step {step_deg:g} gives more than {MAX_CODEBOOK_ENTRIES} codebook entries")
     angles = np.arange(start_deg, stop_deg + step_deg / 2, step_deg)
-    if not (0.0 <= angles[0] and angles[-1] < 90.0):
-        raise DomainError(f"codebook angles {angles[0]}..{angles[-1]} must lie in [0, 90)")
+    _check_codebook_span(angles)
     return angles
 
 

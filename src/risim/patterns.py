@@ -8,6 +8,7 @@ theta is the phi+180 side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -278,11 +279,11 @@ def _observation_table(
 
 
 def _cut_field(
-    geom: ArrayGeometry, phi_plane_deg: float, theta: np.ndarray, wavelength: float, base, theta_bytes=None
+    geom: ArrayGeometry, phi_plane_deg: float, theta_bytes: bytes, wavelength: float, base
 ) -> np.ndarray:
     """Per theta, the sum over elements of base * exp(j k0 sin(theta) w),
-    w being the element's coordinate along the cut plane. theta_bytes is
-    theta.tobytes(), for a caller that already holds it.
+    w being the element's coordinate along the cut plane and theta_bytes
+    the theta grid's tobytes(), the key of the observation table.
 
     Elements sharing w share the exponential, so base is first summed per
     distinct w, in element order, into W groups; the exp table comes from
@@ -294,8 +295,7 @@ def _cut_field(
     signed theta enters through sin(theta), so the symmetric half of the cut
     is the exact floating-point mirror.
     """
-    key = theta.tobytes() if theta_bytes is None else theta_bytes
-    table, inv = _observation_table(geom, phi_plane_deg, wavelength, key)
+    table, inv = _observation_table(geom, phi_plane_deg, wavelength, theta_bytes)
     count, width = table.shape
     groups = np.zeros(width, complex)
     np.add.at(groups, inv, base)
@@ -329,7 +329,7 @@ def array_factor_far(
     coeff = _mask_coefficients(mask, cell).ravel()
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
-    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base, grid.key)
+    field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
     return _normalize(phi_plane_deg, theta, field)
 
 
@@ -359,7 +359,7 @@ def pattern_nearfield(
     amp = np.sqrt(feed_taper(geom, feed, q_e)) / r_feed
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
-    field = _cut_field(geom, phi_plane_deg, theta, wavelength, base, grid.key)
+    field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
     return _normalize(phi_plane_deg, theta, grid.cos_clipped**q_e * field)
 
 
@@ -374,7 +374,8 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     The first nulls are found by strict descent: on each side the lobe takes
     in samples while each magnitude is strictly below the one before it
     (nearer the main lobe), so it ends before the first sample that ties its
-    neighbour (a plateau) or is NaN.
+    neighbour (a plateau) or is NaN. A flat cut, or one whose raw peak is
+    subnormal, is degenerate and has no lobes.
     """
     gain = cut.gain_db
     theta = cut.theta_deg
@@ -382,7 +383,7 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     peak_raw = mags.max()
     peak_db_raw = float(20.0 * np.log10(peak_raw)) if peak_raw > 0 else -np.inf
 
-    if peak_raw - mags.min() <= 1e-15 * peak_raw:
+    if peak_raw - mags.min() <= 1e-15 * peak_raw or peak_raw < sys.float_info.min:
         return PatternMetrics(math.nan, peak_db_raw, math.nan, math.nan, degenerate=True)
 
     tied = np.flatnonzero(gain >= gain.max() - 1e-12)

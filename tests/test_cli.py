@@ -133,6 +133,19 @@ def test_pattern_weak_far_fed_cut_keeps_its_metrics(runner, tmp_path, z):
     assert doc["sidelobe_level_db"] == pytest.approx(-13.36, abs=0.01)
 
 
+def test_pattern_cut_with_a_subnormal_peak_is_degenerate(runner, tmp_path):
+    # a state-0 magnitude of 5e-324 under an all-zero mask leaves a raw peak
+    # near 8e-322 (-6,422 dB): no lobe shape survives at that precision
+    out = tmp_path / "cut.csv"
+    env = {"RISIM_CELL_MAGNITUDE_STATE0": "5e-324"}
+    result = runner.invoke(main, ["pattern", "--steer", "1e-300", "--out", str(out)], env=env)
+    assert result.exit_code == 0, result.output
+    doc = strict_json((tmp_path / "cut.metrics.json").read_text())
+    assert doc["degenerate"] is True
+    assert doc["main_lobe_deg"] is None and doc["mirror_lobe_db"] is None
+    assert doc["sidelobe_level_db"] is None
+
+
 def output_bytes(runner, tmp_path, name, args, env):
     """Every file one command writes, by file name."""
     outdir = tmp_path / name

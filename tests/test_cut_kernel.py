@@ -169,9 +169,9 @@ def test_kernel_rows_are_partition_independent(case):
     geom, mask, phi, theta, rng = case
     base = far_base(geom, mask, Direction(20.0), LAMBDA_BENCH)
     perm = rng.permutation(theta.size)
-    shuffled = _cut_field(geom, phi, theta[perm], LAMBDA_BENCH, base)
+    shuffled = _cut_field(geom, phi, theta[perm].tobytes(), LAMBDA_BENCH, base)
     assert same_bits(shuffled, oracle_cut_field(geom, phi, theta[perm], LAMBDA_BENCH, base))
-    assert same_bits(shuffled, _cut_field(geom, phi, theta, LAMBDA_BENCH, base)[perm])
+    assert same_bits(shuffled, _cut_field(geom, phi, theta.tobytes(), LAMBDA_BENCH, base)[perm])
 
 
 def test_board_cuts_equal_dense_oracle(board, cfg):
@@ -203,7 +203,7 @@ def assert_far_and_near_equal_oracle(geom, phi, theta, seed):
         far_base(geom, mask, Direction(20.0), LAMBDA_BENCH),
         near_base(geom, mask, feed, 0.5, LAMBDA_BENCH),
     ):
-        field = _cut_field(geom, phi, theta, LAMBDA_BENCH, base)
+        field = _cut_field(geom, phi, theta.tobytes(), LAMBDA_BENCH, base)
         assert same_bits(field, oracle_cut_field(geom, phi, theta, LAMBDA_BENCH, base))
 
 

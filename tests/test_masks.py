@@ -131,7 +131,7 @@ def test_nearfield_rejects_in_plane_feed(board):
 
 @pytest.mark.parametrize("feed", [Point3(0.0, 0.0, 1e200), Point3(1e101, 0.0, 1.0)])
 def test_synthesis_rejects_a_feed_past_the_node_distance_bound(board, feed):
-    # z**2 on the first feed raises OverflowError unless the bound is checked first
+    # z*z on the first feed overflows to inf unless the bound is checked first
     with pytest.raises(DomainError, match=r"feed must lie within 1e\+100 m of the origin"):
         nearfield_steering_mask(board, feed, Direction(30.0), LAMBDA_BENCH)
     with pytest.raises(DomainError, match=r"feed must lie within 1e\+100 m of the origin"):

@@ -49,7 +49,7 @@ def oracle_two_hop(sc):
     c = geom.center()
 
     def dist(pt):
-        return np.sqrt((pt.x - X) ** 2 + (pt.y - Y) ** 2 + pt.z**2)
+        return np.sqrt((pt.x - X) ** 2 + (pt.y - Y) ** 2 + pt.z * pt.z)
 
     def off_axis_cos(node):
         bx, by, bz = c.x - node.x, c.y - node.y, c.z - node.z
@@ -163,12 +163,26 @@ def test_element_grid_is_built_once_and_read_only(board):
     assert np.array_equal(other[0], X) and np.array_equal(other[1], Y)
 
 
-def test_off_axis_cos_keeps_its_own_norm(cfg):
-    # z*z in the cosine's norm is correctly rounded; distance_grid's z**2 goes
-    # through pow and is not for this z, so reusing r there moves the last bit
+def test_hop_distance_is_the_correctly_rounded_norm(cfg):
+    # at this height pow(z, 2) is not correctly rounded, so a z**2 moves the
+    # last bit of 102 of the 160 distances; the hop squares z as a product
     rx = Point3(2.0, 0.072, 6.883345885040325)
     report = received_power(cfg.link.with_rx(rx), "none")
     assert report.received_power_dbm == -41.67761185345033
+    geom = cfg.link.geom
+    r, _, off = node_hop(geom, rx)
+    X, Y = element_grid(geom)
+    c = geom.center()
+    bx, by, bz = c.x - rx.x, c.y - rx.y, c.z - rx.z
+    bn = math.sqrt(bx * bx + by * by + bz * bz)
+    # products only: a float's ** also goes through pow
+    norms, cosines = np.empty(r.shape), np.empty(r.shape)
+    for i, j in np.ndindex(r.shape):
+        dx, dy, dz = float(X[i, j]) - rx.x, float(Y[i, j]) - rx.y, -rx.z
+        norms[i, j] = math.sqrt(dx * dx + dy * dy + dz * dz)
+        cosines[i, j] = (dx * bx + dy * by + dz * bz) / (norms[i, j] * bn)
+    assert np.array_equal(r, norms)
+    assert np.array_equal(off, np.clip(cosines, 0.0, 1.0))
 
 
 def test_scenarios_differing_in_one_feed_hop_input_read_in_alternation(cfg):
@@ -201,16 +215,13 @@ def test_feed_hop_arrays_are_read_only(cfg):
 
 def test_scenarios_on_one_feed_compute_its_hop_once(cfg, monkeypatch):
     calls = []
+    uncounted = geometry.distance_grid
 
-    def counting(name, fn):
-        def wrapper(geom, node):
-            calls.append((name, node))
-            return fn(geom, node)
+    def counting(geom, node):
+        calls.append(node)
+        return uncounted(geom, node)
 
-        return wrapper
-
-    monkeypatch.setattr(geometry, "_off_axis_cos", counting("cos", geometry._off_axis_cos))
-    monkeypatch.setattr(geometry, "distance_grid", counting("dist", geometry.distance_grid))
+    monkeypatch.setattr(geometry, "distance_grid", counting)
     feed_hop.cache_clear()
     feed_taper.cache_clear()
     base, n = cfg.link, 6
@@ -225,9 +236,7 @@ def test_scenarios_on_one_feed_compute_its_hop_once(cfg, monkeypatch):
         sc = base.with_rx(Point3(0.4 * i, 0.072, 2.0)).with_mask(mask)
         for q in MODES:
             received_power(sc, q)
-    names = [name for name, _ in calls]
-    assert names.count("cos") == n + 1 and names.count("dist") == n + 1
-    assert sorted(name for name, node in calls if node == feed) == ["cos", "dist"]
+    assert len(calls) == n + 1 and calls.count(feed) == 1
     # the near cut builds the feed's taper; the scenarios read it
     info = feed_taper.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, n, 1)
