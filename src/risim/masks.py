@@ -83,7 +83,7 @@ class PhaseMask:
     phases_deg: np.ndarray
 
     def __post_init__(self) -> None:
-        ph = np.ascontiguousarray(np.asarray(self.phases_deg, dtype=float))
+        ph = np.array(self.phases_deg, dtype=float, order="C")
         shape = (self.geom.m_count, self.geom.n_count)
         if ph.shape != shape:
             raise DomainError(f"phase grid shape {ph.shape} does not match {shape}")
@@ -130,9 +130,8 @@ class Codebook:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        # views, so freezing them leaves the caller's arrays writable
-        angles = np.asarray(self.angles, dtype=float).view()
-        bits = np.asarray(self.bits).view()
+        angles = np.array(self.angles, dtype=float)
+        bits = np.array(self.bits)
         if angles.ndim != 1 or angles.size == 0:
             raise DomainError("codebook must contain at least one entry")
         if not np.all(np.diff(angles) > 0):

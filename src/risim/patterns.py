@@ -124,8 +124,8 @@ class PatternCut:
     """Sampled complex field over signed theta in one azimuth plane.
 
     gain_db is normalized so the maximum sample is exactly 0 dB. theta_deg
-    and gain_db are stored as float arrays and field as a complex array, so
-    a cut built from lists reads as one built from arrays.
+    is the checked grid, read-only; gain_db and field are stored as float and
+    complex arrays, so a cut built from lists reads as one built from arrays.
     """
 
     phi_plane_deg: float
@@ -134,7 +134,7 @@ class PatternCut:
     gain_db: np.ndarray
 
     def __post_init__(self) -> None:
-        th = _theta_grid(self.theta_deg, self.phi_plane_deg)[0]
+        th = _theta_grid(self.theta_deg, self.phi_plane_deg).theta
         for name, dtype in (("field", complex), ("gain_db", float)):
             values = getattr(self, name)
             shape = np.shape(values)
@@ -167,15 +167,7 @@ def default_theta_grid(step_deg: float = 0.25) -> np.ndarray:
     count = round(intervals)
     if abs(intervals - count) > 1e-9 * intervals:
         raise DomainError(f"theta step {step_deg:g} does not divide 180 degrees into whole intervals")
-    return _linspace_grid(count + 1).copy()
-
-
-@lru_cache(maxsize=1)
-def _linspace_grid(samples: int) -> np.ndarray:
-    """default_theta_grid's linspace, read-only; the last sample count's is kept."""
-    grid = np.linspace(-90.0, 90.0, samples)
-    grid.flags.writeable = False
-    return grid
+    return np.linspace(-90.0, 90.0, count + 1)
 
 
 def _mask_coefficients(mask: CodingMask, cell: UnitCellReflection) -> np.ndarray:
@@ -184,30 +176,30 @@ def _mask_coefficients(mask: CodingMask, cell: UnitCellReflection) -> np.ndarray
     return (mag * np.exp(1j * phase))[mask.bits]
 
 
-def _normalize(phi_plane_deg: float, theta_deg: np.ndarray, field: np.ndarray) -> PatternCut:
+def _normalize(phi_plane_deg: float, grid: _ThetaGrid, field: np.ndarray) -> PatternCut:
     mags = np.abs(field)
     peak = mags.max()
     with np.errstate(divide="ignore"):
         gain_db = 20.0 * np.log10(mags / peak) if peak > 0 else np.full_like(mags, -np.inf)
-    return PatternCut(phi_plane_deg, theta_deg, field, gain_db)
+    return PatternCut(phi_plane_deg, grid.theta, field, gain_db)
 
 
-def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> tuple[np.ndarray, _ThetaGrid]:
+def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> _ThetaGrid:
     """The cut plane and theta grid checks shared by the kernels and PatternCut;
-    the grid as floats and its _ThetaGrid. The kernels run them before any
-    table is built."""
+    the grid's _ThetaGrid. The kernels run them before any table is built."""
     if not math.isfinite(phi_plane_deg):
         raise DomainError(f"phi_plane_deg must be finite, got {phi_plane_deg}")
     theta = np.asarray(theta_grid_deg, dtype=float)
     if theta.ndim != 1 or not 0 < theta.size <= MAX_THETA_SAMPLES:
         raise DomainError(f"theta grid must be a nonempty 1-D array of at most {MAX_THETA_SAMPLES} samples")
-    return theta, _checked_grid(theta.tobytes())
+    return _checked_grid(theta.tobytes())
 
 
 class _ThetaGrid:
     """What every cut on one theta grid shares: the grid's bytes (the key of
-    both per-grid caches) and, each built on first use, the CSV theta column
-    and separator rows and the near envelope's base."""
+    both per-grid caches), theta, the read-only array over them every cut
+    holds, and, each built on first use, the CSV theta column and separator
+    rows and the near envelope's base."""
 
     def __init__(self, key: bytes) -> None:
         self.key = key
@@ -245,14 +237,13 @@ def _check_theta_values(theta: np.ndarray) -> None:
 
 
 def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg, wavelength: float):
-    """The checks both cut kernels open with; the theta grid as floats, its
-    _ThetaGrid and k0."""
+    """The checks both cut kernels open with; the theta grid's _ThetaGrid and k0."""
     k0 = wavenumber(wavelength)
     if not isinstance(mask, CodingMask):
         raise DomainError(f"unsupported mask type {type(mask).__name__}")
     if mask.geom != geom:
         raise DomainError("mask geometry does not match the array geometry")
-    return *_theta_grid(theta_grid_deg, phi_plane_deg), k0
+    return _theta_grid(theta_grid_deg, phi_plane_deg), k0
 
 
 @lru_cache(maxsize=1)
@@ -325,12 +316,12 @@ def array_factor_far(
     phase k0*(incidence projection - observation projection); the sum runs
     in _cut_field, the cut kernel shared with pattern_nearfield.
     """
-    theta, grid, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
+    grid, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     coeff = _mask_coefficients(mask, cell).ravel()
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
     field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
-    return _normalize(phi_plane_deg, theta, field)
+    return _normalize(phi_plane_deg, grid, field)
 
 
 def pattern_nearfield(
@@ -353,14 +344,14 @@ def pattern_nearfield(
     scales each sample. q_e sets both element factors of the cut; cell
     supplies only the reflection states.
     """
-    theta, grid, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
+    grid, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     check_exponent("q_e", q_e)
     r_feed = feed_hop(geom, feed.position)[0]
     amp = np.sqrt(feed_taper(geom, feed, q_e)) / r_feed
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
     field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
-    return _normalize(phi_plane_deg, theta, grid.cos_clipped**q_e * field)
+    return _normalize(phi_plane_deg, grid, grid.cos_clipped**q_e * field)
 
 
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:
@@ -416,7 +407,6 @@ def _main_lobe_span(mags: np.ndarray, peak: int) -> tuple[int, int]:
 
 def write_pattern_csv(cut: PatternCut, path, comments: dict | None = None) -> None:
     """CSV cut: `#`-prefixed context lines, then theta_deg,gain_db,re,im rows
-    formatted "%.4f,%.6f,%.9e,%.9e" (output.pattern_csv). The cut's grid is
-    checked again, as the caller may have mutated it since the cut."""
+    formatted "%.4f,%.6f,%.9e,%.9e" (output.pattern_csv)."""
     grid = _checked_grid(cut.theta_deg.tobytes())
     write_text(pattern_csv(grid.csv_columns, cut.gain_db, cut.field), path, comments)

@@ -110,16 +110,18 @@ def test_invalid_grid_raises_on_every_call(cfg):
                 PatternCut(0.0, bad, np.ones(3, complex), np.zeros(3))
 
 
-def test_grid_mutated_after_a_cut_is_checked_again(cfg, tmp_path):
+def test_grid_mutated_after_a_cut_is_checked_again_and_the_cut_keeps_its_grid(cfg, tmp_path):
     grid = default_theta_grid()
     cut = default_cut(cfg, "near", 30, grid)
     grid[5] = grid[4]
     with pytest.raises(DomainError, match="strictly increasing"):
         default_cut(cfg, "near", 30, grid)
-    # the cut holds the caller's array, so its CSV sees the edit too
-    with pytest.raises(DomainError, match="strictly increasing"):
-        write_pattern_csv(cut, tmp_path / "cut.csv")
-    assert not (tmp_path / "cut.csv").exists()
+    # the cut holds its own checked grid: its CSV and metrics are those of the grid it was computed on
+    fresh = default_cut(cfg, "near", 30)
+    write_pattern_csv(cut, tmp_path / "cut.csv")
+    write_pattern_csv(fresh, tmp_path / "fresh.csv")
+    assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert pattern_metrics(cut) == pattern_metrics(fresh)
 
 
 def test_signed_zero_starts_get_separate_entries():
