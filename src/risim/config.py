@@ -82,34 +82,37 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario: each section's domain object, built once."""
+    """Fully resolved scenario: the carrier, the sweep and the link, which holds the rest."""
 
     frequency_hz: float
-    geometry: ArrayGeometry
-    cell: UnitCellReflection
-    feed: FeedSpec
     link: LinkScenario
     sweep: SweepConfig
 
+    def __post_init__(self) -> None:
+        if self.link.wavelength != wavelength_from_frequency(self.frequency_hz):
+            raise DomainError(f"frequency_hz {self.frequency_hz!r} is not the link's carrier")
+
     @property
     def wavelength(self) -> float:
-        return wavelength_from_frequency(self.frequency_hz)
+        return self.link.wavelength
 
-    # perfbench's workloads call these five; the package reads the fields
+    # perfbench's workloads call these five; the package reads the properties
     def array_geometry(self) -> ArrayGeometry:
-        return self.geometry
+        return self.link.geom
 
     def unit_cell(self) -> UnitCellReflection:
-        return self.cell
+        return self.link.cell
 
     def feed_spec(self) -> FeedSpec:
-        return self.feed
+        return self.link.feed
 
     def link_scenario(self) -> LinkScenario:
         return self.link
 
     def noise_model(self) -> NoiseModel:
         return self.sweep.noise
+
+    geometry, cell, feed = property(array_geometry), property(unit_cell), property(feed_spec)
 
     def steering_codebook(self) -> Codebook:
         s = self.sweep
@@ -251,7 +254,7 @@ def _build(doc: dict) -> ScenarioConfig:
         lambda: LinkScenario(geometry, feed, Point3(*rx), wavelength, **link, cell=cell),
     )
     sweep = _section("sweep", lambda: SweepConfig(**doc["sweep"]))
-    return ScenarioConfig(doc["frequency_hz"], geometry, cell, feed, scenario, sweep)
+    return ScenarioConfig(doc["frequency_hz"], scenario, sweep)
 
 
 @functools.cache

@@ -109,7 +109,7 @@ class LinkScenario:
             self.gain_tx_dbi,
             self.gain_rx_dbi,
             2.0 * unit_cell_gain(p, p, lam),
-            10.0 * _log10("spreading", lam**2 * p * p / (64 * math.pi**3)),
+            10.0 * _log10("spreading", lam * lam * p * p / (64 * math.pi**3)),
         )
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
@@ -216,10 +216,7 @@ def unit_cell_gain(cell_dx: float, cell_dy: float, wavelength: float) -> float:
     """Effective aperture gain of one unit cell, dBi: 4*pi*dx*dy/lambda^2."""
     if not (cell_dx > 0 and cell_dy > 0 and wavelength > 0):
         raise DomainError("cell dimensions and wavelength must be > 0")
-    try:
-        area = wavelength**2  # 0.0 once the square underflows
-    except OverflowError:  # past ~1.3e154 m, where a near-zero frequency puts it
-        area = math.inf
+    area = wavelength * wavelength  # inf past ~1.3e154 m, 0.0 once it underflows
     ratio = 4 * math.pi * cell_dx * cell_dy / area if area else math.inf
     return 10.0 * _log10("unit cell gain", ratio)
 
@@ -242,9 +239,14 @@ _HEAD_TERMS = ("tx_power_dbm", "gain_tx_db", "gain_rx_db", "unit_cell_gain_x2_db
 _TAIL_TERMS = ("accumulation_db", "phase_error_loss_db", "hardware_loss_db")
 
 
-def _hardware_items(scenario: LinkScenario) -> dict:
-    """The hardware loss items the ledger subtracts, dB: none unless included."""
-    return dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
+def _hardware_items(scenario: LinkScenario) -> tuple[dict, float]:
+    """The hardware loss items the ledger subtracts, dB, none unless included,
+    and their negated total, added left to right from int 0 as _ledger_totals adds."""
+    items = dict(scenario.hardware_loss_db) if scenario.include_hardware_loss else {}
+    total = 0
+    for value in items.values():
+        total += value
+    return items, -total
 
 
 def _ledger_totals(head_db: tuple, hw_db: float, accs: list, lpe_db: float) -> tuple[list, list]:
@@ -272,7 +274,7 @@ def _single_pass_dbm(scenario: LinkScenario, rx: Point3, bits: np.ndarray) -> li
     """The single-pass kernel: received power, dBm, at rx in place of the
     scenario's receiver, under each of K stacked (K, M, N) bit grids in place
     of its mask; neither rx nor bits is checked here."""
-    head_db, hw_db = scenario._head_db, -sum(_hardware_items(scenario).values())
+    head_db, hw_db = scenario._head_db, _hardware_items(scenario)[1]
     amp, path = scenario._two_hop_at(rx)
     accs = _single_pass_sums(amp, path, bits, scenario.cell)
     return _ledger_totals(head_db, hw_db, accs, 0.0)[1]
@@ -300,8 +302,7 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
     if quantization in ("mask", "single_pass") and scenario.mask is None:
         raise ConfigError(f"quantization mode {quantization!r} requires a scenario mask")
 
-    head_db, hw_items = scenario._head_db, _hardware_items(scenario)
-    hw_db = -sum(hw_items.values())
+    head_db, (hw_items, hw_db) = scenario._head_db, _hardware_items(scenario)
     amp, path = scenario._two_hop_terms
     lpe_db = 0.0
     if quantization == "single_pass":

@@ -1,9 +1,10 @@
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -12,13 +13,20 @@ import risim
 from risim import (
     DEFAULTS,
     ConfigError,
+    Direction,
+    DomainError,
+    FeedSpec,
     Point3,
     ScenarioConfig,
     UnitCellReflection,
+    build_codebook,
     element_grid,
+    estimate_angle,
     load_config,
     parse_config,
     render_config,
+    simulate_sweep,
+    wavelength_from_frequency,
 )
 
 ALL_SECTIONS = "geometry: {}\ncell: {}\nfeed: {}\nlink: {}\nsweep: {}\n"
@@ -228,6 +236,38 @@ def test_one_object_per_section(cfg):
     assert cfg.link_scenario() is cfg.link
     assert cfg.noise_model() is cfg.sweep.noise
     assert replace(cfg.sweep, seed=5).noise == cfg.sweep.noise
+
+
+def test_config_stores_the_carrier_the_link_and_the_sweep_once():
+    assert [f.name for f in fields(ScenarioConfig)] == ["frequency_hz", "link", "sweep"]
+
+
+def test_feed_replaced_in_the_link_is_the_feed_synthesized_and_swept(cfg):
+    feed = FeedSpec(Point3(0.12, 0.072, 0.6))
+    cfg2 = replace(cfg, link=replace(cfg.link, feed=feed))
+    assert cfg2.feed is feed and cfg2.feed_spec() is feed
+    s = cfg2.sweep
+    codebook = cfg2.steering_codebook()
+    expected = build_codebook(
+        cfg2.geometry, feed.position, cfg2.wavelength, s.start_deg, s.stop_deg, s.step_deg
+    )
+    np.testing.assert_array_equal(codebook.bits, expected.bits)
+    for truth in (30.0, 45.0):
+        assert estimate_angle(simulate_sweep(codebook, Direction(truth), cfg2.link)) == truth
+
+
+def test_cell_replaced_in_the_link_is_the_cell_of_the_config(cfg):
+    cell = UnitCellReflection.measured()
+    cfg2 = replace(cfg, link=replace(cfg.link, cell=cell))
+    assert cfg2.cell is cell and cfg2.unit_cell() is cell
+    assert parse_config(render_config(cfg2), env={}) == cfg2
+
+
+def test_frequency_that_is_not_the_links_carrier_is_a_domain_error(cfg):
+    with pytest.raises(DomainError, match="frequency_hz"):
+        replace(cfg, frequency_hz=5.8e9)
+    link = replace(cfg.link, wavelength=wavelength_from_frequency(5.8e9))
+    assert replace(cfg, frequency_hz=5.8e9, link=link).wavelength == link.wavelength
 
 
 @pytest.mark.parametrize(

@@ -65,10 +65,10 @@ def oracle_single_pass(scenario):
         scenario.gain_tx_dbi,
         scenario.gain_rx_dbi,
         2.0 * unit_cell_gain(p, p, scenario.wavelength),
-        10.0 * math.log10(scenario.wavelength**2 * p * p / (64 * math.pi**3)),
+        10.0 * math.log10(scenario.wavelength * scenario.wavelength * p * p / (64 * math.pi**3)),
         20.0 * math.log10(acc),
         0.0,
-        -sum(hw_items.values()),
+        -left_to_right_sum(hw_items.values()),
     ]
     return acc, left_to_right_sum(terms_db)
 
