@@ -157,7 +157,7 @@ def in_plane_grid(geom: ArrayGeometry, phi_deg: float) -> np.ndarray:
     (m_count, n_count), meters: (m-1)*p*cos(phi) + (n-1)*p*sin(phi) for element (m, n)."""
     X, Y = element_grid(geom)
     cos_ph, sin_ph = azimuth_trig(phi_deg)
-    return X[:, :1] * cos_ph + Y[:1, :] * sin_ph  # a column and a row broadcast to (M, N)
+    return X * cos_ph + Y * sin_ph
 
 
 def projection_stack(geom: ArrayGeometry, thetas_deg, phi_deg: float) -> np.ndarray:
@@ -173,7 +173,7 @@ def distance_grid(geom: ArrayGeometry, point: Point3) -> np.ndarray:
     """Distance from a point to every element, shape (m_count, n_count). Every
     square is a product: a float's ** goes through libm pow, which can miss the last bit."""
     X, Y = element_grid(geom)
-    dx, dy = X[:, :1] - point.x, Y[:1, :] - point.y  # a column and a row broadcast to (M, N)
+    dx, dy = X - point.x, Y - point.y
     return np.sqrt(dx * dx + dy * dy + point.z * point.z)
 
 
@@ -198,7 +198,7 @@ def node_hop(geom: ArrayGeometry, node: Point3) -> tuple[np.ndarray, np.ndarray,
     X, Y = element_grid(geom)
     c = geom.center()
     bx, by, bz = c.x - node.x, c.y - node.y, c.z - node.z
-    dot = (X[:, :1] - node.x) * bx + (Y[:1, :] - node.y) * by - node.z * bz
+    dot = (X - node.x) * bx + (Y - node.y) * by - node.z * bz
     off = np.clip(dot / (r * math.sqrt(bx * bx + by * by + bz * bz)), 0.0, 1.0)
     hop = (r, node.z / r, off)
     for grid in hop:

@@ -77,7 +77,7 @@ def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PhaseMask:
-    """Continuous per-element phase grid in degrees, wrapped to [0, 360)."""
+    """Continuous per-element phase grid in degrees, wrapped to [0, 360); read-only."""
 
     geom: ArrayGeometry
     phases_deg: np.ndarray
@@ -91,12 +91,13 @@ class PhaseMask:
             raise DomainError("phase grid contains non-finite entries")
         if ph.size and (ph.min() < 0.0 or ph.max() >= 360.0):
             raise DomainError("phases must be wrapped to [0, 360)")
+        ph.flags.writeable = False
         object.__setattr__(self, "phases_deg", ph)
 
 
 @dataclass(frozen=True, eq=False)
 class CodingMask:
-    """1-bit per-element state grid; bit b selects the unit cell's state b."""
+    """1-bit per-element state grid, read-only; bit b selects the unit cell's state b."""
 
     geom: ArrayGeometry
     bits: np.ndarray
@@ -108,6 +109,7 @@ class CodingMask:
             raise DomainError(f"bit grid shape {bits.shape} does not match {shape}")
         check_bits(bits)
         object.__setattr__(self, "bits", bits.astype(np.uint8))
+        self.bits.flags.writeable = False
 
     def phases_deg(self) -> np.ndarray:
         """The bits' nominal 0/180 degree phases; the cell's states() give the realized ones."""

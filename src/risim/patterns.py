@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -123,25 +123,29 @@ def feed_taper(geom: ArrayGeometry, feed: FeedSpec, q_e: float) -> np.ndarray:
 class PatternCut:
     """Sampled complex field over signed theta in one azimuth plane.
 
-    gain_db is normalized so the maximum sample is exactly 0 dB. theta_deg
-    is the checked grid, read-only; gain_db and field are stored as float and
-    complex arrays, so a cut built from lists reads as one built from arrays.
+    theta_deg is the checked grid and field a complex copy of the caller's;
+    gain_db is derived from field, its maximum sample exactly 0 dB (all -inf
+    when the peak magnitude is not > 0). All three are read-only.
     """
 
     phi_plane_deg: float
     theta_deg: np.ndarray
     field: np.ndarray
-    gain_db: np.ndarray
+    gain_db: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
         th = _theta_grid(self.theta_deg, self.phi_plane_deg).theta
-        for name, dtype in (("field", complex), ("gain_db", float)):
-            values = getattr(self, name)
-            shape = np.shape(values)
-            if shape != th.shape:
-                raise DomainError(f"{name} shape {shape} does not match theta grid shape {th.shape}")
-            object.__setattr__(self, name, np.asarray(values, dtype=dtype))
+        field = np.array(self.field, dtype=complex)
+        if field.shape != th.shape:
+            raise DomainError(f"field shape {field.shape} does not match theta grid shape {th.shape}")
+        mags = np.abs(field)
+        peak = mags.max()
+        with np.errstate(divide="ignore"):
+            gain_db = 20.0 * np.log10(mags / peak) if peak > 0 else np.full_like(mags, -np.inf)
+        field.flags.writeable = gain_db.flags.writeable = False
         object.__setattr__(self, "theta_deg", th)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "gain_db", gain_db)
 
 
 @dataclass(frozen=True)
@@ -174,14 +178,6 @@ def _mask_coefficients(mask: CodingMask, cell: UnitCellReflection) -> np.ndarray
     """Complex per-element reflection coefficients: the cell state each bit selects."""
     mag, phase = cell.states()
     return (mag * np.exp(1j * phase))[mask.bits]
-
-
-def _normalize(phi_plane_deg: float, grid: _ThetaGrid, field: np.ndarray) -> PatternCut:
-    mags = np.abs(field)
-    peak = mags.max()
-    with np.errstate(divide="ignore"):
-        gain_db = 20.0 * np.log10(mags / peak) if peak > 0 else np.full_like(mags, -np.inf)
-    return PatternCut(phi_plane_deg, grid.theta, field, gain_db)
 
 
 def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> _ThetaGrid:
@@ -321,7 +317,7 @@ def array_factor_far(
     proj_in = projection_grid(geom, incidence).ravel()
     base = coeff * np.exp(-1j * k0 * proj_in)
     field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
-    return _normalize(phi_plane_deg, grid, field)
+    return PatternCut(phi_plane_deg, grid.theta, field)
 
 
 def pattern_nearfield(
@@ -351,7 +347,7 @@ def pattern_nearfield(
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
     field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
-    return _normalize(phi_plane_deg, grid, grid.cos_clipped**q_e * field)
+    return PatternCut(phi_plane_deg, grid.theta, grid.cos_clipped**q_e * field)
 
 
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:

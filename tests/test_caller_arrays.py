@@ -1,11 +1,13 @@
-"""Objects that check their arrays keep copies: an edit to the caller's
-array after construction, valid or not, changes nothing in the object."""
+"""Objects that check their arrays keep read-only copies: an edit to the
+caller's array after construction, valid or not, changes nothing in the
+object, and writing into the object's arrays raises."""
 
 import numpy as np
 import pytest
 
 from risim import (
     Codebook,
+    CodingMask,
     Direction,
     PatternCut,
     PhaseMask,
@@ -33,16 +35,19 @@ def kernel_cut(cfg):
         else:
             theta[5] = theta[4]
 
-    return far_cut(cfg, theta), ["theta_deg"], [theta], edit
+    return far_cut(cfg, theta), ["theta_deg", "field", "gain_db"], [theta], edit
 
 
 def constructed_cut(cfg):
     theta = np.array([-10.0, 0.0, 10.0])
+    field = np.array([1.0, 2.0, 1.0], complex)
 
     def edit(valid):
         theta[2] = 5.0 if valid else -50.0
+        field[:] = [4.0, 1.0, 1.0] if valid else np.nan
 
-    return PatternCut(0.0, theta, np.ones(3, complex), np.zeros(3)), ["theta_deg"], [theta], edit
+    cut = PatternCut(0.0, theta, field)
+    return cut, ["theta_deg", "field", "gain_db"], [theta, field], edit
 
 
 def codebook(cfg):
@@ -62,6 +67,15 @@ def codebook(cfg):
     return Codebook(geom, angles, bits), ["angles", "bits"], [angles, bits], edit
 
 
+def coding_mask(cfg):
+    bits = np.zeros((cfg.geometry.m_count, cfg.geometry.n_count), np.uint8)
+
+    def edit(valid):
+        bits[0, 0] = 1 if valid else 7
+
+    return CodingMask(cfg.geometry, bits), ["bits"], [bits], edit
+
+
 def phase_mask(cfg):
     phases = np.full((cfg.geometry.m_count, cfg.geometry.n_count), 90.0)
 
@@ -71,7 +85,7 @@ def phase_mask(cfg):
     return PhaseMask(cfg.geometry, phases), ["phases_deg"], [phases], edit
 
 
-@pytest.mark.parametrize("build", [kernel_cut, constructed_cut, codebook, phase_mask])
+@pytest.mark.parametrize("build", [kernel_cut, constructed_cut, codebook, coding_mask, phase_mask])
 def test_edits_to_the_caller_arrays_leave_the_object_unchanged(cfg, build):
     obj, names, callers, edit = build(cfg)
     before = [getattr(obj, name).copy() for name in names]
@@ -80,10 +94,11 @@ def test_edits_to_the_caller_arrays_leave_the_object_unchanged(cfg, build):
         for name, held in zip(names, before):
             assert np.array_equal(getattr(obj, name), held)
     for name in names:
+        held = getattr(obj, name)
         for caller in callers:
-            assert not np.shares_memory(getattr(obj, name), caller)
-    if isinstance(obj, PatternCut):
-        assert not obj.theta_deg.flags.writeable
+            assert not np.shares_memory(held, caller)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0
     if isinstance(obj, PhaseMask):
         assert quantize_1bit(obj).bits.all()
 

@@ -470,7 +470,8 @@ def test_frequency_whose_wavelength_overflows_exits_2(runner, tmp_path, command,
 @pytest.mark.parametrize("command", [["linkbudget"], LOCALIZE_30])
 @pytest.mark.parametrize("frequency", ["1e-150", "1e-290"])
 def test_wavelength_whose_square_overflows_exits_3(runner, tmp_path, command, frequency):
-    # lambda = c / f lies in (1.3e154, 1.8e308) m: finite, but Python's lambda**2 raises
+    # lambda = c / f lies in (1.3e154, 1.8e308) m: finite, but lambda * lambda overflows
+    # to inf, so the unit cell's power ratio is 0.0, which _log10 refuses
     env = {"RISIM_FREQUENCY_HZ": frequency}
     result = runner.invoke(main, [*command, "--out", str(tmp_path / "x")], env=env)
     assert result.exit_code == 3

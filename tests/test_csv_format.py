@@ -136,7 +136,7 @@ def test_default_cuts_rarely_fall_back_to_percent(cfg, monkeypatch, tmp_path):
 
 TRACE = SweepTrace(np.array([0.0, 1.0]), np.array([-50.0, -40.0]))
 FRAME = serialize_mask(farfield_steering_mask(BOARD_GEOMETRY, Direction(30.0), 0.05))
-CUT = PatternCut(0.0, np.array([-90.0, 0.0, 90.0]), np.ones(3, complex), np.zeros(3))
+CUT = PatternCut(0.0, np.array([-90.0, 0.0, 90.0]), np.ones(3, complex))
 WRITERS = {
     "pattern": lambda path, comments: write_pattern_csv(CUT, path, comments),
     "sweep": lambda path, comments: write_sweep_csv(TRACE, path, comments),

@@ -38,6 +38,7 @@ from risim import (
 )
 from risim import patterns
 from risim.geometry import node_hop
+from risim.output import pattern_csv, pattern_grid_columns, write_text
 from risim.patterns import _cut_field, _mask_coefficients, _observation_table
 
 from conftest import LAMBDA_BENCH
@@ -102,10 +103,10 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def old_pattern_csv(cut, comments):
+def old_pattern_csv(theta, gain_db, field, comments):
     lines = [f"# {key} = {value}" for key, value in comments.items()]
     lines.append("theta_deg,gain_db,re,im")
-    for th, g, f in zip(cut.theta_deg, cut.gain_db, cut.field):
+    for th, g, f in zip(theta, gain_db, field):
         lines.append(f"{th:.4f},{g:.6f},{f.real:.9e},{f.imag:.9e}")
     return ("\n".join(lines) + "\n").encode()
 
@@ -377,9 +378,10 @@ def test_grouped_cut_is_within_rounding_of_the_per_element_sum(case, feed_z, q_e
 
 def test_theta_column_cache_is_keyed_on_exact_bits(tmp_path):
     def first_theta(theta):
-        cut = PatternCut(0.0, theta, np.ones(theta.size, complex), np.zeros(theta.size))
+        cut = PatternCut(0.0, theta, np.ones(theta.size, complex))
         write_pattern_csv(cut, tmp_path / "cut.csv")
-        assert (tmp_path / "cut.csv").read_bytes() == old_pattern_csv(cut, {})
+        expected = old_pattern_csv(cut.theta_deg, cut.gain_db, cut.field, {})
+        assert (tmp_path / "cut.csv").read_bytes() == expected
         return (tmp_path / "cut.csv").read_text().splitlines()[1].split(",")[0]
 
     negative, positive = np.array([-0.0, 0.5]), np.array([0.0, 0.5])
@@ -403,25 +405,25 @@ SPECIAL = [-math.inf, math.nan, -0.0, 0.0, 1e-300, -123.4567891, 5e5]
 def test_pattern_csv_bytes_equal_fstring_formatter(tmp_path_factory, gain, parts):
     theta = np.linspace(-90.0, 90.0, len(gain))
     field = np.array(parts[: 2 * len(gain)], dtype=float).view(complex)
-    cut = PatternCut(0.0, theta, field, np.array(gain))
+    # the gain column is any float here, not the one a cut derives from its field
+    gain = np.array(gain)
     comments = {"mode": "far", "steer_deg": -0.0, "frequency_hz": 5.5e9}
     path = tmp_path_factory.mktemp("cut") / "cut.csv"
-    write_pattern_csv(cut, path, comments)
-    assert path.read_bytes() == old_pattern_csv(cut, comments)
+    write_text(pattern_csv(pattern_grid_columns(theta), gain, field), path, comments)
+    assert path.read_bytes() == old_pattern_csv(theta, gain, field, comments)
 
 
-def test_pattern_csv_special_values(tmp_path):
+def test_pattern_csv_special_values():
     theta = np.array([-90.0, -0.0, 45.5])
     field = np.array([complex(-0.0, -0.0), complex(math.nan, math.inf), complex(-math.inf, 1e-310)])
-    cut = PatternCut(0.0, theta, field, np.array([-math.inf, math.nan, -0.0]))
-    write_pattern_csv(cut, tmp_path / "c.csv")
-    rows = (tmp_path / "c.csv").read_text().splitlines()
-    assert rows[1:] == [
+    gain = np.array([-math.inf, math.nan, -0.0])
+    body = pattern_csv(pattern_grid_columns(theta), gain, field)
+    assert body.splitlines()[1:] == [
         "-90.0000,-inf,-0.000000000e+00,-0.000000000e+00",
         "-0.0000,nan,nan,inf",
         "45.5000,-0.000000,-inf,1.000000000e-310",
     ]
-    assert (tmp_path / "c.csv").read_bytes() == old_pattern_csv(cut, {})
+    assert body.encode() == old_pattern_csv(theta, gain, field, {})
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -195,9 +196,7 @@ def test_metrics_delta_like_pattern():
     theta = np.linspace(-10.0, 10.0, 21)
     field = np.zeros(21, dtype=complex)
     field[13] = 1.0
-    with np.errstate(divide="ignore"):
-        gain = 20.0 * np.log10(np.abs(field) / 1.0)
-    metrics = pattern_metrics(PatternCut(0.0, theta, field, gain))
+    metrics = pattern_metrics(PatternCut(0.0, theta, field))
     assert metrics.main_lobe_deg == pytest.approx(3.0)
     assert metrics.sidelobe_level_db == -math.inf
 
@@ -205,16 +204,14 @@ def test_metrics_delta_like_pattern():
 def test_metrics_symmetric_two_peak_tie_breaks_positive():
     theta = np.linspace(-40.0, 40.0, 81)
     field = np.exp(-0.5 * ((np.abs(theta) - 20.0) / 2.0) ** 2).astype(complex)
-    gain = 20.0 * np.log10(np.abs(field) / np.abs(field).max())
-    metrics = pattern_metrics(PatternCut(0.0, theta, field, gain))
+    metrics = pattern_metrics(PatternCut(0.0, theta, field))
     assert metrics.main_lobe_deg == pytest.approx(20.0)
 
 
 def test_metrics_flat_pattern_degenerate():
     theta = np.linspace(-5.0, 5.0, 11)
     field = np.full(11, 2.0, dtype=complex)
-    gain = np.zeros(11)
-    metrics = pattern_metrics(PatternCut(0.0, theta, field, gain))
+    metrics = pattern_metrics(PatternCut(0.0, theta, field))
     assert metrics.degenerate
     assert math.isnan(metrics.main_lobe_deg)
 
@@ -223,11 +220,11 @@ def test_metrics_flat_pattern_degenerate():
 def test_metrics_flatness_is_relative_to_the_cut_peak(level):
     theta = np.linspace(-5.0, 5.0, 11)
     flat = np.full(11, level, dtype=complex)
-    assert pattern_metrics(PatternCut(0.0, theta, flat, np.zeros(11))).degenerate
+    assert pattern_metrics(PatternCut(0.0, theta, flat)).degenerate
     # a shaped cut keeps its metrics at any level, however weak
     shape = np.cos(np.radians(theta * 9.0))
     if level > 0:
-        lobe = PatternCut(0.0, theta, level * shape.astype(complex), 20.0 * np.log10(shape))
+        lobe = PatternCut(0.0, theta, level * shape.astype(complex))
         metrics = pattern_metrics(lobe)
         assert not metrics.degenerate and metrics.main_lobe_deg == 0.0
 
@@ -310,9 +307,9 @@ def test_pattern_cut_grid_validation(board):
     with pytest.raises(DomainError):
         far_cut(board, mask, grid=np.array([]))
     with pytest.raises(DomainError):
-        PatternCut(0.0, np.array([0.0, 0.0]), np.zeros(2, complex), np.zeros(2))
+        PatternCut(0.0, np.array([0.0, 0.0]), np.zeros(2, complex))
     with pytest.raises(DomainError):
-        PatternCut(0.0, np.array([-91.0, 0.0]), np.zeros(2, complex), np.zeros(2))
+        PatternCut(0.0, np.array([-91.0, 0.0]), np.zeros(2, complex))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -329,9 +326,9 @@ def test_non_finite_cut_inputs_rejected(board, cfg, bad):
     with pytest.raises(DomainError, match="phi_plane_deg must be finite"):
         pattern_nearfield(board, mask, CELL, feed, 0.5, bad, GRID, LAMBDA_BENCH)
     with pytest.raises(DomainError, match="theta grid must be finite"):
-        PatternCut(0.0, np.array([bad]), np.zeros(1, complex), np.zeros(1))
+        PatternCut(0.0, np.array([bad]), np.zeros(1, complex))
     with pytest.raises(DomainError, match="phi_plane_deg must be finite"):
-        PatternCut(bad, np.array([0.0]), np.zeros(1, complex), np.zeros(1))
+        PatternCut(bad, np.array([0.0]), np.zeros(1, complex))
 
 
 @pytest.mark.parametrize(
@@ -357,7 +354,7 @@ def test_cut_grid_past_max_theta_samples_rejected_before_any_table_is_built(boar
     mask = CodingMask(board, np.zeros((16, 10), dtype=np.uint8))
     feed = FeedSpec(Point3(0.12, 0.072, 0.3))
     grid = np.linspace(-90.0, 90.0, MAX_THETA_SAMPLES + 1)
-    zeros = np.zeros(grid.size)
+    zeros = np.zeros(grid.size, complex)
     message = f"at most {MAX_THETA_SAMPLES} samples"
     misses = _observation_table.cache_info().misses
     with pytest.raises(DomainError, match=message):
@@ -365,19 +362,31 @@ def test_cut_grid_past_max_theta_samples_rejected_before_any_table_is_built(boar
     with pytest.raises(DomainError, match=message):
         pattern_nearfield(board, mask, CELL, feed, 0.5, 0.0, grid, LAMBDA_BENCH)
     with pytest.raises(DomainError, match=message):
-        PatternCut(0.0, grid, zeros.astype(complex), zeros)
+        PatternCut(0.0, grid, zeros)
     assert _observation_table.cache_info().misses == misses
     # the bound itself is a valid grid
-    cut = PatternCut(0.0, grid[:-1], zeros[:-1].astype(complex), zeros[:-1])
+    cut = PatternCut(0.0, grid[:-1], zeros[:-1])
     assert cut.theta_deg.size == MAX_THETA_SAMPLES
 
 
 def test_pattern_cut_lengths_must_match_theta():
     theta = np.array([0.0, 1.0])
     with pytest.raises(DomainError, match="field shape"):
-        PatternCut(0.0, theta, np.array([], dtype=complex), np.array([]))
-    with pytest.raises(DomainError, match="gain_db shape"):
-        PatternCut(0.0, theta, np.zeros(2, complex), np.zeros(3))
+        PatternCut(0.0, theta, np.array([], dtype=complex))
+
+
+def test_a_cut_derives_its_gain_from_its_field(board):
+    init = [f.name for f in dataclasses.fields(PatternCut) if f.init]
+    assert init == ["phi_plane_deg", "theta_deg", "field"]
+    cut10, cut30 = (
+        far_cut(board, farfield_steering_mask(board, Direction(steer), LAMBDA_BENCH)) for steer in (10.0, 30.0)
+    )
+    # a gain that is not the field's cannot be passed
+    with pytest.raises(TypeError):
+        PatternCut(0.0, GRID, cut30.field, cut10.gain_db)
+    rebuilt = PatternCut(0.0, GRID, cut30.field)
+    assert np.array_equal(rebuilt.gain_db, cut30.gain_db)
+    assert pattern_metrics(rebuilt) == pattern_metrics(cut30)
 
 
 def test_pattern_csv_format(tmp_path, board):

@@ -73,7 +73,7 @@ def test_walk_on_the_pinned_cuts(cfg, mode, steer):
 
 def test_cut_from_lists_gives_the_same_metrics_and_csv(cfg, tmp_path):
     cut = default_cut(cfg, "far", 30)
-    listed = PatternCut(0.0, cut.theta_deg.tolist(), cut.field.tolist(), cut.gain_db.tolist())
+    listed = PatternCut(0.0, cut.theta_deg.tolist(), cut.field.tolist())
     assert listed.theta_deg.dtype == listed.gain_db.dtype == float
     assert listed.field.dtype == complex
     assert pattern_metrics(listed) == pattern_metrics(cut)
@@ -107,7 +107,7 @@ def test_invalid_grid_raises_on_every_call(cfg):
             with pytest.raises(DomainError, match="strictly increasing"):
                 default_cut(cfg, "far", 30, bad)
             with pytest.raises(DomainError, match="strictly increasing"):
-                PatternCut(0.0, bad, np.ones(3, complex), np.zeros(3))
+                PatternCut(0.0, bad, np.ones(3, complex))
 
 
 def test_grid_mutated_after_a_cut_is_checked_again_and_the_cut_keeps_its_grid(cfg, tmp_path):
