@@ -10,6 +10,7 @@ error, 3 domain error.
 from __future__ import annotations
 
 import functools
+import gc
 import sys
 from dataclasses import asdict, replace
 
@@ -206,5 +207,14 @@ def cmd_export_frame(config_path, mode, steer, out) -> None:
     click.echo(f"{frame.to_hex()} -> {out}")
 
 
+def run() -> None:
+    """Process entry: `main` standalone, then skip the exit-time collections
+    over the import-time heap by freezing it. Library callers use `main`."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()
