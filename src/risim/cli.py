@@ -16,21 +16,7 @@ from dataclasses import asdict, replace
 
 import click
 
-from .config import load_config
 from .errors import ConfigError, DomainError
-from .geometry import Direction
-from .hardware import serialize_mask, write_frame
-from .localization import estimate_angle, rmse, simulate_sweep, write_sweep_csv
-from .masks import farfield_steering_mask, nearfield_steering_mask
-from .output import write_json
-from .patterns import (
-    array_factor_far,
-    default_theta_grid,
-    pattern_metrics,
-    pattern_nearfield,
-    write_pattern_csv,
-)
-from .linkbudget import received_power
 
 
 def _workflow(func):
@@ -58,7 +44,9 @@ def _csv_and_json_paths(out: str) -> tuple[str, str]:
     return base + ".csv", base + ".metrics.json"
 
 
-def _steering_mask(cfg, mode: str, steer: Direction):
+def _steering_mask(cfg, mode: str, steer):
+    from .masks import farfield_steering_mask, nearfield_steering_mask
+
     if mode == "near":
         return nearfield_steering_mask(cfg.geometry, cfg.feed.position, steer, cfg.wavelength)
     return farfield_steering_mask(cfg.geometry, steer, cfg.wavelength)
@@ -77,6 +65,17 @@ def main() -> None:
 @_workflow
 def cmd_pattern(config_path, mode, steer, out) -> None:
     """Compute a radiation cut for a 1-bit steering mask."""
+    from .config import load_config
+    from .geometry import Direction
+    from .output import write_json
+    from .patterns import (
+        array_factor_far,
+        default_theta_grid,
+        pattern_metrics,
+        pattern_nearfield,
+        write_pattern_csv,
+    )
+
     cfg = load_config(config_path)
     steer_dir = Direction.from_signed_theta(steer)
     mask = _steering_mask(cfg, mode, steer_dir)
@@ -115,6 +114,11 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
 @_workflow
 def cmd_localize(config_path, truths, seed, out) -> None:
     """Sweep the codebook against each true user angle and estimate it."""
+    from .config import load_config
+    from .geometry import Direction
+    from .localization import estimate_angle, rmse, simulate_sweep, write_sweep_csv
+    from .output import write_json
+
     cfg = load_config(config_path)
     if seed is not None:
         cfg = replace(cfg, sweep=replace(cfg.sweep, seed=seed))
@@ -181,6 +185,10 @@ def cmd_localize(config_path, truths, seed, out) -> None:
 @_workflow
 def cmd_linkbudget(config_path, out) -> None:
     """Received-power accounting for the configured scenario."""
+    from .config import load_config
+    from .linkbudget import received_power
+    from .output import write_json
+
     cfg = load_config(config_path)
     report = received_power(cfg.link)
     write_json(report.to_dict(), out)
@@ -196,6 +204,10 @@ def cmd_linkbudget(config_path, out) -> None:
 @_workflow
 def cmd_export_frame(config_path, mode, steer, out) -> None:
     """Serialize a steering mask into the 20-octet shift-chain frame."""
+    from .config import load_config
+    from .geometry import Direction
+    from .hardware import serialize_mask, write_frame
+
     cfg = load_config(config_path)
     steer_dir = Direction.from_signed_theta(steer)
     frame = serialize_mask(_steering_mask(cfg, mode, steer_dir))
@@ -208,8 +220,10 @@ def cmd_export_frame(config_path, mode, steer, out) -> None:
 
 
 def run() -> None:
-    """Process entry: `main` standalone, then skip the exit-time collections
-    over the import-time heap by freezing it. Library callers use `main`."""
+    """Process entry: `main` standalone with the cyclic collector off, then
+    freeze the heap, since CPython's finalization collects even with the
+    collector off. Library callers use `main`, which never touches it."""
+    gc.disable()
     try:
         main()
     finally:

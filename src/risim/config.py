@@ -19,7 +19,6 @@ from types import MappingProxyType
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario
-from .localization import NoiseModel
 from .masks import Codebook, build_codebook, codebook_angles
 from .patterns import FeedSpec, UnitCellReflection
 
@@ -59,6 +58,20 @@ DEFAULTS = {
         "seed": 0,
     },
 }
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Per-entry RSSI jitter: none, or zero-mean gaussian in dB."""
+
+    kind: str = "none"
+    sigma_db: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("none", "gaussian_db"):
+            raise DomainError(f"unknown noise kind {self.kind!r}")
+        if not (math.isfinite(self.sigma_db) and self.sigma_db >= 0):
+            raise DomainError(f"sigma_db must be finite and >= 0, got {self.sigma_db}")
 
 
 @dataclass(frozen=True)

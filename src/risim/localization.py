@@ -8,25 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NoiseModel
 from .errors import DomainError
 from .geometry import Direction, Point3, check_node
 from .linkbudget import LinkScenario, _single_pass_dbm
 from .masks import Codebook
 from .output import write_text
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-entry RSSI jitter: none, or zero-mean gaussian in dB."""
-
-    kind: str = "none"
-    sigma_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "gaussian_db"):
-            raise DomainError(f"unknown noise kind {self.kind!r}")
-        if not (math.isfinite(self.sigma_db) and self.sigma_db >= 0):
-            raise DomainError(f"sigma_db must be finite and >= 0, got {self.sigma_db}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -118,6 +118,8 @@ class CodingMask:
 
 @dataclass(frozen=True)
 class CodebookEntry:
+    """One codebook entry: its steer direction and its 1-bit mask."""
+
     steer_angle: Direction
     mask: CodingMask
 

@@ -150,6 +150,8 @@ class PatternCut:
 
 @dataclass(frozen=True)
 class PatternMetrics:
+    """Lobe metrics of a cut (pattern_metrics); NaN where a degenerate cut has none."""
+
     main_lobe_deg: float
     peak_db_raw: float
     mirror_lobe_db: float

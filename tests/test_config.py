@@ -94,10 +94,15 @@ def test_load_from_file(tmp_path):
 
 
 def test_bare_import_skips_yaml():
-    # PyYAML is needed only to parse a supplied file or render a config
+    # PyYAML is needed only to parse a supplied file or render a config, and
+    # numpy only once a command runs; -B: the child writes no bytecode into src/
     src = str(Path(risim.__file__).resolve().parents[1])
-    code = "import sys, risim.cli; assert 'yaml' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+    code = (
+        "import sys, risim; assert 'numpy' not in sys.modules\n"
+        "import risim.cli; assert 'numpy' not in sys.modules\n"
+        "risim.load_config(); assert 'yaml' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-B", "-c", code], check=True, env={"PYTHONPATH": src})
 
 
 def test_missing_file():

@@ -1,6 +1,9 @@
 import types
 
+import pytest
+
 import risim
+from risim import config, geometry, localization
 
 # the public surface, one name per workflow need; adding or dropping an export
 # is a deliberate edit of this list
@@ -22,10 +25,26 @@ EXPORTED = [
 
 
 def test_exported_names_are_pinned():
+    # the exports resolve lazily, so they are read through dir() and getattr
     public = sorted(
         name
-        for name, value in vars(risim).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(risim)
+        if not name.startswith("_") and not isinstance(getattr(risim, name), types.ModuleType)
     )
     assert public == EXPORTED
     assert len(EXPORTED) == 57
+    assert sorted(risim.__all__) == EXPORTED
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from risim import *", namespace)
+    assert sorted(n for n in namespace if n != "__builtins__") == EXPORTED
+    assert all(namespace[name] is getattr(risim, name) for name in EXPORTED)
+
+
+def test_export_is_its_module_attribute():
+    assert risim.NoiseModel is config.NoiseModel is localization.NoiseModel
+    assert risim.element_grid is geometry.element_grid
+    with pytest.raises(AttributeError, match="no attribute 'noise_model'"):
+        risim.noise_model

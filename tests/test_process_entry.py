@@ -1,6 +1,7 @@
 """The `risim` process entry, `risim.cli.run`: the command run in its own
-process writes what `main` writes in-process, and only the process entry
-freezes the garbage collector, so a library caller's process never does."""
+process writes what `main` writes in-process, loads only the risim modules
+its command runs, and only the process entry turns the cyclic collector off
+and freezes it, so a library caller's process never does."""
 
 import ast
 import gc
@@ -69,35 +70,69 @@ def test_process_domain_error_is_one_line_and_exit_3(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_module_run_as_main_freezes_the_collector(tmp_path):
+def run_as_main(cwd: Path, args: list[str], report: str) -> list[str]:
+    """Run `risim.cli` as `__main__` through `runpy` in a child, then print
+    the exit code and the `report` expression on stderr; the split stderr."""
     code = (
         "import gc, runpy, sys\n"
         "before = gc.get_freeze_count()\n"
-        "sys.argv = ['risim', 'export-frame', '--out', 'frame.hex']\n"
+        f"sys.argv = ['risim', *{args!r}]\n"
         "try:\n"
         "    runpy.run_module('risim.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(code, before, gc.get_freeze_count(), file=sys.stderr)\n"
+        f"print(code, {report}, file=sys.stderr)\n"
     )
-    done = spawn(tmp_path, "-c", code)
+    done = spawn(cwd, "-c", code)
     assert done.returncode == 0, done.stderr
-    exit_code, before, after = (int(v) for v in done.stderr.split())
-    assert exit_code == 0
-    assert before == 0 and after > 0
+    return done.stderr.split()
+
+
+def test_module_run_as_main_freezes_the_collector(tmp_path):
+    args, report = ["export-frame", "--out", "frame.hex"], "before, gc.get_freeze_count(), gc.isenabled()"
+    exit_code, before, after, enabled = run_as_main(tmp_path, args, report)
+    assert exit_code == "0"
+    assert int(before) == 0 and int(after) > 0
+    assert enabled == "False"  # the process entry runs the command with the cyclic collector off
     assert (tmp_path / "frame.hex").exists()
+
+
+# the risim modules a command's process loads: each command imports what it runs
+RUNS = {
+    "pattern": ["pattern", "--mode", "far", "--steer", "30", "--out", "cut.csv"],
+    "pattern-near": ["pattern", "--mode", "near", "--steer", "45", "--out", "near.csv"],
+    "localize": ["localize", "--truths", "30,45", "--seed", "1", "--out", "loc"],
+    "linkbudget": ["linkbudget", "--out", "report.json"],
+    "export-frame": ["export-frame", "--mode", "far", "--steer", "30", "--out", "frame.hex"],
+}
+SHARED = ["config", "errors", "geometry", "linkbudget", "masks", "output", "patterns"]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_command_loads_only_its_modules(tmp_path, name):
+    report = "' '.join(sorted(m for m in sys.modules if m.startswith('risim.')))"
+    exit_code, *loaded = run_as_main(tmp_path, RUNS[name], report)
+    assert exit_code == "0"
+    extra = {"localize": ["localization"], "export-frame": ["hardware"]}.get(name, [])
+    assert loaded == sorted(f"risim.{m}" for m in SHARED + extra)
+
+
+def test_help_loads_no_numpy(tmp_path):
+    exit_code, numpy_loaded = run_as_main(tmp_path, ["--help"], "'numpy' in sys.modules")
+    assert exit_code == "0" and numpy_loaded == "False"
 
 
 def test_library_calls_never_freeze(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
+    gc.enable()  # as a library caller's process runs, whatever an earlier test left
     before = gc.get_freeze_count()
     with pytest.raises(SystemExit):  # a workflow's error exit is sys.exit, whatever standalone_mode says
         risim.cli.main(["localize", "--truths", "75"], standalone_mode=False, prog_name="risim")
     risim.cli.main(["linkbudget", "--out", "ref.json"], standalone_mode=False, prog_name="risim")
-    assert gc.get_freeze_count() == before
+    assert gc.get_freeze_count() == before and gc.isenabled()
     result = CliRunner().invoke(risim.cli.main, ["export-frame", "--out", "frame.hex"])
     assert result.exit_code == 0
-    assert gc.get_freeze_count() == before
+    assert gc.get_freeze_count() == before and gc.isenabled()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["frame.hex", "ref.json"]
 
 

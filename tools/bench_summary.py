@@ -34,9 +34,9 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-COUNT_EXPORTS = (
-    "import types, risim; print(sum(1 for n, v in vars(risim).items()"
-    " if not n.startswith('_') and not isinstance(v, types.ModuleType)))"
+COUNT_EXPORTS = (  # through dir() and getattr, so lazily resolved exports count too
+    "import types, risim; print(sum(1 for n in dir(risim)"
+    " if not n.startswith('_') and not isinstance(getattr(risim, n), types.ModuleType)))"
 )
 
 
