@@ -19,12 +19,13 @@ _EXPORTS = {
         "element_grid", "projection_grid", "wavelength_from_frequency",
     ),
     "masks": (
-        "Codebook", "CodebookEntry", "CodingMask", "PhaseMask", "build_codebook",
-        "farfield_steering_mask", "nearfield_steering_mask", "quantize_1bit", "snell_gradient",
+        "Codebook", "CodebookEntry", "CodingMask", "FeedSpec", "PhaseMask", "UnitCellReflection",
+        "build_codebook", "farfield_steering_mask", "nearfield_steering_mask", "quantize_1bit",
+        "snell_gradient",
     ),
     "patterns": (
-        "FeedSpec", "PatternCut", "PatternMetrics", "UnitCellReflection", "array_factor_far",
-        "default_theta_grid", "pattern_metrics", "pattern_nearfield", "write_pattern_csv",
+        "PatternCut", "PatternMetrics", "array_factor_far", "default_theta_grid", "pattern_metrics",
+        "pattern_nearfield", "write_pattern_csv",
     ),
     "linkbudget": (
         "DEFAULT_HARDWARE_LOSS_DB", "L_PE_1BIT_DB", "LinkReport", "LinkScenario",

@@ -19,8 +19,7 @@ from types import MappingProxyType
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario
-from .masks import Codebook, build_codebook, codebook_angles
-from .patterns import FeedSpec, UnitCellReflection
+from .masks import Codebook, FeedSpec, UnitCellReflection, build_codebook, codebook_angles
 
 ENV_PREFIX = "RISIM"
 

@@ -108,7 +108,10 @@ class Direction:
     @classmethod
     def from_signed_theta(cls, theta_deg: float) -> "Direction":
         """Map a signed elevation in the phi = 0 plane to the canonical ranges:
-        negative theta folds into the phi = 180 half-plane, -30 to (30, 180)."""
+        negative theta folds into the phi = 180 half-plane, -30 to (30, 180).
+        The range (-90, 90) is checked on the signed value, which an error names."""
+        if not -90.0 < theta_deg < 90.0:
+            raise DomainError(f"signed theta must be in (-90, 90), got {theta_deg}")
         if theta_deg < 0:
             return cls(-theta_deg, 180.0)
         return cls(theta_deg)

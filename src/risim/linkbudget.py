@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, check_node, feed_hop, node_hop, wavenumber
-from .masks import CodingMask, PhaseMask, _wrap_deg_inplace
+from .masks import CodingMask, FeedSpec, PhaseMask, UnitCellReflection, _wrap_deg_inplace, check_exponent, feed_taper
 from .output import to_json
-from .patterns import FeedSpec, UnitCellReflection, check_exponent, feed_taper
 
 # 1-bit phasing keeps only the sign of the required phase; averaging the
 # residual error over a uniformly wrapped population leaves a 2/pi phasor

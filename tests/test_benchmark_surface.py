@@ -11,6 +11,9 @@ are resolved against the package here.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ import risim.cli
 from risim.localization import simulate_sweep
 from risim.patterns import array_factor_far, default_theta_grid, pattern_nearfield
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +61,25 @@ def test_computed_counters_read_their_bound_arguments(tracer, cfg):
     assert tracer._cut_terms({"geom": cfg.geometry, "theta_grid_deg": grid}) == 721 * 160
     assert codebook.angles_deg() is codebook.angles
 
+
+def test_tracer_test_imports_hold_element_grid_without_the_cut_module():
+    """perfbench's tracer test imports config, geometry and linkbudget, then
+    needs more than two risim modules holding geometry.element_grid, run
+    alone too: checked in a fresh process, which must not load patterns."""
+    code = (
+        "import sys\n"
+        "from risim import config, geometry, linkbudget\n"
+        "grid = geometry.element_grid\n"
+        "holders = [n for n, m in sys.modules.items()\n"
+        "           if n.startswith('risim') and getattr(m, 'element_grid', None) is grid]\n"
+        "print('risim.patterns' in sys.modules, len(holders))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    patterns_loaded, holders = done.stdout.split()
+    assert patterns_loaded == "False"
+    assert int(holders) > 2

@@ -311,6 +311,17 @@ def test_export_frame_deterministic(runner, tmp_path):
     assert read_frame(a).octets == read_frame(b).octets
 
 
+@pytest.mark.parametrize("command", [["pattern"], ["pattern", "--mode", "near"], ["export-frame"]])
+@pytest.mark.parametrize("steer", ["-90", "90", "nan"])
+def test_out_of_range_steer_is_named_as_given(runner, tmp_path, command, steer):
+    result = runner.invoke(main, [*command, f"--steer={steer}", "--out", str(tmp_path / "x")])
+    assert result.exit_code == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error: signed theta must be in (-90, 90)")
+    assert lines[0].endswith(f"got {float(steer)}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_frame_rejects_other_boards(runner, tmp_path):
     cfgfile = tmp_path / "small.yaml"
     cfgfile.write_text(FULL_SECTIONS.replace("geometry: {}", "geometry: {m_count: 8}"))

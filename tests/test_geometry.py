@@ -166,6 +166,9 @@ def test_direction_from_signed_theta():
     d = Direction.from_signed_theta(-30.0)
     assert (d.theta_deg, d.phi_deg) == (30.0, 180.0)
     assert Direction.from_signed_theta(15.0).phi_deg == 0.0
+    for theta in (-90.0, 90.0, -1e9, math.nan):
+        with pytest.raises(DomainError, match=rf"\(-90, 90\), got {theta}$"):
+            Direction.from_signed_theta(theta)
 
 
 def test_geometry_validation():

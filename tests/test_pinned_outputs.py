@@ -114,6 +114,17 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def dispatch_target() -> str:
+    """numpy's highest enabled CPU dispatch target: float log10, exp and **
+    can round apart between targets, so the manifest holds for one of them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return enabled[-1] if enabled else "baseline " + " ".join(umath.__cpu_baseline__)
+
+
 def test_outputs_match_pinned_manifest(tmp_path):
     pinned = json.loads(MANIFEST.read_text())
     actual = output_hashes(tmp_path)
@@ -124,7 +135,7 @@ def test_outputs_match_pinned_manifest(tmp_path):
     ]
     assert not changed, (
         f"outputs differ from the manifest (pinned on {pinned['versions']}, "
-        f"running {versions()}):\n" + "\n".join(changed)
+        f"running {versions()} at numpy dispatch target {dispatch_target()}):\n" + "\n".join(changed)
     )
     # every case again, now after the others: module caches left warm by
     # another case (feed hop, observation table) move no byte

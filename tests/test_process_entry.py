@@ -105,7 +105,14 @@ RUNS = {
     "linkbudget": ["linkbudget", "--out", "report.json"],
     "export-frame": ["export-frame", "--mode", "far", "--steer", "30", "--out", "frame.hex"],
 }
-SHARED = ["config", "errors", "geometry", "linkbudget", "masks", "output", "patterns"]
+SHARED = ["config", "errors", "geometry", "linkbudget", "masks", "output"]
+# only the cut command loads the cut module
+EXTRA = {
+    "pattern": ["patterns"],
+    "pattern-near": ["patterns"],
+    "localize": ["localization"],
+    "export-frame": ["hardware"],
+}
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -113,8 +120,7 @@ def test_command_loads_only_its_modules(tmp_path, name):
     report = "' '.join(sorted(m for m in sys.modules if m.startswith('risim.')))"
     exit_code, *loaded = run_as_main(tmp_path, RUNS[name], report)
     assert exit_code == "0"
-    extra = {"localize": ["localization"], "export-frame": ["hardware"]}.get(name, [])
-    assert loaded == sorted(f"risim.{m}" for m in SHARED + extra)
+    assert loaded == sorted(f"risim.{m}" for m in SHARED + EXTRA.get(name, []))
 
 
 def test_help_loads_no_numpy(tmp_path):

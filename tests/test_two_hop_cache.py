@@ -35,7 +35,7 @@ from risim import (
 )
 from risim.geometry import feed_hop, node_hop
 from risim.linkbudget import f_combine_grid, required_cascade_mask
-from risim.patterns import feed_taper
+from risim.masks import feed_taper
 
 MODES = ("analytic", "mask", "single_pass", "none")
 

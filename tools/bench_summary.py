@@ -92,10 +92,12 @@ def summarize(runs: dict[int, dict], metrics: list[str]) -> dict:
 
 
 def compare(base: dict[int, dict], other: dict[int, dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric, over the seeds both sides ran: seeds where
-    `other` beat `base` (scaled), and the ratio of the medians."""
+    """Over the seeds both sides ran: the seeds whose outputs hash alike
+    (`outputs_sha256`) and, per end-to-end metric, the seeds where `other`
+    beat `base` (scaled) and the ratio of the medians."""
     seeds = sorted(base.keys() & other.keys())
-    out = {"seeds": seeds}
+    same = [s for s in seeds if base[s].get("outputs_sha256") == other[s].get("outputs_sha256") is not None]
+    out = {"seeds": seeds, "outputs_sha256_equal": same}
     for metric, direction in better.items():
         pairs = [(base[s]["metrics"].get(metric), other[s]["metrics"].get(metric)) for s in seeds]
         pairs = [(b, o) for b, o in pairs if b is not None and o is not None]
