@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -39,8 +40,17 @@ def _workflow(func):
     return wrapper
 
 
+def _output_base(out: str, suffix: str = "") -> str:
+    """--out less a trailing suffix, checked before any compute: a base whose last
+    path component is empty ("", "sub/") would name hidden files such as sub/.csv."""
+    base = out.removesuffix(suffix)
+    if not os.path.basename(base):
+        raise ConfigError(f"--out {out!r} gives an empty file name")
+    return base
+
+
 def _csv_and_json_paths(out: str) -> tuple[str, str]:
-    base = out[:-4] if out.endswith(".csv") else out
+    base = _output_base(out, ".csv")
     return base + ".csv", base + ".metrics.json"
 
 
@@ -76,6 +86,7 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
         write_pattern_csv,
     )
 
+    csv_path, json_path = _csv_and_json_paths(out)
     cfg = load_config(config_path)
     steer_dir = Direction.from_signed_theta(steer)
     mask = _steering_mask(cfg, mode, steer_dir)
@@ -86,7 +97,6 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
     else:
         cut = array_factor_far(geom, mask, cell, Direction(0.0), 0.0, grid, cfg.wavelength)
     metrics = pattern_metrics(cut)
-    csv_path, json_path = _csv_and_json_paths(out)
     write_pattern_csv(
         cut,
         csv_path,
@@ -119,6 +129,7 @@ def cmd_localize(config_path, truths, seed, out) -> None:
     from .localization import estimate_angle, rmse, simulate_sweep, write_sweep_csv
     from .output import write_json
 
+    out = _output_base(out)
     cfg = load_config(config_path)
     if seed is not None:
         cfg = replace(cfg, sweep=replace(cfg.sweep, seed=seed))

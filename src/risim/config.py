@@ -211,7 +211,7 @@ def _overrides(doc: dict, path: tuple = ()):
             yield "_".join((ENV_PREFIX, *path, key)).upper(), (*path, key)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _override_paths(ledger_items: tuple) -> MappingProxyType:
     """Read-only env name -> key path of every override, for one tuple of
     ledger item names: the only part of the schema's shape a YAML file can
@@ -248,14 +248,10 @@ def _section(name: str, build):
         raise ConfigError(f"invalid config section {name}: {exc}") from exc
 
 
-# equal geometries resolve to one object, whose element lattice is then built once
-_array_geometry = functools.lru_cache(maxsize=1)(ArrayGeometry)
-
-
 def _build(doc: dict) -> ScenarioConfig:
     """Construct each section's domain object once, checking them in schema order."""
     wavelength = _section("frequency_hz", lambda: wavelength_from_frequency(doc["frequency_hz"]))
-    geometry = _section("geometry", lambda: _array_geometry(**doc["geometry"]))
+    geometry = _section("geometry", lambda: ArrayGeometry(**doc["geometry"]))
     cell = _section("cell", lambda: UnitCellReflection(**doc["cell"]))
     f = doc["feed"]
     feed = _section("feed", lambda: FeedSpec(Point3(*f["position_m"]), f["q_f"]))
@@ -269,7 +265,7 @@ def _build(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(doc["frequency_hz"], scenario, sweep)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _yaml_loader():
     """SafeLoader plus the exponent floats (5.5e9, -1e1) that YAML 1.1 reads as
     strings; a key repeated within one mapping is an error, not the last value."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,13 +76,6 @@ class ArrayGeometry:
     def size(self) -> int:
         return self.m_count * self.n_count
 
-    @cached_property
-    def _lattice(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self.periodicity_m
-        X, Y = np.meshgrid(np.arange(self.m_count) * p, np.arange(self.n_count) * p, indexing="ij")
-        X.flags.writeable = Y.flags.writeable = False
-        return X, Y
-
     def center(self) -> "Point3":
         """Geometric center of the aperture, in the z=0 plane."""
         p = self.periodicity_m
@@ -137,8 +130,9 @@ class Point3:
                 raise DomainError(f"coordinates must be finite, got {self!r}")
 
 
+@lru_cache(maxsize=1)
 def element_grid(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized element coordinates, computed once per geometry.
+    """Vectorized element coordinates, cached for one geometry value as feed_hop is.
 
     Returns
     -------
@@ -146,7 +140,10 @@ def element_grid(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
         Y[i, j] = j*p, axis 0 indexing m (x direction) and axis 1 indexing
         n (y direction).
     """
-    return geom._lattice
+    p = geom.periodicity_m
+    X, Y = np.meshgrid(np.arange(geom.m_count) * p, np.arange(geom.n_count) * p, indexing="ij")
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
 
 
 def projection_grid(geom: ArrayGeometry, direction: Direction) -> np.ndarray:

@@ -346,7 +346,7 @@ def _nearfield_bits(
 
 
 def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
-    """Steer angles start, start+step, ..., <= stop. The range and its entry
+    """Steer angles start, start+step, ..., <= stop, up to rounding. The range and its entry
     count are checked before anything is allocated; the [0, 90) bound on
     every angle, before any grid is built."""
     if not all(math.isfinite(v) for v in (start_deg, stop_deg, step_deg)):
@@ -355,10 +355,13 @@ def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.nd
         raise DomainError(f"codebook step must be > 0, got {step_deg}")
     if start_deg > stop_deg:
         raise DomainError(f"empty codebook range [{start_deg}, {stop_deg}]")
-    # np.arange returns ceil(span) angles
-    if (stop_deg + step_deg / 2 - start_deg) / step_deg > MAX_CODEBOOK_ENTRIES:
+    # steps to stop; a count within 1e-9 of a whole one is it (0.3 / 0.1 is 2.9999999999999996)
+    steps = (stop_deg - start_deg) / step_deg * (1 + 1e-9)
+    end = stop_deg + step_deg / 2  # np.arange's half-step slack holds the last angle
+    if not (steps < MAX_CODEBOOK_ENTRIES and end < math.inf):
         raise DomainError(f"step {step_deg:g} gives more than {MAX_CODEBOOK_ENTRIES} codebook entries")
-    angles = np.arange(start_deg, stop_deg + step_deg / 2, step_deg)
+    # the slack may add an angle past stop (59.9 / 1.5 to 60.0), which the slice cuts
+    angles = np.arange(start_deg, end, step_deg)[: math.floor(steps) + 1]
     _check_codebook_span(angles)
     return angles
 

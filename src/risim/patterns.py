@@ -112,11 +112,17 @@ class _ThetaGrid:
     """What every cut on one theta grid shares: the grid's bytes (the key of
     both per-grid caches), theta, the read-only array over them every cut
     holds, and, each built on first use, the CSV theta column and separator
-    rows and the near envelope's base."""
+    rows and the near envelope's base. It checks the values as it is built."""
 
     def __init__(self, key: bytes) -> None:
         self.key = key
-        self.theta = np.frombuffer(key)
+        self.theta = theta = np.frombuffer(key)
+        if not np.isfinite(theta).all():
+            raise DomainError("theta grid must be finite")
+        if np.any(np.diff(theta) <= 0):
+            raise DomainError("theta grid must be strictly increasing")
+        if theta[0] < -90.0 or theta[-1] > 90.0:
+            raise DomainError("theta grid must lie within [-90, 90]")
 
     @cached_property
     def csv_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,24 +135,10 @@ class _ThetaGrid:
         return np.clip(np.cos(np.radians(self.theta)), 0.0, None)
 
 
-@lru_cache(maxsize=1)
-def _checked_grid(theta_bytes: bytes) -> _ThetaGrid:
-    """The _ThetaGrid of a 1-D float grid, its values checked once per grid.
-    The key is the grid's exact bits, as _observation_table's is (-0.0 is not
-    0.0), so a grid mutated in place is a new key and is checked again; a
-    grid that fails raises and is not cached."""
-    grid = _ThetaGrid(theta_bytes)
-    _check_theta_values(grid.theta)
-    return grid
-
-
-def _check_theta_values(theta: np.ndarray) -> None:
-    if not np.isfinite(theta).all():
-        raise DomainError("theta grid must be finite")
-    if np.any(np.diff(theta) <= 0):
-        raise DomainError("theta grid must be strictly increasing")
-    if theta[0] < -90.0 or theta[-1] > 90.0:
-        raise DomainError("theta grid must lie within [-90, 90]")
+# one entry, keyed by the grid's exact bits, as _observation_table's is (-0.0 is
+# not 0.0): a grid mutated in place is a new key and is checked again, and a grid
+# that fails its checks raises and is never cached
+_checked_grid = lru_cache(maxsize=1)(_ThetaGrid)
 
 
 def _cut_inputs(geom: ArrayGeometry, mask, phi_plane_deg: float, theta_grid_deg, wavelength: float):

@@ -60,3 +60,22 @@ def test_runs_summarize_and_pair_by_seed(tmp_path):
     assert pairs["op_ms_p50"]["wins"] == 2 and pairs["op_ms_p50"]["pairs"] == 3
     assert pairs["ops_per_s"]["wins"] == 0
     assert "peak_rss_mb" not in pairs
+
+
+@pytest.mark.parametrize("change_pycache, equal", [(False, True), (True, False)])
+def test_pairs_flag_a_bytecode_mismatch(tmp_path, monkeypatch, capsys, change_pycache, equal):
+    base, other = tmp_path / "parent", tmp_path / "change"
+    for root in (base, other):
+        write_result(root, "cli", 1, 200.0, 5.0)
+    pycache = {base: False, other: change_pycache}
+    monkeypatch.setattr(
+        bench_summary, "source_state",
+        lambda root: {"src_pycache": pycache[root], "src_lines": 1, "exports": 1, "tier1_tests": 1},
+    )
+    out = tmp_path / "bench.json"
+    args = ["--side", f"parent={base}", "--side", f"change={other}", "--workload", "cli", "--out", str(out)]
+    assert bench_summary.main(args) == 0
+    pair = json.loads(out.read_text())["pairs"]["change vs parent"]
+    assert pair["src_pycache_equal"] is equal
+    assert pair["cli"]["outputs_sha256_equal"] == [1]
+    assert ("differ in compiled bytecode" in capsys.readouterr().err) is not equal

@@ -257,6 +257,18 @@ def test_localize_env_override_changes_codebook(runner, tmp_path):
     assert summary["codebook"]["step_deg"] == 3.0
 
 
+def test_localize_estimates_stay_within_a_stop_off_the_lattice(runner, tmp_path):
+    # 0..59.9 by 1.5 ends at 58.5: no entry at 60.0 past the summary's own stop_deg
+    env = {"RISIM_SWEEP_STOP_DEG": "59.9"}
+    result = invoke(runner, "localize", "--truths", "59.9", "--out", str(tmp_path / "loc"), env=env)
+    assert result.exit_code == 0
+    summary = json.loads((tmp_path / "loc.summary.json").read_text())
+    assert summary["codebook"]["entries"] == 40
+    assert summary["estimates_deg"] == [58.5]
+    result = runner.invoke(main, ["localize", "--truths", "60", "--out", str(tmp_path / "x")], env=env)
+    assert result.exit_code == 3 and "field of view" in result.stderr
+
+
 def test_linkbudget_report(runner, tmp_path):
     out = tmp_path / "report.json"
     result = invoke(runner, "linkbudget", "--out", str(out))
@@ -614,6 +626,33 @@ def test_unwritable_out_exits_2_naming_the_path(runner, tmp_path, command, out):
     assert "Traceback" not in result.output
     assert result.output.startswith("config error: cannot write output")
     assert str(target.parent if out else target) in result.output
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["pattern"], ""),
+        (["pattern"], "sub/"),
+        (["pattern"], ".csv"),
+        (["pattern"], "sub/.csv"),
+        (["localize"], ""),
+        (["localize"], "sub/"),
+    ],
+)
+def test_out_with_an_empty_file_name_exits_2_before_any_compute(runner, tmp_path, monkeypatch, command, out):
+    # each would otherwise write hidden files: .csv, sub/.metrics.json, sub/.summary.json
+    import risim.config
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("config resolved for an --out that names no file")
+
+    monkeypatch.setattr(risim.config, "load_config", no_compute)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    result = runner.invoke(main, [*command, "--out", out])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [f"config error: --out {out!r} gives an empty file name"]
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import risim
+from risim import hardware
 from risim import (
     DEFAULTS,
     ConfigError,
@@ -79,10 +80,17 @@ def test_render_parse_round_trip():
 def test_equal_geometries_share_one_lattice():
     a = load_config()
     b = parse_config(ALL_SECTIONS, env={"RISIM_SWEEP_STEP_DEG": "1.25"})
-    assert b.geometry is a.geometry
+    assert b.geometry == a.geometry
     assert all(x is y for x, y in zip(element_grid(a.geometry), element_grid(b.geometry)))
     other = load_config(env={"RISIM_GEOMETRY_M_COUNT": "8"})
     assert element_grid(other.geometry)[0].shape == (8, 10)
+
+
+def test_the_board_geometry_built_elsewhere_shares_the_config_lattice():
+    # the lattice is cached by geometry value, whoever builds the geometry
+    X, Y = element_grid(load_config().geometry)
+    board = element_grid(hardware.BOARD_GEOMETRY)
+    assert board[0] is X and board[1] is Y
 
 
 def test_load_from_file(tmp_path):
@@ -276,10 +284,10 @@ def test_frequency_that_is_not_the_links_carrier_is_a_domain_error(cfg):
 
 
 @pytest.mark.parametrize(
-    "sweep", ["{start_deg: -10.0}", "{stop_deg: 90.0}", "{stop_deg: 89.9}"]
+    "sweep", ["{start_deg: -10.0}", "{stop_deg: 90.0}", "{stop_deg: 90.5}"]
 )
 def test_codebook_angles_outside_0_90_name_the_sweep_section(sweep):
-    # 89.9 rounds up to a last entry at 90.0: the bound is on the angles built
+    # 90.5 gives a last entry at 90.0: the bound is on the angles built
     with pytest.raises(ConfigError, match=r"section sweep: codebook angles .* lie in \[0, 90\)"):
         parse_config(doc_with(sweep=sweep), env={})
 

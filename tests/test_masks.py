@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -307,7 +308,47 @@ def test_codebook_entry_count_limit_is_exact():
         codebook_angles(math.nan, 60.0, 1.5)
 
 
-@pytest.mark.parametrize("start, stop", [(-10.0, 60.0), (0.0, 90.0), (0.0, 89.9)])
+@given(
+    st.floats(0.0, 60.0),
+    st.floats(0.0, 29.0),
+    st.floats(0.01, 5.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_codebook_angles_stop_at_stop(start, span, step):
+    stop = start + span
+    angles = codebook_angles(start, stop, step)
+    # no angle exceeds stop but by rounding, and the next step would
+    assert angles[-1] - stop <= 1e-9 * (stop - start)
+    assert Fraction(start) + len(angles) * Fraction(step) > Fraction(stop)
+    assert np.array_equal(angles, np.arange(start, stop + step / 2, step)[: len(angles)])
+
+
+def test_codebook_drops_a_last_angle_past_stop():
+    assert codebook_angles(0.0, 89.9, 1.5)[-1] == 88.5
+    assert codebook_angles(0.0, 59.9, 1.5)[-1] == 58.5
+    assert codebook_angles(10.0, 20.7, 1.0)[-1] == 20.0
+    assert codebook_angles(0.0, 89.999, 0.5)[-1] == 89.5
+
+
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [
+        (0.0, 60.0, 1.5),
+        (5.0, 55.0, 1.25),
+        (0.0, 1.0, 0.1),
+        (0.0, 60.0, 0.1),
+        (0.0, 0.3, 0.1),  # 0.30000000000000004: past stop by rounding only
+        (0.0, 0.008 * (MAX_CODEBOOK_ENTRIES - 1), 0.008),
+        (0.0, 0.0, 1.0),
+    ],
+)
+def test_on_lattice_ranges_keep_every_angle(start, stop, step):
+    angles = codebook_angles(start, stop, step)
+    assert len(angles) == round((stop - start) / step) + 1
+    assert np.array_equal(angles, np.arange(start, stop + step / 2, step))
+
+
+@pytest.mark.parametrize("start, stop", [(-10.0, 60.0), (0.0, 90.0), (0.0, 90.5)])
 def test_codebook_angles_outside_0_90_fail_before_any_grid(board, monkeypatch, start, stop):
     def no_grid(*args, **kwargs):
         raise AssertionError("steering grids built for an out-of-range codebook")

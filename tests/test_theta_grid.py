@@ -19,7 +19,6 @@ from risim import (
     pattern_nearfield,
     write_pattern_csv,
 )
-from risim import patterns
 from risim.patterns import _checked_grid, _main_lobe_span
 
 
@@ -82,21 +81,15 @@ def test_cut_from_lists_gives_the_same_metrics_and_csv(cfg, tmp_path):
     assert (tmp_path / "lists.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
 
 
-def test_grid_values_are_checked_once_across_fifty_cuts(cfg, monkeypatch, tmp_path):
-    checks = []
-
-    def counting(theta):
-        checks.append(len(theta))
-        return check(theta)
-
-    check = patterns._check_theta_values
-    monkeypatch.setattr(patterns, "_check_theta_values", counting)
+def test_grid_values_are_checked_once_across_fifty_cuts(cfg, tmp_path):
+    # _ThetaGrid checks its values as it is built, so the checks run exactly on a miss
     _checked_grid.cache_clear()
     for k in range(50):
         cut = default_cut(cfg, ("far", "near")[k % 2], 5 + k)
         pattern_metrics(cut)
         write_pattern_csv(cut, tmp_path / "cut.csv")
-    assert checks == [721]
+    info = _checked_grid.cache_info()
+    assert (info.misses, info.maxsize) == (1, 1) and info.hits >= 50
 
 
 def test_invalid_grid_raises_on_every_call(cfg):

@@ -1,4 +1,4 @@
-"""Values computed once: the element lattice of an ArrayGeometry, the
+"""Values computed once: the element lattice of a geometry value, the
 states of a UnitCellReflection, the two-hop terms of a LinkScenario, the
 feed hop that synthesis, the near-field cut and every scenario on one feed
 share, and the feed taper that the cut and those scenarios share.
@@ -157,10 +157,14 @@ def test_element_grid_is_built_once_and_read_only(board):
     for grid in (X, Y):
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
-    # an equal geometry builds its own, equal lattice
-    other = element_grid(ArrayGeometry(16, 10, 0.016))
-    assert other[0] is not X
-    assert np.array_equal(other[0], X) and np.array_equal(other[1], Y)
+    # the cache is keyed by value: an equal geometry reads the same arrays
+    equal = element_grid(ArrayGeometry(board.m_count, board.n_count, board.periodicity_m))
+    assert equal[0] is X and equal[1] is Y
+    # one entry: another geometry replaces it, and the board's lattice is built again
+    assert element_grid(ArrayGeometry(8, 10, board.periodicity_m))[0].shape == (8, 10)
+    rebuilt = element_grid(board)
+    assert rebuilt[0] is not X
+    assert np.array_equal(rebuilt[0], X) and np.array_equal(rebuilt[1], Y)
 
 
 def test_hop_distance_is_the_correctly_rounded_norm(cfg):

@@ -10,7 +10,9 @@ export count, tier-1 test count and whether `src/risim/__pycache__` exists.
 Compiled bytecode alone moves `cli` times by ~25 ms, so only sides in the
 same bytecode state compare.
 With two sides, each workload also gets a paired comparison over the
-seeds both sides ran: how many seeds the second side won, per metric.
+seeds both sides ran: how many seeds the second side won, per metric; each
+pair also records `src_pycache_equal`, false (and a warning on stderr) when
+one side ran with compiled bytecode and the other without.
 
 Run it right after the benchmark runs, before anything imports the
 checkouts, so the bytecode state is the one the runs saw. Its own child
@@ -140,8 +142,13 @@ def main(argv: list[str] | None = None) -> int:
         }
     base, *others = sides
     for other in others:
+        # a pair across bytecode states shows a gain or loss that is not the code's
+        same_bytecode = doc["sides"][base]["src_pycache"] == doc["sides"][other]["src_pycache"]
+        if not same_bytecode:
+            print(f"bench_summary: {other} and {base} differ in compiled bytecode", file=sys.stderr)
         doc["pairs"][f"{other} vs {base}"] = {
-            w: compare(runs[base][w], runs[other][w], better) for w in args.workload
+            "src_pycache_equal": same_bytecode,
+            **{w: compare(runs[base][w], runs[other][w], better) for w in args.workload},
         }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
