@@ -15,11 +15,11 @@ import importlib
 _EXPORTS = {
     "errors": ("ConfigError", "DomainError"),
     "geometry": (
-        "SPEED_OF_LIGHT", "ArrayGeometry", "Direction", "Point3", "distance_grid",
-        "element_grid", "projection_grid", "wavelength_from_frequency",
+        "SPEED_OF_LIGHT", "ArrayGeometry", "Direction", "Point3", "element_grid",
+        "wavelength_from_frequency",
     ),
     "masks": (
-        "Codebook", "CodebookEntry", "CodingMask", "FeedSpec", "PhaseMask", "UnitCellReflection",
+        "Codebook", "CodingMask", "FeedSpec", "PhaseMask", "UnitCellReflection",
         "build_codebook", "farfield_steering_mask", "nearfield_steering_mask", "quantize_1bit",
         "snell_gradient",
     ),
@@ -28,9 +28,9 @@ _EXPORTS = {
         "pattern_nearfield", "write_pattern_csv",
     ),
     "linkbudget": (
-        "DEFAULT_HARDWARE_LOSS_DB", "L_PE_1BIT_DB", "LinkReport", "LinkScenario",
+        "DEFAULT_HARDWARE_LOSS_DB", "L_PE_1BIT_DB", "LinkReport", "LinkScenario", "NoiseModel",
         "geometric_accumulation", "integrate_psd", "phase_error_loss", "received_power",
-        "snr_ceiling", "unit_cell_gain",
+        "unit_cell_gain",
     ),
     "localization": (
         "SweepTrace", "estimate_angle", "rmse", "simulate_sweep", "ue_point", "write_sweep_csv",
@@ -39,9 +39,7 @@ _EXPORTS = {
         "BOARD_GEOMETRY", "RegisterFrame", "bias_resistor", "deserialize_frame", "read_frame",
         "serialize_mask", "write_frame",
     ),
-    "config": (
-        "DEFAULTS", "NoiseModel", "ScenarioConfig", "load_config", "parse_config", "render_config",
-    ),
+    "config": ("DEFAULTS", "ScenarioConfig", "load_config", "parse_config", "render_config"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -52,6 +53,11 @@ def _output_base(out: str, suffix: str = "") -> str:
 def _csv_and_json_paths(out: str) -> tuple[str, str]:
     base = _output_base(out, ".csv")
     return base + ".csv", base + ".metrics.json"
+
+
+def _metric(value: float, spec: str, unit: str) -> str:
+    """A metric on a stdout line: null, with no unit, where the metrics file writes null."""
+    return f"{value:{spec}} {unit}" if math.isfinite(value) else "null"
 
 
 def _steering_mask(cfg, mode: str, steer):
@@ -110,9 +116,9 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
     # metrics a degenerate or delta-like cut leaves undefined are written as null
     write_json({"mode": mode, "steer_deg": steer, **asdict(metrics)}, json_path)
     click.echo(
-        f"{mode} cut steered to {steer:g} deg: main lobe {metrics.main_lobe_deg:g} deg, "
-        f"mirror {metrics.mirror_lobe_db:.2f} dB, SLL {metrics.sidelobe_level_db:.2f} dB "
-        f"-> {csv_path}"
+        f"{mode} cut steered to {steer:g} deg: main lobe {_metric(metrics.main_lobe_deg, 'g', 'deg')}, "
+        f"mirror {_metric(metrics.mirror_lobe_db, '.2f', 'dB')}, "
+        f"SLL {_metric(metrics.sidelobe_level_db, '.2f', 'dB')} -> {csv_path}"
     )
 
 

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
-from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario
+from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario, NoiseModel
 from .masks import Codebook, FeedSpec, UnitCellReflection, build_codebook, codebook_angles
 
 ENV_PREFIX = "RISIM"
@@ -57,20 +57,6 @@ DEFAULTS = {
         "seed": 0,
     },
 }
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-entry RSSI jitter: none, or zero-mean gaussian in dB."""
-
-    kind: str = "none"
-    sigma_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "gaussian_db"):
-            raise DomainError(f"unknown noise kind {self.kind!r}")
-        if not (math.isfinite(self.sigma_db) and self.sigma_db >= 0):
-            raise DomainError(f"sigma_db must be finite and >= 0, got {self.sigma_db}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +251,6 @@ def _build(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(doc["frequency_hz"], scenario, sweep)
 
 
-@functools.lru_cache(maxsize=1)
 def _yaml_loader():
     """SafeLoader plus the exponent floats (5.5e9, -1e1) that YAML 1.1 reads as
     strings; a key repeated within one mapping is an error, not the last value."""

@@ -164,7 +164,7 @@ def _single_pass_sums(amp, path, bits, cell: UnitCellReflection) -> list[float]:
     exp(j*(pi - p)) is not bitwise -exp(-j*p). Each row sum's modulus is
     Python's abs, libm's hypot as numpy's scalar abs is; numpy's array abs
     may differ in the last bit."""
-    mag, phase = cell.states()
+    mag, phase = cell.states
     table = (amp.reshape(-1) * mag[:, None]) * np.exp(1j * (phase[:, None] - path.reshape(-1)))
     terms = np.where(bits.reshape(len(bits), -1), table[1], table[0])
     sums = terms.sum(axis=1)
@@ -198,7 +198,7 @@ def phase_error_loss(required: PhaseMask, applied: CodingMask, cell=UnitCellRefl
     the cell is lossless."""
     if required.phases_deg.shape != applied.bits.shape:
         raise DomainError("required and applied masks have different dimensions")
-    mag, phase = cell.states()
+    mag, phase = cell.states
     eps = np.radians(required.phases_deg) - phase[applied.bits]
     mean = np.mean(mag[applied.bits] * np.exp(1j * eps))
     return float(20.0 * np.log10(abs(mean))) if abs(mean) > 0 else -math.inf
@@ -218,13 +218,6 @@ def unit_cell_gain(cell_dx: float, cell_dy: float, wavelength: float) -> float:
     area = wavelength * wavelength  # inf past ~1.3e154 m, 0.0 once it underflows
     ratio = 4 * math.pi * cell_dx * cell_dy / area if area else math.inf
     return 10.0 * _log10("unit cell gain", ratio)
-
-
-def snr_ceiling(received_dbm: float, noise_floor_dbm: float) -> float:
-    """Best-case SNR against a fixed thermal noise floor, dB."""
-    if not (math.isfinite(received_dbm) and math.isfinite(noise_floor_dbm)):
-        raise DomainError("snr inputs must be finite")
-    return received_dbm - noise_floor_dbm
 
 
 def integrate_psd(psd_per_subcarrier_dbm: float, n_subcarriers: int) -> float:
@@ -319,8 +312,22 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         accumulation_linear=acc,
         phase_error_loss_db=lpe_db,
         received_power_dbm=received_dbm,
-        snr_db=snr_ceiling(received_dbm, scenario.noise_floor_dbm),
+        snr_db=received_dbm - scenario.noise_floor_dbm,  # both finite: _ledger_totals and LinkScenario check
         quantization=quantization,
         terms_db=terms,
         hardware_loss_items_db=hw_items,
     )
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Per-entry RSSI jitter of a codebook sweep's received powers: none, or zero-mean gaussian in dB."""
+
+    kind: str = "none"
+    sigma_db: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("none", "gaussian_db"):
+            raise DomainError(f"unknown noise kind {self.kind!r}")
+        if not (math.isfinite(self.sigma_db) and self.sigma_db >= 0):
+            raise DomainError(f"sigma_db must be finite and >= 0, got {self.sigma_db}")

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NoiseModel
 from .errors import DomainError
 from .geometry import Direction, Point3, check_node
-from .linkbudget import LinkScenario, _single_pass_dbm
+from .linkbudget import LinkScenario, NoiseModel, _single_pass_dbm
 from .masks import Codebook
 from .output import write_text
 

@@ -12,6 +12,7 @@ wrapped phase to the two-state 0/180 degree alphabet.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -109,14 +110,11 @@ class UnitCellReflection:
         mag = 10.0 ** (-3.0 / 20.0)
         return cls(mag, mag, 0.0, 210.0)
 
+    @cached_property
     def states(self) -> tuple[np.ndarray, np.ndarray]:
         """Reflection magnitude and phase in radians, each shape (2,) and
         indexed by the bit: the one lookup every kernel reads. Read-only
         and built once per cell."""
-        return self._states
-
-    @cached_property
-    def _states(self) -> tuple[np.ndarray, np.ndarray]:
         mag = np.array([self.magnitude_state0, self.magnitude_state1])
         phase = np.radians([self.phase_state0_deg, self.phase_state1_deg])
         mag.flags.writeable = phase.flags.writeable = False
@@ -191,7 +189,7 @@ class CodingMask:
         self.bits.flags.writeable = False
 
     def phases_deg(self) -> np.ndarray:
-        """The bits' nominal 0/180 degree phases; the cell's states() give the realized ones."""
+        """The bits' nominal 0/180 degree phases; the cell's states give the realized ones."""
         return self.bits.astype(float) * 180.0
 
 
@@ -357,11 +355,15 @@ def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.nd
         raise DomainError(f"empty codebook range [{start_deg}, {stop_deg}]")
     # steps to stop; a count within 1e-9 of a whole one is it (0.3 / 0.1 is 2.9999999999999996)
     steps = (stop_deg - start_deg) / step_deg * (1 + 1e-9)
-    end = stop_deg + step_deg / 2  # np.arange's half-step slack holds the last angle
-    if not (steps < MAX_CODEBOOK_ENTRIES and end < math.inf):
+    if not steps < MAX_CODEBOOK_ENTRIES:
         raise DomainError(f"step {step_deg:g} gives more than {MAX_CODEBOOK_ENTRIES} codebook entries")
-    # the slack may add an angle past stop (59.9 / 1.5 to 60.0), which the slice cuts
-    angles = np.arange(start_deg, end, step_deg)[: math.floor(steps) + 1]
+    count = math.floor(steps) + 1
+    if step_deg / 2 < sys.float_info.max - stop_deg:
+        # np.arange's half-step slack past stop holds the last angle; it may add
+        # one past stop (59.9 / 1.5 to 60.0), which the slice cuts
+        angles = np.arange(start_deg, stop_deg + step_deg / 2, step_deg)[:count]
+    else:  # that end passes the float range: step is past 1e292, so a second angle is past 90
+        angles = np.array([start_deg, start_deg + (count - 1) * step_deg][:count])
     _check_codebook_span(angles)
     return angles
 

@@ -93,7 +93,7 @@ def default_theta_grid(step_deg: float = 0.25) -> np.ndarray:
 
 def _mask_coefficients(mask: CodingMask, cell: UnitCellReflection) -> np.ndarray:
     """Complex per-element reflection coefficients: the cell state each bit selects."""
-    mag, phase = cell.states()
+    mag, phase = cell.states
     return (mag * np.exp(1j * phase))[mask.bits]
 
 

@@ -79,3 +79,16 @@ def test_pairs_flag_a_bytecode_mismatch(tmp_path, monkeypatch, capsys, change_py
     assert pair["src_pycache_equal"] is equal
     assert pair["cli"]["outputs_sha256_equal"] == [1]
     assert ("differ in compiled bytecode" in capsys.readouterr().err) is not equal
+
+
+def test_command_modules_of_this_tree():
+    # each command runs in its own process through the console script's entry
+    root = TOOL.parents[1]
+    record = bench_summary.command_modules(root)
+    assert list(record) == list(bench_summary.COMMANDS)
+    for mode in ("pattern-far", "pattern-near"):
+        assert "risim.patterns" in record[mode]["modules"]
+    assert "risim.patterns" not in record["linkbudget"]["modules"]
+    assert "risim.cli" in record["linkbudget"]["modules"]
+    files = [root / "src" / "risim" / f"{m.removeprefix('risim.')}.py" for m in record["linkbudget"]["modules"]]
+    assert record["linkbudget"]["src_lines"] == sum(len(f.read_text().splitlines()) for f in files)

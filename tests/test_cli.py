@@ -116,6 +116,12 @@ def test_pattern_single_element_metrics_are_strict_json(runner, tmp_path, mode):
     assert doc["degenerate"] is (mode == "far")
     if mode == "far":
         assert doc["main_lobe_deg"] is None and doc["mirror_lobe_db"] is None
+    # the stdout line prints null, with no unit, where the file writes null
+    line = result.output.strip()
+    assert "nan" not in line and "inf" not in line
+    assert "SLL null ->" in line
+    if mode == "far":
+        assert "main lobe null, mirror null," in line
 
 
 @pytest.mark.parametrize("z", ["1e20", "1e100"])
@@ -227,6 +233,26 @@ def test_localize_invalid_env_value_exits_2_naming_section(runner, tmp_path, env
     assert result.exit_code == 2
     assert f"invalid config section {section}" in result.output
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "stop, step, exit_code",
+    # stop + step/2 passes the float range: one angle, then a second far past 90
+    [("1e308", "1.7e308", 0), ("1.7e308", "1e308", 2)],
+)
+def test_localize_sweep_range_whose_arange_end_overflows(runner, tmp_path, stop, step, exit_code):
+    env = {"RISIM_SWEEP_STOP_DEG": stop, "RISIM_SWEEP_STEP_DEG": step}
+    out = tmp_path / "loc"
+    result = runner.invoke(main, ["localize", "--truths", "0", "--out", str(out)], env=env)
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, (SystemExit, type(None)))  # no traceback
+    if exit_code == 0:
+        summary = json.loads((tmp_path / "loc.summary.json").read_text())
+        assert summary["codebook"]["entries"] == 1 and summary["estimates_deg"] == [0.0]
+    else:
+        assert "invalid config section sweep" in result.stderr
+        assert "must lie in [0, 90)" in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_localize_seeded_noise_deterministic(runner, tmp_path):

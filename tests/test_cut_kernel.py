@@ -32,12 +32,11 @@ from risim import (
     farfield_steering_mask,
     nearfield_steering_mask,
     pattern_nearfield,
-    projection_grid,
     write_pattern_csv,
     write_sweep_csv,
 )
 from risim import patterns
-from risim.geometry import node_hop
+from risim.geometry import node_hop, projection_grid
 from risim.output import pattern_csv, pattern_grid_columns, write_text
 from risim.patterns import _cut_field, _mask_coefficients, _observation_table
 

@@ -16,16 +16,14 @@ from risim import (
     array_factor_far,
     build_codebook,
     default_theta_grid,
-    distance_grid,
     element_grid,
     nearfield_steering_mask,
     pattern_nearfield,
-    projection_grid,
     snell_gradient,
     wavelength_from_frequency,
 )
 
-from risim.geometry import MAX_ELEMENTS, azimuth_trig, in_plane_grid, projection_stack
+from risim.geometry import MAX_ELEMENTS, azimuth_trig, distance_grid, in_plane_grid, projection_grid, projection_stack
 
 from conftest import LAMBDA_BENCH
 

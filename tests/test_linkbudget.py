@@ -18,16 +18,15 @@ from risim import (
     PhaseMask,
     Point3,
     UnitCellReflection,
-    distance_grid,
     geometric_accumulation,
     integrate_psd,
     phase_error_loss,
     quantize_1bit,
     received_power,
     simulate_sweep,
-    snr_ceiling,
     unit_cell_gain,
 )
+from risim.geometry import distance_grid
 from risim.linkbudget import f_combine_grid, required_cascade_mask
 
 from conftest import left_to_right_sum
@@ -140,13 +139,6 @@ def test_unit_cell_gain_bench_value():
         unit_cell_gain(0.0, 0.016, 0.0545)
 
 
-def test_snr_ceiling_examples():
-    assert snr_ceiling(-43.87, -94.0) == pytest.approx(50.13)
-    assert snr_ceiling(-94.0, -94.0) == 0.0
-    with pytest.raises(DomainError):
-        snr_ceiling(math.inf, -94.0)
-
-
 def test_integrate_psd_examples():
     assert integrate_psd(-84.5, 1200) == pytest.approx(-53.7, abs=0.05)
     assert integrate_psd(-122.0, 1200) == pytest.approx(-91.2, abs=0.05)
@@ -159,6 +151,7 @@ def test_received_power_bench_band(bench):
     report = received_power(bench)
     assert report.received_power_dbm == pytest.approx(-43.87, abs=0.5)
     assert report.snr_db == pytest.approx(50.1, abs=0.5)
+    assert report.snr_db == report.received_power_dbm - bench.noise_floor_dbm
     assert report.phase_error_loss_db == pytest.approx(-3.92, abs=0.01)
     assert report.quantization == "analytic"
 

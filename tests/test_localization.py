@@ -7,7 +7,6 @@ import pytest
 from risim import (
     ArrayGeometry,
     Codebook,
-    CodebookEntry,
     CodingMask,
     Direction,
     DomainError,
@@ -26,6 +25,7 @@ from risim import (
     ue_point,
     write_sweep_csv,
 )
+from risim.masks import CodebookEntry
 
 
 @pytest.fixture(scope="module")

@@ -348,14 +348,37 @@ def test_on_lattice_ranges_keep_every_angle(start, stop, step):
     assert np.array_equal(angles, np.arange(start, stop + step / 2, step))
 
 
-@pytest.mark.parametrize("start, stop", [(-10.0, 60.0), (0.0, 90.0), (0.0, 90.5)])
-def test_codebook_angles_outside_0_90_fail_before_any_grid(board, monkeypatch, start, stop):
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [
+        (0.0, 100.0, 200.0),
+        (0.0, 1e308, 1.7e308),  # stop + step/2 passes the float range
+        (-0.0, 1e308, 1.7e308),
+        (30.0, 1e308, 1.7e308),
+    ],
+)
+def test_a_range_within_one_step_is_its_start(start, stop, step):
+    angles = codebook_angles(start, stop, step)
+    assert angles.tolist() == [start] and np.signbit(angles[0]) == np.signbit(start)
+
+
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [
+        pytest.param(-10.0, 60.0, 1.5, id="-10.0-60.0"),
+        pytest.param(0.0, 90.0, 1.5, id="0.0-90.0"),
+        pytest.param(0.0, 90.5, 1.5, id="0.0-90.5"),
+        # stop + step/2 passes the float range; the second angle, 1e308, is the fault
+        pytest.param(0.0, 1.7e308, 1e308, id="0.0-1.7e308-1e308"),
+    ],
+)
+def test_codebook_angles_outside_0_90_fail_before_any_grid(board, monkeypatch, start, stop, step):
     def no_grid(*args, **kwargs):
         raise AssertionError("steering grids built for an out-of-range codebook")
 
     monkeypatch.setattr(masks, "_nearfield_bits", no_grid)
     with pytest.raises(DomainError, match=r"codebook angles .* must lie in \[0, 90\)"):
-        build_codebook(board, Point3(0.12, 0.072, 0.3), LAMBDA_BENCH, start, stop, 1.5)
+        build_codebook(board, Point3(0.12, 0.072, 0.3), LAMBDA_BENCH, start, stop, step)
 
 
 def test_phase_mask_validation(board):

@@ -252,10 +252,10 @@ def test_cell_validation_and_measured_preset():
 
 
 def test_cell_states_are_indexed_by_the_bit():
-    mag, phase = UnitCellReflection(0.9, 0.7, 10.0, 200.0).states()
+    mag, phase = UnitCellReflection(0.9, 0.7, 10.0, 200.0).states
     assert mag.tolist() == [0.9, 0.7]
     assert phase.tolist() == [math.radians(10.0), math.radians(200.0)]
-    mag, phase = UnitCellReflection().states()
+    mag, phase = UnitCellReflection().states
     assert mag.tolist() == [1.0, 1.0] and phase.tolist() == [0.0, math.pi]
 
 

@@ -123,6 +123,14 @@ def test_command_loads_only_its_modules(tmp_path, name):
     assert loaded == sorted(f"risim.{m}" for m in SHARED + EXTRA.get(name, []))
 
 
+def test_kernel_modules_load_no_config(tmp_path):
+    # config resolves scenarios for the commands; no kernel module imports it
+    code = "import sys, risim.localization, risim.patterns, risim.hardware; print('risim.config' in sys.modules)"
+    done = spawn(tmp_path, "-B", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_help_loads_no_numpy(tmp_path):
     exit_code, numpy_loaded = run_as_main(tmp_path, ["--help"], "'numpy' in sys.modules")
     assert exit_code == "0" and numpy_loaded == "False"

@@ -21,14 +21,13 @@ from risim import (
     Point3,
     UnitCellReflection,
     build_codebook,
-    distance_grid,
     nearfield_steering_mask,
-    projection_grid,
     received_power,
     simulate_sweep,
     ue_point,
     unit_cell_gain,
 )
+from risim.geometry import distance_grid, projection_grid
 from risim.linkbudget import (
     L_PE_1BIT_DB,
     _MW_FLOAT_RANGE_DBM,
@@ -158,7 +157,7 @@ def test_sweep_rssi_takes_libm_abs_and_log10_per_entry(cfg):
     # in the last bit; the sweep must not, or its argmax RSSI would no longer
     # equal a one-mask recompute (criterion 08)
     codebook = cfg.steering_codebook()
-    mag, phase = cfg.link.cell.states()
+    mag, phase = cfg.link.cell.states
     values = list(received_power(cfg.link, "none").terms_db.values())
     head, hw_db = values[:5], values[-1]
     for truth in np.arange(0.0, 61.0, 2.5).tolist():

@@ -26,14 +26,13 @@ from risim import (
     UnitCellReflection,
     build_codebook,
     default_theta_grid,
-    distance_grid,
     element_grid,
     geometric_accumulation,
     nearfield_steering_mask,
     pattern_nearfield,
     received_power,
 )
-from risim.geometry import feed_hop, node_hop
+from risim.geometry import distance_grid, feed_hop, node_hop
 from risim.linkbudget import f_combine_grid, required_cascade_mask
 from risim.masks import feed_taper
 
@@ -248,8 +247,8 @@ def test_scenarios_on_one_feed_compute_its_hop_once(cfg, monkeypatch):
 
 def test_cell_states_are_built_once_and_read_only():
     cell = UnitCellReflection(0.9, 0.7, 10.0, 200.0)
-    mag, phase = cell.states()
-    again = cell.states()
+    mag, phase = cell.states
+    again = cell.states
     assert again[0] is mag and again[1] is phase
     assert np.array_equal(mag, np.array([cell.magnitude_state0, cell.magnitude_state1]))
     assert np.array_equal(phase, np.radians([cell.phase_state0_deg, cell.phase_state1_deg]))
@@ -257,5 +256,5 @@ def test_cell_states_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             state[0] = 0.5
     # an equal cell builds its own, equal states
-    other = UnitCellReflection(0.9, 0.7, 10.0, 200.0).states()
+    other = UnitCellReflection(0.9, 0.7, 10.0, 200.0).states
     assert other[0] is not mag and np.array_equal(other[0], mag)

@@ -6,7 +6,9 @@ Each checkout ("side") has run `python3 perfbench/run.py --workload <w>
 it reads every seed's untraced result and writes the median and quartiles
 of each end-to-end metric named in BENCHMARK.json, scaled (`metrics`) and
 raw (`raw`), and the state of the side's source: `src/` line count, public
-export count, tier-1 test count and whether `src/risim/__pycache__` exists.
+export count, tier-1 test count, whether `src/risim/__pycache__` exists, and
+per CLI command the `risim.*` modules its process loads and their summed
+source lines (`commands`).
 Compiled bytecode alone moves `cli` times by ~25 ms, so only sides in the
 same bytecode state compare.
 With two sides, each workload also gets a paired comparison over the
@@ -33,12 +35,31 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 COUNT_EXPORTS = (  # through dir() and getattr, so lazily resolved exports count too
     "import types, risim; print(sum(1 for n in dir(risim)"
     " if not n.startswith('_') and not isinstance(getattr(risim, n), types.ModuleType)))"
+)
+# one run per command, each in its own process: the same runs tests/test_process_entry.py checks
+COMMANDS = {
+    "pattern-far": ["pattern", "--mode", "far", "--steer", "30", "--out", "cut.csv"],
+    "pattern-near": ["pattern", "--mode", "near", "--steer", "45", "--out", "near.csv"],
+    "localize": ["localize", "--truths", "30,45", "--seed", "1", "--out", "loc"],
+    "linkbudget": ["linkbudget", "--out", "report.json"],
+    "export-frame": ["export-frame", "--mode", "far", "--steer", "30", "--out", "frame.hex"],
+}
+LOADED_MODULES = (  # the console script's entry on the arguments that follow, then the risim.* modules
+    "import sys\n"
+    "from risim.cli import run\n"
+    "try:\n"
+    "    run()\n"
+    "except SystemExit as exc:\n"
+    "    if exc.code:\n"
+    "        raise\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('risim.')))\n"
 )
 
 
@@ -47,19 +68,23 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def child(root: Path, *args: str, check: bool = True) -> str:
+def line_count(path: Path) -> int:
+    return len(path.read_text().splitlines())
+
+
+def child(root: Path, *args: str, check: bool = True, cwd: Path | None = None) -> str:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = str(root / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     done = subprocess.run(
-        [sys.executable, "-B", *args], cwd=root, env=env, capture_output=True, text=True, check=check
+        [sys.executable, "-B", *args], cwd=cwd or root, env=env, capture_output=True, text=True, check=check
     )
     return done.stdout
 
 
 def source_state(root: Path) -> dict:
     bytecode = (root / "src" / "risim" / "__pycache__").is_dir()  # before any child imports risim
-    lines = sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
+    lines = sum(line_count(p) for p in sorted((root / "src").rglob("*.py")))
     collected = child(
         root, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
         "--continue-on-collection-errors", "tests", check=False,  # as the tier-1 run counts
@@ -70,7 +95,21 @@ def source_state(root: Path) -> dict:
         "src_lines": lines,
         "exports": int(child(root, "-c", COUNT_EXPORTS)),
         "tier1_tests": int(tests.group(1)) if tests else None,
+        "commands": command_modules(root),
     }
+
+
+def command_modules(root: Path) -> dict:
+    """Per command in COMMANDS: the risim.* modules a fresh process running it
+    loads, and their summed source lines; outputs go to a temporary directory."""
+    record = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in COMMANDS.items():
+            # the command prints its own lines first
+            modules = child(root, "-c", LOADED_MODULES, *args, cwd=Path(tmp)).splitlines()[-1].split()
+            files = [root / "src" / Path(*m.split(".")).with_suffix(".py") for m in modules]
+            record[name] = {"modules": modules, "src_lines": sum(map(line_count, files))}
+    return record
 
 
 def load_runs(root: Path, workload: str) -> dict[int, dict]:
