@@ -162,16 +162,12 @@ def _single_pass_sums(amp, path, bits, cell: UnitCellReflection) -> list[float]:
     alike; one contiguous row sum and a scalar abs per mask keep row k
     bit-identical to mask k alone. Each state is its own exp:
     exp(j*(pi - p)) is not bitwise -exp(-j*p). Each row sum's modulus is
-    Python's abs, libm's hypot as numpy's scalar abs is; numpy's array abs
-    may differ in the last bit."""
+    numpy's scalar abs (libm's hypot; inf past the float range); numpy's
+    array abs may differ in the last bit."""
     mag, phase = cell.states
     table = (amp.reshape(-1) * mag[:, None]) * np.exp(1j * (phase[:, None] - path.reshape(-1)))
     terms = np.where(bits.reshape(len(bits), -1), table[1], table[0])
-    sums = terms.sum(axis=1)
-    try:
-        return [abs(s) for s in sums.tolist()]
-    except OverflowError:  # finite parts whose modulus passes the float range
-        return [float(abs(s)) for s in sums]  # numpy's scalar abs reads inf there
+    return [float(abs(s)) for s in terms.sum(axis=1)]
 
 
 def geometric_accumulation(scenario: LinkScenario) -> float:

@@ -12,7 +12,6 @@ wrapped phase to the two-state 0/180 degree alphabet.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -42,8 +41,12 @@ def check_bits(bits: np.ndarray) -> None:
         raise DomainError("bit grid entries must be 0 or 1")
 
 
-def _check_codebook_span(angles: np.ndarray) -> None:
-    """Increasing steer angles lie in [0, 90): their ends are checked."""
+def _check_angles(angles: np.ndarray) -> None:
+    """Codebook steer angles are a non-empty 1-D array, strictly increasing, in [0, 90)."""
+    if angles.ndim != 1 or angles.size == 0:
+        raise DomainError("codebook must contain at least one entry")
+    if not (angles[1:] > angles[:-1]).all():  # NaN compares false
+        raise DomainError("codebook angles must be strictly increasing")
     if not (0.0 <= angles[0] and angles[-1] < 90.0):
         raise DomainError(f"codebook angles {angles[0]}..{angles[-1]} must lie in [0, 90)")
 
@@ -213,11 +216,7 @@ class Codebook:
     def __post_init__(self) -> None:
         angles = np.array(self.angles, dtype=float)
         bits = np.array(self.bits)
-        if angles.ndim != 1 or angles.size == 0:
-            raise DomainError("codebook must contain at least one entry")
-        if not np.all(np.diff(angles) > 0):
-            raise DomainError("codebook angles must be strictly increasing")
-        _check_codebook_span(angles)
+        _check_angles(angles)
         shape = (len(angles), self.geom.m_count, self.geom.n_count)
         if bits.shape != shape:
             raise DomainError(f"codebook bit shape {bits.shape} does not match {shape}")
@@ -253,12 +252,9 @@ def snell_gradient(
     in-plane projection onto each direction; wrapped to degrees.
     """
     k0 = wavenumber(wavelength)
-    # normal incidence projects every element to a signed zero; subtracting the
-    # scalar 0.0 instead gives the same wrapped bits (np.mod maps -0.0 to 0.0)
-    proj_in = projection_grid(geom, incidence) if incidence.theta_deg else 0.0
     # an extreme pitch overflows to inf/NaN, which PhaseMask rejects, as in _nearfield_bits
     with np.errstate(over="ignore", invalid="ignore"):
-        phase_rad = k0 * (proj_in - projection_grid(geom, reflection))
+        phase_rad = k0 * (projection_grid(geom, incidence) - projection_grid(geom, reflection))
         phases = _wrap_deg_inplace(np.degrees(phase_rad))
     return PhaseMask(geom, phases)
 
@@ -344,27 +340,28 @@ def _nearfield_bits(
 
 
 def codebook_angles(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
-    """Steer angles start, start+step, ..., <= stop, up to rounding. The range and its entry
-    count are checked before anything is allocated; the [0, 90) bound on
-    every angle, before any grid is built."""
+    """Steer angles start, start+step, ..., <= stop, up to rounding; a range within one
+    step is its start. The range, the start's [0, 90) bound and the entry count are
+    checked before anything is allocated; the angles, as Codebook checks them."""
     if not all(math.isfinite(v) for v in (start_deg, stop_deg, step_deg)):
         raise DomainError(f"codebook range {start_deg}..{stop_deg} step {step_deg} must be finite")
     if step_deg <= 0:
         raise DomainError(f"codebook step must be > 0, got {step_deg}")
     if start_deg > stop_deg:
         raise DomainError(f"empty codebook range [{start_deg}, {stop_deg}]")
+    if not 0.0 <= start_deg < 90.0:  # so stop - start stays finite
+        raise DomainError(f"codebook angles from {start_deg} must lie in [0, 90)")
     # steps to stop; a count within 1e-9 of a whole one is it (0.3 / 0.1 is 2.9999999999999996)
     steps = (stop_deg - start_deg) / step_deg * (1 + 1e-9)
     if not steps < MAX_CODEBOOK_ENTRIES:
         raise DomainError(f"step {step_deg:g} gives more than {MAX_CODEBOOK_ENTRIES} codebook entries")
     count = math.floor(steps) + 1
-    if step_deg / 2 < sys.float_info.max - stop_deg:
-        # np.arange's half-step slack past stop holds the last angle; it may add
-        # one past stop (59.9 / 1.5 to 60.0), which the slice cuts
-        angles = np.arange(start_deg, stop_deg + step_deg / 2, step_deg)[:count]
-    else:  # that end passes the float range: step is past 1e292, so a second angle is past 90
-        angles = np.array([start_deg, start_deg + (count - 1) * step_deg][:count])
-    _check_codebook_span(angles)
+    if count == 1:  # start + step / 2 may round to start itself
+        return np.array([start_deg], dtype=float)
+    # the slack past stop holds the last angle, or adds one (59.9 / 1.5 to 60.0) the slice
+    # cuts; from a step of 90 on, any second angle lies past 90, and 45 keeps the end finite
+    angles = np.arange(start_deg, stop_deg + min(step_deg, 90.0) / 2, step_deg)[:count]
+    _check_angles(angles)
     return angles
 
 

@@ -109,10 +109,9 @@ def _theta_grid(theta_grid_deg, phi_plane_deg: float) -> _ThetaGrid:
 
 
 class _ThetaGrid:
-    """What every cut on one theta grid shares: the grid's bytes (the key of
-    both per-grid caches), theta, the read-only array over them every cut
-    holds, and, each built on first use, the CSV theta column and separator
-    rows and the near envelope's base. It checks the values as it is built."""
+    """What every cut on one theta grid shares: the grid's bytes (the key of both per-grid
+    caches), theta, the read-only array over them every cut holds, and, built on first
+    use, the CSV theta column and separator rows. It checks the values as it is built."""
 
     def __init__(self, key: bytes) -> None:
         self.key = key
@@ -128,11 +127,6 @@ class _ThetaGrid:
     def csv_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pattern CSV columns every cut on this grid shares."""
         return pattern_grid_columns(self.theta)
-
-    @cached_property
-    def cos_clipped(self) -> np.ndarray:
-        """clip(cos(theta), 0): the near envelope before its ** q_e."""
-        return np.clip(np.cos(np.radians(self.theta)), 0.0, None)
 
 
 # one entry, keyed by the grid's exact bits, as _observation_table's is (-0.0 is
@@ -257,7 +251,8 @@ def pattern_nearfield(
     coeff = _mask_coefficients(mask, cell)
     base = (amp * coeff * _feed_phase(geom, feed.position, wavelength)[1].conj()).ravel()
     field = _cut_field(geom, phi_plane_deg, grid.key, wavelength, base)
-    return PatternCut(phi_plane_deg, grid.theta, grid.cos_clipped**q_e * field)
+    envelope = np.clip(np.cos(np.radians(grid.theta)), 0.0, None) ** q_e
+    return PatternCut(phi_plane_deg, grid.theta, envelope * field)
 
 
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:

@@ -255,6 +255,29 @@ def test_localize_sweep_range_whose_arange_end_overflows(runner, tmp_path, stop,
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "start, stop, step, truth, exit_code, message",
+    [
+        ("30", "30", "1e-20", "30", 0, None),  # start + step/2 rounds to start: one entry
+        ("-1e308", "1e308", "1.5e308", "0", 2, "must lie in [0, 90)"),  # stop - start overflows
+        ("63.99999999999999", "64.00000000000003", "7.105427357601002e-15", "64", 2, "strictly increasing"),
+    ],
+    ids=["one-entry", "negative-start", "repeated-angle"],
+)
+def test_localize_sweep_range_reaches_one_outcome(runner, tmp_path, start, stop, step, truth, exit_code, message):
+    env = {"RISIM_SWEEP_START_DEG": start, "RISIM_SWEEP_STOP_DEG": stop, "RISIM_SWEEP_STEP_DEG": step}
+    result = runner.invoke(main, ["localize", "--truths", truth, "--out", str(tmp_path / "loc")], env=env)
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, (SystemExit, type(None)))  # no traceback
+    if exit_code == 0:
+        summary = json.loads((tmp_path / "loc.summary.json").read_text())
+        assert summary["codebook"]["entries"] == 1 and summary["estimates_deg"] == [30.0]
+    else:
+        assert len(result.stderr.splitlines()) == 1 and "invalid config section sweep" in result.stderr
+        assert message in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_localize_seeded_noise_deterministic(runner, tmp_path):
     noisy = tmp_path / "noisy.yaml"
     noisy.write_text(FULL_SECTIONS.replace("sweep: {}", "sweep: {noise_kind: gaussian_db, sigma_db: 1.0}"))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from risim import (
     ArrayGeometry,
@@ -355,11 +355,40 @@ def test_on_lattice_ranges_keep_every_angle(start, stop, step):
         (0.0, 1e308, 1.7e308),  # stop + step/2 passes the float range
         (-0.0, 1e308, 1.7e308),
         (30.0, 1e308, 1.7e308),
+        (30.0, 30.0, 1e-20),  # start + step/2 rounds to start
+        (45.0, 45.0, 1e-300),
     ],
 )
 def test_a_range_within_one_step_is_its_start(start, stop, step):
     angles = codebook_angles(start, stop, step)
     assert angles.tolist() == [start] and np.signbit(angles[0]) == np.signbit(start)
+
+
+def test_a_range_whose_steps_round_together_is_not_strictly_increasing():
+    # one ulp below 64 is half an ulp above it: the angles read 64 - ulp, 64, 64, ...
+    with pytest.raises(DomainError, match="strictly increasing"):
+        codebook_angles(63.99999999999999, 64.00000000000003, 7.105427357601002e-15)
+
+
+# finite values from subnormals through ~1.8e308, and values around the [0, 90) bound
+SWEEP_VALUE = st.one_of(st.floats(-1.0, 100.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(SWEEP_VALUE, st.one_of(st.none(), SWEEP_VALUE), SWEEP_VALUE)
+@example(30.0, None, 1e-20)
+@example(-1e308, 1e308, 1.5e308)
+@example(63.99999999999999, 64.00000000000003, 7.105427357601002e-15)
+@settings(max_examples=300, deadline=None)
+def test_every_sweep_range_reaches_one_outcome(start, stop, step):
+    stop = start if stop is None else stop  # a range within one step, for any step
+    try:
+        angles = codebook_angles(start, stop, step)
+    except DomainError:
+        return
+    assert isinstance(angles, np.ndarray) and angles.dtype == np.float64 and angles.ndim == 1
+    assert 1 <= len(angles) <= MAX_CODEBOOK_ENTRIES
+    assert np.all(np.diff(angles) > 0) and 0.0 <= angles[0] and angles[-1] < 90.0
+    assert angles[:1].tobytes() == np.float64(start).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -370,6 +399,9 @@ def test_a_range_within_one_step_is_its_start(start, stop, step):
         pytest.param(0.0, 90.5, 1.5, id="0.0-90.5"),
         # stop + step/2 passes the float range; the second angle, 1e308, is the fault
         pytest.param(0.0, 1.7e308, 1e308, id="0.0-1.7e308-1e308"),
+        # stop - start passes the float range; the start is the fault
+        pytest.param(-1e308, 1e308, 1.5e308, id="-1e308-1e308-1.5e308"),
+        pytest.param(-1.7e308, 1e308, 1.7e308, id="-1.7e308-1e308-1.7e308"),
     ],
 )
 def test_codebook_angles_outside_0_90_fail_before_any_grid(board, monkeypatch, start, stop, step):
