@@ -17,15 +17,16 @@ from .output import write_text
 
 @dataclass(frozen=True, eq=False)
 class SweepTrace:
-    """Per-codebook-entry RSSI, in codebook order, stored as 1-D float arrays."""
+    """Per-codebook-entry RSSI, in codebook order, stored as read-only 1-D float copies."""
 
     steer_deg: np.ndarray
     rssi_dbm: np.ndarray
 
     def __post_init__(self) -> None:
-        steer, rssi = np.asarray(self.steer_deg, dtype=float), np.asarray(self.rssi_dbm, dtype=float)
+        steer, rssi = np.array(self.steer_deg, dtype=float), np.array(self.rssi_dbm, dtype=float)
         if steer.ndim != 1 or steer.shape != rssi.shape or steer.size == 0:
             raise DomainError("trace angle and RSSI sequences must be nonempty, 1-D and equal length")
+        steer.flags.writeable = rssi.flags.writeable = False
         object.__setattr__(self, "steer_deg", steer)
         object.__setattr__(self, "rssi_dbm", rssi)
 

@@ -23,24 +23,17 @@ from .output import pattern_csv, pattern_grid_columns, write_text
 # observation table is then a (180001, W) complex array, W being the cut plane's count
 # of distinct element coordinates: 46 MB on the 16 x 10 board's phi = 0 plane (W = 16),
 # 461 MB on a plane where no two elements share one (W = M*N). It stays resident until
-# a cut on another grid replaces it
+# a cut on another grid replaces it; a cut, cold or warm, peaks at about twice its table
 MAX_THETA_SAMPLES = 180_001
-
-# Bytes of one row block of a cut's product and row sum: rows per block are
-# this budget over the 16 * W bytes of a table row (at least one), so a block
-# stays in cache between the product and the sum; 1024 rows on the 16 x 10
-# board's phi = 0 plane (W = 16), 102 where W = M*N = 160. 128 KB and
-# 640 KB ran a W = 160 cut no faster.
-_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
 class PatternCut:
     """Sampled complex field over signed theta in one azimuth plane.
 
-    theta_deg is the checked grid and field a complex copy of the caller's;
-    gain_db is derived from field, its maximum sample exactly 0 dB (all -inf
-    when the peak magnitude is not > 0). All three are read-only.
+    theta_deg is the checked grid and field a complex copy of the caller's,
+    its peak magnitude finite; gain_db is derived from field, its maximum
+    sample exactly 0 dB (all -inf when that peak is 0). All three are read-only.
     """
 
     phi_plane_deg: float
@@ -55,6 +48,8 @@ class PatternCut:
             raise DomainError(f"field shape {field.shape} does not match theta grid shape {th.shape}")
         mags = np.abs(field)
         peak = mags.max()
+        if not math.isfinite(peak):
+            raise DomainError(f"cut field must be finite, got a peak magnitude of {peak}")
         with np.errstate(divide="ignore"):
             gain_db = 20.0 * np.log10(mags / peak) if peak > 0 else np.full_like(mags, -np.inf)
         field.flags.writeable = gain_db.flags.writeable = False
@@ -163,7 +158,8 @@ def _observation_table(
     """
     w, inv = np.unique(in_plane_grid(geom, phi_plane_deg).ravel(), return_inverse=True)
     sin_t = np.sin(np.radians(np.frombuffer(theta_bytes)))
-    table = np.exp(1j * (wavenumber(wavelength) * sin_t[:, None] * w[None, :]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase is NaN: PatternCut rejects it
+        table = np.exp(1j * (wavenumber(wavelength) * sin_t[:, None] * w[None, :]))
     table.flags.writeable = inv.flags.writeable = False
     return table, inv
 
@@ -177,26 +173,17 @@ def _cut_field(
 
     Elements sharing w share the exponential, so base is first summed per
     distinct w, in element order, into W groups; the exp table comes from
-    the per-grid cache, and its product with the groups and the row sum run
-    a block of _BLOCK_BYTES at a time, so a cut allocates one block, not a
-    (T, W) term array. Each row multiplies and sums the same contiguous W
-    values in the same order, so every bit is the same whatever the block
-    size. Product plus row sum (no matmul) keeps cuts partition-independent;
-    signed theta enters through sin(theta), so the symmetric half of the cut
-    is the exact floating-point mirror.
+    the per-grid cache, and each row sums its product with the groups.
+    Product plus row sum (no matmul) keeps cuts partition-independent: a
+    row multiplies and sums the same contiguous W values in the same order
+    whatever other rows the grid holds. Signed theta enters through
+    sin(theta), so the symmetric half of the cut is the exact floating-point
+    mirror.
     """
     table, inv = _observation_table(geom, phi_plane_deg, wavelength, theta_bytes)
-    count, width = table.shape
-    groups = np.zeros(width, complex)
+    groups = np.zeros(table.shape[1], complex)
     np.add.at(groups, inv, base)
-    rows = max(1, _BLOCK_BYTES // table[0].nbytes)
-    field = np.empty(count, complex)
-    block = np.empty((min(rows, count), width), complex)
-    for start in range(0, count, rows):
-        part = block[: min(rows, count - start)]
-        np.multiply(table[start : start + rows], groups, out=part)
-        part.sum(axis=1, out=field[start : start + rows])
-    return field
+    return (table * groups).sum(axis=1)
 
 
 def array_factor_far(

@@ -11,8 +11,10 @@ from risim import (
     Direction,
     PatternCut,
     PhaseMask,
+    SweepTrace,
     array_factor_far,
     default_theta_grid,
+    estimate_angle,
     farfield_steering_mask,
     pattern_metrics,
     quantize_1bit,
@@ -85,7 +87,17 @@ def phase_mask(cfg):
     return PhaseMask(cfg.geometry, phases), ["phases_deg"], [phases], edit
 
 
-@pytest.mark.parametrize("build", [kernel_cut, constructed_cut, codebook, coding_mask, phase_mask])
+def sweep_trace(cfg):
+    angles, rssi = np.array([0.0, 1.0, 2.0]), np.array([-80.0, -70.0, -75.0])
+
+    def edit(valid):
+        rssi[1] = -90.0 if valid else np.nan
+        angles[:] = [3.0, 2.0, 1.0] if valid else [1.0, 1.0, np.inf]
+
+    return SweepTrace(angles, rssi), ["steer_deg", "rssi_dbm"], [angles, rssi], edit
+
+
+@pytest.mark.parametrize("build", [kernel_cut, constructed_cut, codebook, coding_mask, phase_mask, sweep_trace])
 def test_edits_to_the_caller_arrays_leave_the_object_unchanged(cfg, build):
     obj, names, callers, edit = build(cfg)
     before = [getattr(obj, name).copy() for name in names]
@@ -101,6 +113,8 @@ def test_edits_to_the_caller_arrays_leave_the_object_unchanged(cfg, build):
             held[0] = 0
     if isinstance(obj, PhaseMask):
         assert quantize_1bit(obj).bits.all()
+    if isinstance(obj, SweepTrace):
+        assert estimate_angle(obj) == 1.0
 
 
 def test_halving_the_grid_after_a_far_cut_leaves_the_cut(cfg, tmp_path):

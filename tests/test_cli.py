@@ -152,6 +152,18 @@ def test_pattern_cut_with_a_subnormal_peak_is_degenerate(runner, tmp_path):
     assert doc["sidelobe_level_db"] is None
 
 
+@pytest.mark.parametrize("mode", ["far", "near"])
+def test_pattern_whose_phase_overflows_exits_3_and_writes_nothing(runner, tmp_path, mode):
+    # at 1.7e308 Hz on a 1e9 m lattice k0 * w overflows: the far cut's field
+    # is NaN, and the near synthesis already stops on its phase grid
+    env = {"RISIM_FREQUENCY_HZ": "1.7e308", "RISIM_GEOMETRY_PERIODICITY_M": "1e9"}
+    result = runner.invoke(main, ["pattern", "--mode", mode, "--out", str(tmp_path / "cut.csv")], env=env)
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("domain error:") and result.output.count("\n") == 1
+    assert "Traceback" not in result.output and "Warning" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def output_bytes(runner, tmp_path, name, args, env):
     """Every file one command writes, by file name."""
     outdir = tmp_path / name

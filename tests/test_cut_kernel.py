@@ -189,46 +189,9 @@ def test_board_cuts_equal_dense_oracle(board, cfg):
         assert same_bits(cut.field, oracle_cut_field(board, 0.0, GRID, LAMBDA_BENCH, base))
 
 
-def block_rows(geom, phi_plane_deg):
-    # the kernel's row budget: one table row holds W complex values
-    width = np.unique(in_plane_coordinates(geom, phi_plane_deg)).size
-    return max(1, patterns._BLOCK_BYTES // (16 * width))
-
-
-def assert_far_and_near_equal_oracle(geom, phi, theta, seed):
-    rng = np.random.default_rng(seed)
-    mask = CodingMask(geom, rng.integers(0, 2, (geom.m_count, geom.n_count), dtype=np.uint8))
-    feed = FeedSpec(Point3(0.1, 0.05, 0.3))
-    for base in (
-        far_base(geom, mask, Direction(20.0), LAMBDA_BENCH),
-        near_base(geom, mask, feed, 0.5, LAMBDA_BENCH),
-    ):
-        field = _cut_field(geom, phi, theta.tobytes(), LAMBDA_BENCH, base)
-        assert same_bits(field, oracle_cut_field(geom, phi, theta, LAMBDA_BENCH, base))
-
-
-@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
-def test_cuts_across_block_edges_equal_dense_oracle(board, blocks, extra):
-    # grids one short of a block, exactly a block, one over and a ragged third
-    # block, with W = 16 (phi = 0: one block holds the default grid) and
-    # W = 160 (phi = 37: the default grid spans several blocks)
-    assert block_rows(board, 0.0) > GRID.size
-    assert 1 < block_rows(board, 37.0) < (GRID.size - 1) // 2
-    for phi in (0.0, 37.0):
-        count = blocks * block_rows(board, phi) + extra
-        assert_far_and_near_equal_oracle(board, phi, np.linspace(-90.0, 90.0, count), seed=count)
-
-
-def test_rows_larger_than_the_block_budget_run_one_per_block():
-    # off-axis, every element has its own w, so a row holds side**2 values
-    side = math.isqrt(patterns._BLOCK_BYTES // 16) + 1
-    geom = ArrayGeometry(side, side, 0.004)
-    assert block_rows(geom, 37.0) == 1
-    assert_far_and_near_equal_oracle(geom, 37.0, np.array([-60.0, -0.0, 12.5]), seed=side)
-
-
-def test_a_warm_cut_allocates_one_block_not_a_term_array(board, cfg):
-    # with the table cached, neither kernel allocates a (T, M*N) array
+def test_a_warm_phi_0_cut_allocates_no_per_element_term_array(board, cfg):
+    # with the table cached, neither kernel allocates a (T, M*N) array on the
+    # board's phi = 0 plane, where the table is (T, 16)
     lam, steer = cfg.wavelength, Direction(30.0)
     far = farfield_steering_mask(board, steer, lam)
     near = nearfield_steering_mask(board, cfg.feed.position, steer, lam)
@@ -241,6 +204,33 @@ def test_a_warm_cut_allocates_one_block_not_a_term_array(board, cfg):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * GRID.size * board.m_count * board.n_count * 16
+
+
+def test_an_off_axis_cut_peaks_at_about_twice_its_table(board, cfg):
+    # on phi = 37 no two elements share w, so the table is (T, M*N): a cold
+    # cut holds two tables while it builds one (phase, then exp), and a warm
+    # far or near cut holds the table and one product of the same shape. The
+    # warm peak may pass the cold one by a few per-element arrays (the near
+    # cut's amplitudes and coefficients live beside its product): four table
+    # rows of slack, against the 1.8 MB a second term array would add
+    lam, steer = cfg.wavelength, Direction(30.0)
+    far = farfield_steering_mask(board, steer, lam)
+    near = nearfield_steering_mask(board, cfg.feed.position, steer, lam)
+    _observation_table.cache_clear()
+    tracemalloc.start()
+    try:
+        array_factor_far(board, far, CELL, Direction(0.0), 37.0, GRID, lam)
+        cold = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        array_factor_far(board, far, CELL, Direction(0.0), 37.0, GRID, lam)
+        pattern_nearfield(board, near, CELL, cfg.feed, cfg.cell.q_e, 37.0, GRID, lam)
+        warm = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = _observation_table(board, 37.0, lam, GRID.tobytes())[0]
+    assert table.shape == (GRID.size, board.m_count * board.n_count)
+    assert warm <= cold + 4 * table[0].nbytes
+    assert cold <= 2 * table.nbytes + 256 * 1024
 
 
 CACHE_GEOMS = [ArrayGeometry(1, 1, 0.016), ArrayGeometry(4, 3, 0.01), ArrayGeometry(16, 10, 0.016)]

@@ -375,6 +375,13 @@ def test_pattern_cut_lengths_must_match_theta():
         PatternCut(0.0, theta, np.array([], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)])
+def test_a_cut_whose_field_is_not_finite_fails(bad):
+    # its gain and lobes would be NaN or -inf on every sample
+    with pytest.raises(DomainError, match="cut field must be finite"):
+        PatternCut(0.0, [-1.0, 0.0, 1.0], [1.0, bad, 2.0])
+
+
 def test_a_cut_derives_its_gain_from_its_field(board):
     init = [f.name for f in dataclasses.fields(PatternCut) if f.init]
     assert init == ["phi_plane_deg", "theta_deg", "field"]
