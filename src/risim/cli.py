@@ -238,13 +238,20 @@ def cmd_export_frame(config_path, mode, steer, out) -> None:
 
 def run() -> None:
     """Process entry: `main` standalone with the cyclic collector off, then
-    freeze the heap, since CPython's finalization collects even with the
-    collector off. Library callers use `main`, which never touches it."""
+    `os._exit` with its code once stdout and stderr are flushed. Every
+    output file is closed before `main` returns, so the process skips the
+    interpreter's teardown: module teardown, numpy's BLAS thread shutdown
+    and the atexit chain, none of which a finished command needs. Library
+    callers use `main`, which touches neither the collector nor the process."""
     gc.disable()
     try:
         main()
-    finally:
-        gc.freeze()
+    except SystemExit as exc:
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """The `risim` process entry, `risim.cli.run`: the command run in its own
 process writes what `main` writes in-process, loads only the risim modules
-its command runs, and only the process entry turns the cyclic collector off
-and freezes it, so a library caller's process never does."""
+its command runs, and leaves through `os._exit` with the collector off and
+no atexit callback of its own; a library caller's process never does either."""
 
 import ast
 import gc
@@ -42,14 +42,19 @@ def in_process(monkeypatch, cwd: Path, args: list[str]) -> str:
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, files",
     [
-        ["linkbudget", "--out", "report.json"],
-        ["export-frame", "--mode", "near", "--steer", "-30", "--out", "frame.hex"],
+        (["linkbudget", "--out", "report.json"], ["report.json"]),
+        (["export-frame", "--mode", "near", "--steer", "-30", "--out", "frame.hex"], ["frame.hex"]),
+        (["pattern", "--mode", "near", "--steer", "45", "--out", "near.csv"], ["near.csv", "near.metrics.json"]),
+        (
+            ["localize", "--truths", "30,45", "--seed", "1", "--out", "loc"],
+            ["loc.summary.json", "loc.truth30.csv", "loc.truth45.csv"],
+        ),
     ],
-    ids=["linkbudget", "export-frame"],
+    ids=["linkbudget", "export-frame", "pattern-near", "localize"],
 )
-def test_process_writes_what_main_writes(monkeypatch, tmp_path, args):
+def test_process_writes_what_main_writes(monkeypatch, tmp_path, args, files):
     proc_dir, lib_dir = tmp_path / "process", tmp_path / "library"
     proc_dir.mkdir()
     done = spawn(proc_dir, "-m", "risim.cli", *args)
@@ -57,8 +62,35 @@ def test_process_writes_what_main_writes(monkeypatch, tmp_path, args):
     assert done.stderr == ""
     assert done.stdout == in_process(monkeypatch, lib_dir, args)
     written = sorted(p.name for p in proc_dir.iterdir())
-    assert written == sorted(p.name for p in lib_dir.iterdir()) == [args[-1]]
-    assert (proc_dir / args[-1]).read_bytes() == (lib_dir / args[-1]).read_bytes()
+    assert written == sorted(p.name for p in lib_dir.iterdir()) == files
+    for name in files:
+        assert (proc_dir / name).read_bytes() == (lib_dir / name).read_bytes()
+
+
+def test_process_with_stdout_closed_writes_what_main_writes(monkeypatch, tmp_path):
+    # `>&-` starts Python with sys.stdout None: the entry flushes only the streams it has
+    args = ["linkbudget", "--out", "report.json"]
+    proc_dir, lib_dir = tmp_path / "process", tmp_path / "library"
+    proc_dir.mkdir()
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "risim.cli", *args],
+        cwd=proc_dir, env=child_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    in_process(monkeypatch, lib_dir, args)
+    assert (proc_dir / "report.json").read_bytes() == (lib_dir / "report.json").read_bytes()
+
+
+def test_process_whose_stdout_pipe_is_closed_exits_2(tmp_path):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "risim.cli", "linkbudget", "--out", "report.json"],
+        cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    child.stdout.close()  # long before the command's first echo, which follows numpy's import
+    stderr = child.stderr.read()
+    assert child.wait(timeout=120) == 2
+    assert stderr.splitlines() == ["config error: cannot write output: [Errno 32] Broken pipe"]
 
 
 def test_process_domain_error_is_one_line_and_exit_3(tmp_path):
@@ -70,31 +102,51 @@ def test_process_domain_error_is_one_line_and_exit_3(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def run_as_main(cwd: Path, args: list[str], report: str) -> list[str]:
-    """Run `risim.cli` as `__main__` through `runpy` in a child, then print
-    the exit code and the `report` expression on stderr; the split stderr."""
+def run_as_main(cwd: Path, args: list[str], report: str) -> tuple[int, list[str]]:
+    """Run `risim.cli` as `__main__` through `runpy` in a child whose
+    `os._exit` first prints its code and the `report` expression on stderr;
+    the child's exit code and its split last stderr line. `before` in
+    `report` is `atexit`'s callback count before `risim.cli` is imported."""
     code = (
-        "import gc, runpy, sys\n"
-        "before = gc.get_freeze_count()\n"
+        "import atexit, gc, os, runpy, sys\n"
+        "before = atexit._ncallbacks()\n"
+        "real_exit = os._exit\n"
+        "def report_exit(code):\n"
+        f"    print(code, {report}, file=sys.stderr, flush=True)\n"
+        "    real_exit(code)\n"
+        "os._exit = report_exit\n"
         f"sys.argv = ['risim', *{args!r}]\n"
         "try:\n"
         "    runpy.run_module('risim.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        f"print(code, {report}, file=sys.stderr)\n"
+        "finally:  # reached only by an entry that returns or raises\n"
+        "    print('no exit call', file=sys.stderr)\n"
     )
     done = spawn(cwd, "-c", code)
-    assert done.returncode == 0, done.stderr
-    return done.stderr.split()
+    return done.returncode, done.stderr.splitlines()[-1].split()
 
 
-def test_module_run_as_main_freezes_the_collector(tmp_path):
-    args, report = ["export-frame", "--out", "frame.hex"], "before, gc.get_freeze_count(), gc.isenabled()"
-    exit_code, before, after, enabled = run_as_main(tmp_path, args, report)
-    assert exit_code == "0"
-    assert int(before) == 0 and int(after) > 0
-    assert enabled == "False"  # the process entry runs the command with the cyclic collector off
-    assert (tmp_path / "frame.hex").exists()
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["export-frame", "--out", "frame.hex"], 0),
+        (["linkbudget", "--config", "missing.yaml"], 2),
+        (["localize", "--truths", "75"], 3),
+    ],
+    ids=["ok", "config-error", "domain-error"],
+)
+def test_entry_leaves_through_os_exit_with_the_collector_off(tmp_path, args, exit_code):
+    returncode, report = run_as_main(tmp_path, args, "gc.isenabled()")
+    assert returncode == exit_code
+    assert report == [str(exit_code), "False"]  # the command ran with the cyclic collector off
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["frame.hex"] if exit_code == 0 else [])
+
+
+def test_a_cli_run_registers_no_atexit_callback(tmp_path):
+    # counts, not zero: the interpreter's site hook may register one of its own
+    args = ["localize", "--truths", "30,45", "--seed", "1", "--out", "loc"]
+    returncode, (exit_code, before, after) = run_as_main(tmp_path, args, "before, atexit._ncallbacks()")
+    assert returncode == 0 and exit_code == "0"
+    assert after == before  # os._exit would skip any
 
 
 # the risim modules a command's process loads: each command imports what it runs
@@ -118,8 +170,8 @@ EXTRA = {
 @pytest.mark.parametrize("name", RUNS)
 def test_command_loads_only_its_modules(tmp_path, name):
     report = "' '.join(sorted(m for m in sys.modules if m.startswith('risim.')))"
-    exit_code, *loaded = run_as_main(tmp_path, RUNS[name], report)
-    assert exit_code == "0"
+    returncode, (exit_code, *loaded) = run_as_main(tmp_path, RUNS[name], report)
+    assert returncode == 0 and exit_code == "0"
     assert loaded == sorted(f"risim.{m}" for m in SHARED + EXTRA.get(name, []))
 
 
@@ -132,8 +184,8 @@ def test_kernel_modules_load_no_config(tmp_path):
 
 
 def test_help_loads_no_numpy(tmp_path):
-    exit_code, numpy_loaded = run_as_main(tmp_path, ["--help"], "'numpy' in sys.modules")
-    assert exit_code == "0" and numpy_loaded == "False"
+    returncode, (exit_code, numpy_loaded) = run_as_main(tmp_path, ["--help"], "'numpy' in sys.modules")
+    assert returncode == 0 and exit_code == "0" and numpy_loaded == "False"
 
 
 def test_library_calls_never_freeze(monkeypatch, tmp_path):
@@ -168,4 +220,4 @@ def test_console_script_is_the_main_block_entry():
     script = getattr(importlib.import_module(module), attr)
     entry = getattr(risim.cli, main_block_call())
     assert script is entry
-    assert entry is not risim.cli.main  # the click group never freezes: a library caller's process runs on
+    assert entry is not risim.cli.main  # the click group never exits the process: a library caller's runs on

@@ -52,7 +52,8 @@ COMMANDS = {
     "export-frame": ["export-frame", "--mode", "far", "--steer", "30", "--out", "frame.hex"],
 }
 LOADED_MODULES = (  # the console script's entry on the arguments that follow, then the risim.* modules
-    "import sys\n"
+    "import os, sys\n"
+    "os._exit = sys.exit  # an entry that leaves through os._exit raises SystemExit here instead\n"
     "from risim.cli import run\n"
     "try:\n"
     "    run()\n"
