@@ -50,22 +50,20 @@ def _output_base(out: str, suffix: str = "") -> str:
     return base
 
 
-def _csv_and_json_paths(out: str) -> tuple[str, str]:
-    base = _output_base(out, ".csv")
-    return base + ".csv", base + ".metrics.json"
-
-
 def _metric(value: float, spec: str, unit: str) -> str:
     """A metric on a stdout line: null, with no unit, where the metrics file writes null."""
     return f"{value:{spec}} {unit}" if math.isfinite(value) else "null"
 
 
-def _steering_mask(cfg, mode: str, steer):
+def _steering_mask(cfg, mode: str, steer: float):
+    """The 1-bit mask steering to the signed --steer angle, degrees."""
+    from .geometry import Direction
     from .masks import farfield_steering_mask, nearfield_steering_mask
 
+    steer_dir = Direction.from_signed_theta(steer)
     if mode == "near":
-        return nearfield_steering_mask(cfg.geometry, cfg.feed.position, steer, cfg.wavelength)
-    return farfield_steering_mask(cfg.geometry, steer, cfg.wavelength)
+        return nearfield_steering_mask(cfg.geometry, cfg.feed.position, steer_dir, cfg.wavelength)
+    return farfield_steering_mask(cfg.geometry, steer_dir, cfg.wavelength)
 
 
 @click.group()
@@ -92,10 +90,10 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
         write_pattern_csv,
     )
 
-    csv_path, json_path = _csv_and_json_paths(out)
+    base = _output_base(out, ".csv")
+    csv_path, json_path = base + ".csv", base + ".metrics.json"
     cfg = load_config(config_path)
-    steer_dir = Direction.from_signed_theta(steer)
-    mask = _steering_mask(cfg, mode, steer_dir)
+    mask = _steering_mask(cfg, mode, steer)
     geom, cell = cfg.geometry, cfg.cell
     grid = default_theta_grid()
     if mode == "near":
@@ -222,12 +220,10 @@ def cmd_linkbudget(config_path, out) -> None:
 def cmd_export_frame(config_path, mode, steer, out) -> None:
     """Serialize a steering mask into the 20-octet shift-chain frame."""
     from .config import load_config
-    from .geometry import Direction
     from .hardware import serialize_mask, write_frame
 
     cfg = load_config(config_path)
-    steer_dir = Direction.from_signed_theta(steer)
-    frame = serialize_mask(_steering_mask(cfg, mode, steer_dir))
+    frame = serialize_mask(_steering_mask(cfg, mode, steer))
     write_frame(
         frame,
         out,

@@ -1,9 +1,11 @@
 """Scenario configuration. DEFAULTS is the one schema: a key's type comes from
 its default value and its RISIM_<SECTION>_<KEY> override name from its path;
 YAML keys and RISIM_* names outside it are rejected. The defaults reproduce
-the reference bench setup, so a bare run needs no file. A provided file must
-contain every section; keys inside a section are optional and default-filled.
-Each section resolves to its domain object, built once per resolution.
+the reference bench setup, so a bare run needs no file; a default its domain
+type holds (the cell, q_f, q_r, noise floor, hardware switch, sweep noise) is
+read from that type. A provided file must contain every section; keys inside
+a section are optional and default-filled. Each section resolves to its
+domain object, built once per resolution.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import os
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 from .errors import ConfigError, DomainError
@@ -26,34 +28,28 @@ ENV_PREFIX = "RISIM"
 DEFAULTS = {
     "frequency_hz": 5.5e9,
     "geometry": {"m_count": 16, "n_count": 10, "periodicity_m": 0.016},
-    "cell": {
-        "magnitude_state0": 1.0,
-        "magnitude_state1": 1.0,
-        "phase_state0_deg": 0.0,
-        "phase_state1_deg": 180.0,
-        "q_e": 0.5,
-    },
-    "feed": {"position_m": [0.12, 0.072, 0.3], "q_f": 7.0},
+    "cell": {f.name: f.default for f in fields(UnitCellReflection)},
+    "feed": {"position_m": [0.12, 0.072, 0.3], "q_f": FeedSpec.q_f},
     "link": {
         "tx_power_dbm": -7.87,
         "gain_tx_dbi": 12.0,
         "gain_rx_dbi": 12.0,
-        "noise_floor_dbm": -94.0,
+        "noise_floor_dbm": LinkScenario.noise_floor_dbm,
         "rx_position_m": [
             0.12 + 5.0 * math.sin(math.radians(45.0)),
             0.072,
             5.0 * math.cos(math.radians(45.0)),
         ],
-        "q_r": 7.0,
-        "include_hardware_loss": False,
+        "q_r": LinkScenario.q_r,
+        "include_hardware_loss": LinkScenario.include_hardware_loss,
         "hardware_loss_db": dict(DEFAULT_HARDWARE_LOSS_DB),
     },
     "sweep": {
         "start_deg": 0.0,
         "stop_deg": 60.0,
         "step_deg": 1.5,
-        "noise_kind": "none",
-        "sigma_db": 0.0,
+        "noise_kind": NoiseModel.kind,
+        "sigma_db": NoiseModel.sigma_db,
         "seed": 0,
     },
 }

@@ -179,11 +179,7 @@ def geometric_accumulation(scenario: LinkScenario) -> float:
 def required_cascade_mask(scenario: LinkScenario) -> PhaseMask:
     """Continuous phase that exactly cancels the two-hop path phase
     k0*(r_feed + r_rx) for the scenario's node positions."""
-    return _cascade_mask(scenario.geom, scenario._two_hop_terms[1])
-
-
-def _cascade_mask(geom: ArrayGeometry, path: np.ndarray) -> PhaseMask:
-    return PhaseMask(geom, _wrap_deg_inplace(np.degrees(path)))
+    return PhaseMask(scenario.geom, _wrap_deg_inplace(np.degrees(scenario._two_hop_terms[1])))
 
 
 def phase_error_loss(required: PhaseMask, applied: CodingMask, cell=UnitCellReflection()) -> float:
@@ -250,11 +246,9 @@ def _ledger_totals(head_db: tuple, hw_db: float, accs: list, lpe_db: float) -> t
     acc_db = [20.0 * math.log10(acc) if acc > 0 else -math.inf for acc in accs]
     totals = [head + a + lpe_db + hw_db for a in acc_db]
     lo, hi = _MW_FLOAT_RANGE_DBM
-    # a NaN total needs an infinite shared term, which leaves every total NaN
-    # or infinite; min and max start from the first, so one check sees them
-    if not (lo <= min(totals) and max(totals) <= hi):
-        bad = next(t for t in totals if not lo <= t <= hi)
-        raise DomainError(f"received power leaves the float range ({bad!r} dBm)")
+    for total in totals:
+        if not lo <= total <= hi:
+            raise DomainError(f"received power leaves the float range ({total!r} dBm)")
     return acc_db, totals
 
 
@@ -291,17 +285,16 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
         raise ConfigError(f"quantization mode {quantization!r} requires a scenario mask")
 
     head_db, (hw_items, hw_db) = scenario._head_db, _hardware_items(scenario)
-    amp, path = scenario._two_hop_terms
     lpe_db = 0.0
     if quantization == "single_pass":
+        amp, path = scenario._two_hop_terms
         (acc,) = _single_pass_sums(amp, path, scenario.mask.bits[None], scenario.cell)
     else:
-        acc = float(amp.sum())
+        acc = geometric_accumulation(scenario)
         if quantization == "analytic":
             lpe_db = L_PE_1BIT_DB
         elif quantization == "mask":
-            required = _cascade_mask(scenario.geom, path)
-            lpe_db = phase_error_loss(required, scenario.mask, scenario.cell)
+            lpe_db = phase_error_loss(required_cascade_mask(scenario), scenario.mask, scenario.cell)
     (acc_db,), (received_dbm,) = _ledger_totals(head_db, hw_db, [acc], lpe_db)
     terms = dict(zip((*_HEAD_TERMS, *_TAIL_TERMS), (*head_db, acc_db, lpe_db, hw_db)))
     return LinkReport(

@@ -60,8 +60,7 @@ WRAP_FLOOR_BOUND = 360.0 * 2.0**40
 
 def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
     """Wrap angles in degrees to [0, 360) over a float array's own buffer,
-    which it returns; the floor form runs its masked fix-ups only when a
-    result falls outside [0, 360)."""
+    which it returns."""
     if (
         ph.size >= WRAP_FLOOR_MIN_SIZE
         and ph.dtype == np.float64
@@ -72,8 +71,6 @@ def _wrap_deg_inplace(ph: np.ndarray) -> np.ndarray:
         np.floor(q, out=q)
         q *= 360.0
         ph -= q
-        if ph.min() >= 0.0 and ph.max() < 360.0:
-            return ph
         # a negative x above -360 * 2**-1075 (~ -8.9e-322) divides to -0.0 and floors to 0, not -1
         np.add(ph, 360.0, out=ph, where=ph < 0.0)
     else:  # NaN, inf and huge phases take this path too

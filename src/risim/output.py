@@ -1,8 +1,9 @@
 """Every file risim writes: the `# key = value` header, the pattern CSV's
 bulk column formatter, one text writer and one strict-JSON serializer.
 
-The physics modules hand over values and a body; how a file opens, how
-its columns are laid out and how JSON is written is decided here only.
+Every file opens with the header written here, and every JSON file is
+written here; the pattern CSV's columns are laid out here, while the sweep
+CSV and the frame file format their own bodies.
 """
 
 from __future__ import annotations

@@ -236,6 +236,8 @@ def test_localize_colliding_truth_files_exit_2(runner, tmp_path):
         ({"RISIM_FREQUENCY_HZ": "nan"}, "frequency_hz"),
         ({"RISIM_FREQUENCY_HZ": "inf"}, "frequency_hz"),
         ({"RISIM_FEED_Q_F": "-5"}, "feed"),
+        ({"RISIM_FEED_POSITION_M": "nan,0.072,0.3"}, "feed: coordinates must be finite"),
+        ({"RISIM_LINK_RX_POSITION_M": "1,inf,3"}, "link: coordinates must be finite"),
     ],
 )
 def test_localize_invalid_env_value_exits_2_naming_section(runner, tmp_path, env, section):

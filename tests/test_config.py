@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -75,6 +76,20 @@ def test_render_parse_round_trip():
     assert parse_config(render_config(cfg), env={}) == cfg
     tweaked = parse_config(doc_with(geometry="{m_count: 8}", frequency_hz="6.0e+9"), env={})
     assert parse_config(render_config(tweaked), env={}) == tweaked
+
+
+def test_readme_config_block_is_the_defaults():
+    # README's one yaml block is the only literal copy of the defaults that
+    # DEFAULTS reads from the domain types; it prints rx to four decimals
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (text,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    raw = yaml.safe_load(text)  # it names every key, so no value below is a default fill
+    assert list(raw) == list(DEFAULTS)
+    assert all(list(raw[k]) == list(v) for k, v in DEFAULTS.items() if isinstance(v, dict))
+    doc = parse_config(text, env={}).to_dict()
+    rx, default_rx = doc["link"].pop("rx_position_m"), DEFAULTS["link"]["rx_position_m"]
+    assert rx == pytest.approx(default_rx, abs=1e-4)
+    assert doc == dict(DEFAULTS, link={k: v for k, v in DEFAULTS["link"].items() if k != "rx_position_m"})
 
 
 def test_equal_geometries_share_one_lattice():

@@ -420,3 +420,8 @@ def test_phase_mask_validation(board):
         PhaseMask(board, np.full((16, 10), 360.0))
     with pytest.raises(DomainError):
         CodingMask(board, np.full((16, 10), 2))
+
+
+def test_coding_mask_rejects_a_grid_of_another_shape():
+    with pytest.raises(DomainError, match=r"bit grid shape \(4, 5\) does not match \(4, 4\)"):
+        CodingMask(ArrayGeometry(4, 4, 0.01), np.zeros((4, 5)))
