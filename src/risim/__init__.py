@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "errors": ("ConfigError", "DomainError"),
     "geometry": (
-        "SPEED_OF_LIGHT", "ArrayGeometry", "Direction", "Point3", "element_grid",
+        "BOARD_GEOMETRY", "SPEED_OF_LIGHT", "ArrayGeometry", "Direction", "Point3", "element_grid",
         "wavelength_from_frequency",
     ),
     "masks": (
@@ -36,8 +36,8 @@ _EXPORTS = {
         "SweepTrace", "estimate_angle", "rmse", "simulate_sweep", "ue_point", "write_sweep_csv",
     ),
     "hardware": (
-        "BOARD_GEOMETRY", "RegisterFrame", "bias_resistor", "deserialize_frame", "read_frame",
-        "serialize_mask", "write_frame",
+        "RegisterFrame", "bias_resistor", "deserialize_frame", "read_frame", "serialize_mask",
+        "write_frame",
     ),
     "config": ("DEFAULTS", "ScenarioConfig", "load_config", "parse_config", "render_config"),
 }

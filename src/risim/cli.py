@@ -107,7 +107,7 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
         {
             "mode": mode,
             "steer_deg": steer,
-            "phi_plane_deg": 0.0,
+            "phi_plane_deg": cut.phi_plane_deg,
             "frequency_hz": cfg.frequency_hz,
         },
     )
@@ -143,8 +143,8 @@ def cmd_localize(config_path, truths, seed, out) -> None:
         raise ConfigError(f"cannot parse --truths {truths!r}: {exc}") from exc
     if not truth_values:
         raise ConfigError("--truths must name at least one angle")
-    names = [f"{t:g}" for t in truth_values]
-    if len(set(names)) != len(names):
+    trace_paths = [f"{out}.truth{t:g}.csv" for t in truth_values]
+    if len(set(trace_paths)) != len(trace_paths):
         raise ConfigError(f"--truths {truths!r} gives two angles the same output file")
     sweep = cfg.sweep
     for t in truth_values:
@@ -163,10 +163,10 @@ def cmd_localize(config_path, truths, seed, out) -> None:
         for truth, truth_seed in zip(truth_values, seeds)
     ]
     estimates = [estimate_angle(trace) for trace in traces]
-    for truth, truth_seed, trace in zip(truth_values, seeds, traces):
+    for path, truth, truth_seed, trace in zip(trace_paths, truth_values, seeds, traces):
         write_sweep_csv(
             trace,
-            f"{out}.truth{truth:g}.csv",
+            path,
             {
                 "truth_deg": truth,
                 "seed": truth_seed,

@@ -1,11 +1,11 @@
 """Scenario configuration. DEFAULTS is the one schema: a key's type comes from
 its default value and its RISIM_<SECTION>_<KEY> override name from its path;
 YAML keys and RISIM_* names outside it are rejected. The defaults reproduce
-the reference bench setup, so a bare run needs no file; a default its domain
-type holds (the cell, q_f, q_r, noise floor, hardware switch, sweep noise) is
-read from that type. A provided file must contain every section; keys inside
-a section are optional and default-filled. Each section resolves to its
-domain object, built once per resolution.
+the reference bench setup, so a bare run needs no file: the geometry is the
+board, BOARD_GEOMETRY, and the cell, q_f, q_r, noise floor, hardware switch and
+sweep noise are read from their domain types. A provided file must contain
+every section; keys inside a section are optional and default-filled. Each
+section resolves to its domain object, built once per resolution.
 """
 
 from __future__ import annotations
@@ -15,19 +15,19 @@ import math
 import os
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 
 from .errors import ConfigError, DomainError
-from .geometry import ArrayGeometry, Point3, wavelength_from_frequency
+from .geometry import BOARD_GEOMETRY, ArrayGeometry, Point3, wavelength_from_frequency
 from .linkbudget import DEFAULT_HARDWARE_LOSS_DB, LinkScenario, NoiseModel
-from .masks import Codebook, FeedSpec, UnitCellReflection, build_codebook, codebook_angles
+from .masks import FeedSpec, UnitCellReflection, build_codebook, codebook_angles
 
 ENV_PREFIX = "RISIM"
 
 DEFAULTS = {
     "frequency_hz": 5.5e9,
-    "geometry": {"m_count": 16, "n_count": 10, "periodicity_m": 0.016},
+    "geometry": asdict(BOARD_GEOMETRY),
     "cell": {f.name: f.default for f in fields(UnitCellReflection)},
     "feed": {"position_m": [0.12, 0.072, 0.3], "q_f": FeedSpec.q_f},
     "link": {
@@ -108,7 +108,7 @@ class ScenarioConfig:
 
     geometry, cell, feed = property(array_geometry), property(unit_cell), property(feed_spec)
 
-    def steering_codebook(self) -> Codebook:
+    def steering_codebook(self):
         s = self.sweep
         return build_codebook(
             self.geometry, self.feed.position, self.wavelength, s.start_deg, s.stop_deg, s.step_deg

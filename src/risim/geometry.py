@@ -82,6 +82,10 @@ class ArrayGeometry:
         return Point3((self.m_count - 1) * p / 2, (self.n_count - 1) * p / 2, 0.0)
 
 
+# the fabricated board: 16 columns along x, 10 rows along y, 16 mm pitch
+BOARD_GEOMETRY = ArrayGeometry(16, 10, 0.016)
+
+
 @dataclass(frozen=True)
 class Direction:
     """Propagation direction: theta from the surface normal, phi azimuth.

@@ -1,5 +1,6 @@
-"""Hardware-facing helpers: LED bias-resistor sizing and the 20-register
-shift-chain bitstream for the 16x10 control board."""
+"""Hardware-facing helpers: LED bias-resistor sizing and the shift-chain
+bitstream for the control board, geometry.BOARD_GEOMETRY. The frame holds
+one bit per diode, so its size comes from the board: 20 octets for 16x10."""
 
 from __future__ import annotations
 
@@ -8,13 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ArrayGeometry
+from .geometry import BOARD_GEOMETRY
 from .masks import CodingMask
 from .output import read_payload, write_text
 
-# the fabricated board: 16 columns along x, 10 rows along y, 16 mm pitch
-BOARD_GEOMETRY = ArrayGeometry(16, 10, 0.016)
-FRAME_OCTETS = 20
+FRAME_OCTETS = BOARD_GEOMETRY.size // 8
 
 
 @dataclass(frozen=True)
@@ -44,17 +43,15 @@ def bias_resistor(v_source: float, v_led: float, v_pin: float, i_forward: float)
 
 
 def serialize_mask(mask: CodingMask) -> RegisterFrame:
-    """Pack a 16x10 mask into the shift-chain frame.
+    """Pack a mask into the shift-chain frame.
 
     Diode k = (n-1)*16 + m (each y-row swept along x); register ceil(k/8)
     holds diodes 8(r-1)+1 .. 8r, most significant bit first. The frame
-    format is fixed to the 16x10 board.
+    format is fixed to the cell counts of BOARD_GEOMETRY.
     """
-    if (mask.geom.m_count, mask.geom.n_count) != (16, 10):
-        raise DomainError(
-            f"frame format is fixed to a 16x10 board, got "
-            f"{mask.geom.m_count}x{mask.geom.n_count}"
-        )
+    m, n, board = mask.geom.m_count, mask.geom.n_count, BOARD_GEOMETRY
+    if (m, n) != (board.m_count, board.n_count):
+        raise DomainError(f"frame format is fixed to a {board.m_count}x{board.n_count} board, got {m}x{n}")
     flat = mask.bits.T.ravel()  # n-major, m-fast: diode order k = (n-1)*16 + m
     return RegisterFrame(bytes(np.packbits(flat)))
 

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -98,18 +98,18 @@ class LinkScenario:
         return r_t, r_r, taper
 
     @cached_property
-    def _head_db(self) -> tuple[float, ...]:
-        """The values of the ledger's _HEAD_TERMS, the terms ahead of the
-        accumulation, computed once per scenario. Pure scalar work, so an
+    def _head_db(self) -> Mapping[str, float]:
+        """Read-only name -> value of the ledger's terms ahead of the accumulation,
+        in table order, computed once per scenario. Pure scalar work, so an
         out-of-range scalar fails before any element grid."""
         p, lam = self.geom.periodicity_m, self.wavelength
-        return (
-            self.tx_power_dbm,
-            self.gain_tx_dbi,
-            self.gain_rx_dbi,
-            2.0 * unit_cell_gain(p, p, lam),
-            10.0 * _log10("spreading", lam * lam * p * p / (64 * math.pi**3)),
-        )
+        return MappingProxyType({
+            "tx_power_dbm": self.tx_power_dbm,
+            "gain_tx_db": self.gain_tx_dbi,
+            "gain_rx_db": self.gain_rx_dbi,
+            "unit_cell_gain_x2_db": 2.0 * unit_cell_gain(p, p, lam),
+            "spreading_db": 10.0 * _log10("spreading", lam * lam * p * p / (64 * math.pi**3)),
+        })
 
     def with_mask(self, mask: CodingMask | None) -> "LinkScenario":
         return replace(self, mask=mask)
@@ -219,10 +219,6 @@ def integrate_psd(psd_per_subcarrier_dbm: float, n_subcarriers: int) -> float:
     return psd_per_subcarrier_dbm + 10.0 * math.log10(n_subcarriers)
 
 
-_HEAD_TERMS = ("tx_power_dbm", "gain_tx_db", "gain_rx_db", "unit_cell_gain_x2_db", "spreading_db")
-_TAIL_TERMS = ("accumulation_db", "phase_error_loss_db", "hardware_loss_db")
-
-
 def _hardware_items(scenario: LinkScenario) -> tuple[dict, float]:
     """The hardware loss items the ledger subtracts, dB, none unless included,
     and their negated total, added left to right from int 0 as _ledger_totals adds."""
@@ -233,13 +229,13 @@ def _hardware_items(scenario: LinkScenario) -> tuple[dict, float]:
     return items, -total
 
 
-def _ledger_totals(head_db: tuple, hw_db: float, accs: list, lpe_db: float) -> tuple[list, list]:
-    """Accumulation terms, dB, and received powers, dBm, of K ledgers that
-    share every term but the accumulation. A total is its ledger's values
-    in table order, head terms then _TAIL_TERMS, added left to right: written
-    out here, because builtin sum compensates float sums from Python 3.12.
-    The head is added once, and each mW value 10**(dBm/10) must be a
-    positive finite float; the first total that is not raises."""
+def _ledger_totals(head_db: Iterable, hw_db: float, accs: list, lpe_db: float) -> tuple[list, list]:
+    """Accumulation terms, dB, and received powers, dBm, of K ledgers sharing
+    every term but the accumulation. A total adds its ledger's values in table
+    order, head terms then accumulation_db, phase_error_loss_db and
+    hardware_loss_db, left to right in a loop: builtin sum compensates float
+    sums from Python 3.12. The head is added once, and each mW value
+    10**(dBm/10) must be a positive finite float; the first total that is not raises."""
     head = 0.0
     for value in head_db:
         head += value
@@ -259,7 +255,7 @@ def _single_pass_dbm(scenario: LinkScenario, rx: Point3, bits: np.ndarray) -> li
     head_db, hw_db = scenario._head_db, _hardware_items(scenario)[1]
     amp, path = scenario._two_hop_at(rx)
     accs = _single_pass_sums(amp, path, bits, scenario.cell)
-    return _ledger_totals(head_db, hw_db, accs, 0.0)[1]
+    return _ledger_totals(head_db.values(), hw_db, accs, 0.0)[1]
 
 
 def received_power(scenario: LinkScenario, quantization: str = "analytic") -> LinkReport:
@@ -295,8 +291,8 @@ def received_power(scenario: LinkScenario, quantization: str = "analytic") -> Li
             lpe_db = L_PE_1BIT_DB
         elif quantization == "mask":
             lpe_db = phase_error_loss(required_cascade_mask(scenario), scenario.mask, scenario.cell)
-    (acc_db,), (received_dbm,) = _ledger_totals(head_db, hw_db, [acc], lpe_db)
-    terms = dict(zip((*_HEAD_TERMS, *_TAIL_TERMS), (*head_db, acc_db, lpe_db, hw_db)))
+    (acc_db,), (received_dbm,) = _ledger_totals(head_db.values(), hw_db, [acc], lpe_db)
+    terms = {**head_db, "accumulation_db": acc_db, "phase_error_loss_db": lpe_db, "hardware_loss_db": hw_db}
     return LinkReport(
         accumulation_linear=acc,
         phase_error_loss_db=lpe_db,

@@ -3,7 +3,7 @@ import types
 import pytest
 
 import risim
-from risim import config, geometry, linkbudget, localization
+from risim import config, geometry, hardware, linkbudget, localization
 
 # the public surface, one name per workflow need; adding or dropping an export
 # is a deliberate edit of this list
@@ -46,5 +46,7 @@ def test_star_import_binds_every_export():
 def test_export_is_its_module_attribute():
     assert risim.NoiseModel is linkbudget.NoiseModel is config.NoiseModel is localization.NoiseModel
     assert risim.element_grid is geometry.element_grid
+    # the board has one owner, geometry; hardware reads the same object
+    assert risim.BOARD_GEOMETRY is geometry.BOARD_GEOMETRY is hardware.BOARD_GEOMETRY
     with pytest.raises(AttributeError, match="no attribute 'noise_model'"):
         risim.noise_model

@@ -9,10 +9,12 @@ from risim import (
     RegisterFrame,
     bias_resistor,
     deserialize_frame,
+    load_config,
     read_frame,
     serialize_mask,
     write_frame,
 )
+from risim.hardware import FRAME_OCTETS
 
 
 def test_bias_resistor_board_values():
@@ -81,6 +83,14 @@ def test_serialize_rejects_other_boards():
     geom = ArrayGeometry(8, 8, 0.016)
     with pytest.raises(DomainError):
         serialize_mask(CodingMask(geom, np.zeros((8, 8), dtype=np.uint8)))
+    # the board's counts transposed: the message names the board's counts, then the mask's
+    geom = ArrayGeometry(10, 16, 0.016)
+    with pytest.raises(DomainError, match="fixed to a 16x10 board, got 10x16"):
+        serialize_mask(CodingMask(geom, np.zeros((10, 16), dtype=np.uint8)))
+
+
+def test_the_default_config_is_the_board():
+    assert load_config(env={}).geometry == BOARD_GEOMETRY
 
 
 def test_register_frame_validation():
@@ -89,6 +99,7 @@ def test_register_frame_validation():
     with pytest.raises(DomainError):
         RegisterFrame(bytes(21))
     assert RegisterFrame(bytes([0xAB] + [0] * 19)).to_hex().startswith("AB")
+    assert FRAME_OCTETS * 8 == BOARD_GEOMETRY.size  # one bit per diode
 
 
 def test_frame_file_round_trip(tmp_path, rng):
