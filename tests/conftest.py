@@ -7,13 +7,11 @@ from risim import ArrayGeometry, load_config
 LAMBDA_BENCH = 0.0545
 
 
-def left_to_right_sum(values) -> float:
-    """A dB ledger's total in its one order: each value added left to right,
-    as builtin sum did before Python 3.12 began compensating float sums."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 is not 0.0, and a NaN equals itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
 
 # one line per acceptance criterion, echoed after the run regardless of capture
 ACCEPTANCE_LINES = []

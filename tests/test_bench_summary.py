@@ -70,7 +70,7 @@ def test_pairs_flag_a_bytecode_mismatch(tmp_path, monkeypatch, capsys, change_py
     pycache = {base: False, other: change_pycache}
     monkeypatch.setattr(
         bench_summary, "source_state",
-        lambda root: {"src_pycache": pycache[root], "src_lines": 1, "exports": 1, "tier1_tests": 1},
+        lambda root: {"src_pycache": pycache[root], "src_lines": 1, "tests_lines": 1, "exports": 1, "tier1_tests": 1},
     )
     out = tmp_path / "bench.json"
     args = ["--side", f"parent={base}", "--side", f"change={other}", "--workload", "cli", "--out", str(out)]

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import risim
 from risim import hardware
 from risim import (
+    BOARD_GEOMETRY,
     DEFAULTS,
     ConfigError,
     Direction,
@@ -59,6 +60,18 @@ def test_defaults_reproduce_bench_setup():
     assert cfg.cell.q_e == 0.5
     assert not cfg.link.include_hardware_loss
     assert cfg.link.hardware_loss_db == {"dielectric_and_diode": 3.0, "cables": 6.87}
+
+
+def test_the_default_feed_and_receiver_sit_on_the_board_center():
+    # DEFAULTS writes the center as literals, so that its bytes stay put
+    # (center() reads y = 0.07200000000000001); a change of board must move them
+    c = BOARD_GEOMETRY.center()
+    feed_x, feed_y, _ = DEFAULTS["feed"]["position_m"]
+    assert abs(feed_x - c.x) <= 1e-12 and abs(feed_y - c.y) <= 1e-12
+    rx_x, rx_y, rx_z = DEFAULTS["link"]["rx_position_m"]
+    assert abs(rx_y - c.y) <= 1e-12
+    assert abs(rx_x - (c.x + 5.0 * math.sin(math.radians(45.0)))) <= 1e-12
+    assert abs(rx_z - (c.z + 5.0 * math.cos(math.radians(45.0)))) <= 1e-12
 
 
 def test_bare_parse_equals_default_load():

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import left_to_right_sum
+from reference import left_to_right_sum
 
 import risim
 from risim import Direction, received_power, simulate_sweep, ue_point

@@ -29,7 +29,7 @@ from risim import (
 from risim.geometry import distance_grid
 from risim.linkbudget import f_combine_grid, required_cascade_mask
 
-from conftest import left_to_right_sum
+from reference import left_to_right_sum
 
 
 @pytest.fixture(scope="module")

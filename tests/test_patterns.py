@@ -1,4 +1,3 @@
-import cmath
 import dataclasses
 import math
 
@@ -27,6 +26,7 @@ from risim import (
 
 from risim.patterns import MAX_THETA_SAMPLES, _observation_table
 
+import reference
 from conftest import LAMBDA_BENCH
 
 CELL = UnitCellReflection()
@@ -115,22 +115,9 @@ def test_normalization_peak_exactly_zero(board, rng):
 
 
 def _oracle_far(board, mask, incidence, theta_deg, lam):
-    """Scalar re-summation with cmath, independent of the vector engine."""
-    k0 = 2 * math.pi / lam
-    th_in = math.radians(incidence.theta_deg)
-    ph_in = math.radians(incidence.phi_deg)
-    th = math.radians(theta_deg)
-    p = board.periodicity_m
-    total = 0 + 0j
-    for m in range(1, board.m_count + 1):
-        for n in range(1, board.n_count + 1):
-            x, y = (m - 1) * p, (n - 1) * p
-            proj_in = math.sin(th_in) * (x * math.cos(ph_in) + y * math.sin(ph_in))
-            proj_obs = math.sin(th) * x
-            state = int(mask.bits[m - 1, n - 1])
-            coeff = cmath.exp(1j * math.pi) if state else 1.0
-            total += coeff * cmath.exp(-1j * k0 * (proj_in - proj_obs))
-    return total
+    """The reference's far cut at one theta, on the ideal cell: a scalar
+    re-summation with cmath, independent of the vector engine."""
+    return reference.far_cut(board, mask.bits, CELL, incidence, 0.0, [theta_deg], lam)[0][0]
 
 
 def test_oracle_resummation_far(board, rng):
@@ -146,33 +133,10 @@ def test_oracle_resummation_far(board, rng):
 def test_oracle_resummation_nearfield(board, rng):
     mask = CodingMask(board, rng.integers(0, 2, (16, 10)))
     feed = FeedSpec(Point3(0.1, 0.05, 0.3), q_f=7.0)
-    q_e = 0.5
-    k0 = 2 * math.pi / LAMBDA_BENCH
     angles = np.sort(rng.uniform(-89.0, 89.0, 10))
-    p = board.periodicity_m
-    f = (feed.position.x, feed.position.y, feed.position.z)
-    c = board.center()
-    boresight = (c.x - f[0], c.y - f[1], c.z - f[2])
-    cut = pattern_nearfield(board, mask, CELL, feed, q_e, 0.0, angles, LAMBDA_BENCH)
-    for theta, field in zip(cut.theta_deg, cut.field):
-        th = math.radians(theta)
-        total = 0 + 0j
-        for m in range(1, board.m_count + 1):
-            for n in range(1, board.n_count + 1):
-                x, y = (m - 1) * p, (n - 1) * p
-                ray = (x - f[0], y - f[1], -f[2])
-                r = math.hypot(*ray)
-                cos_in = f[2] / r  # incidence cosine at the element
-                dot = sum(u * v for u, v in zip(ray, boresight))
-                off = min(max(dot / (r * math.hypot(*boresight)), 0.0), 1.0)
-                coeff = cmath.exp(1j * math.pi) if mask.bits[m - 1, n - 1] else 1.0
-                total += (
-                    math.cos(th) ** q_e
-                    * math.sqrt(off**feed.q_f * cos_in ** (2 * q_e))
-                    / r
-                    * coeff
-                    * cmath.exp(-1j * k0 * (r - math.sin(th) * x))
-                )
+    cut = pattern_nearfield(board, mask, CELL, feed, 0.5, 0.0, angles, LAMBDA_BENCH)
+    ref = reference.near_cut(board, mask.bits, CELL, feed, 0.5, 0.0, angles.tolist(), LAMBDA_BENCH)
+    for field, (total, _) in zip(cut.field.tolist(), ref):
         assert abs(field - total) <= 1e-10 * abs(total)
 
 

@@ -4,8 +4,8 @@ feed hop that synthesis, the near-field cut and every scenario on one feed
 share, and the feed taper that the cut and those scenarios share.
 
 A cached value must equal a fresh computation bit for bit, whatever the
-order of the calls that read it, and must equal a test-local copy of the
-uncached formula it replaced.
+order of the calls that read it, and must lie within the plain-Python
+reference's bound of the formula it caches (tests/reference.py).
 """
 
 import math
@@ -36,34 +36,9 @@ from risim.geometry import distance_grid, feed_hop, node_hop
 from risim.linkbudget import f_combine_grid, required_cascade_mask
 from risim.masks import feed_taper
 
+import reference
+
 MODES = ("analytic", "mask", "single_pass", "none")
-
-
-def oracle_two_hop(sc):
-    """Per-element amplitude and path phase, rebuilding every grid per call
-    as done before the terms were cached."""
-    geom = sc.geom
-    p = geom.periodicity_m
-    X, Y = np.meshgrid(np.arange(geom.m_count) * p, np.arange(geom.n_count) * p, indexing="ij")
-    c = geom.center()
-
-    def dist(pt):
-        return np.sqrt((pt.x - X) ** 2 + (pt.y - Y) ** 2 + pt.z * pt.z)
-
-    def off_axis_cos(node):
-        bx, by, bz = c.x - node.x, c.y - node.y, c.z - node.z
-        bn = math.sqrt(bx * bx + by * by + bz * bz)
-        vx, vy, vz = X - node.x, Y - node.y, -node.z
-        vn = np.sqrt(vx * vx + vy * vy + vz * vz)
-        return np.clip((vx * bx + vy * by + vz * bz) / (vn * bn), 0.0, 1.0)
-
-    feed = sc.feed.position
-    r_t, r_r = dist(feed), dist(sc.rx)
-    q = 2 * sc.cell.q_e
-    taper = (off_axis_cos(feed) ** sc.feed.q_f) * (feed.z / r_t) ** q * (sc.rx.z / r_r) ** q * (
-        off_axis_cos(sc.rx) ** sc.q_r
-    )
-    return np.sqrt(taper) / (r_t * r_r), 2 * np.pi / sc.wavelength * (r_t + r_r)
 
 
 def copy_of(sc):
@@ -115,11 +90,16 @@ def test_every_mode_equals_a_fresh_scenario_and_the_uncached_formula(
     once, twice = reports(sc, first), reports(sc, second)
     fresh = {q: received_power(copy_of(sc), q) for q in MODES}
     assert once == twice == fresh
-    amp, path = oracle_two_hop(sc)
-    assert np.array_equal(sc._two_hop_terms[0], amp)
-    assert np.array_equal(sc._two_hop_terms[1], path)
-    assert fresh["none"].accumulation_linear == float(amp.sum())
-    assert geometric_accumulation(sc) == float(amp.sum())
+    k0, terms = 2 * math.pi / sc.wavelength, reference.two_hop_terms(sc, rx)
+    amp, path = sc._two_hop_terms
+    for a, kr, (ref_a, ref_path) in zip(amp.ravel().tolist(), path.ravel().tolist(), terms):
+        assert abs(a - ref_a) <= reference.C * reference.EPS * ref_a
+        assert abs(kr - k0 * ref_path) <= reference.C * reference.EPS * k0 * ref_path
+    ideal = math.fsum(a for a, _ in terms)
+    assert abs(fresh["none"].accumulation_linear - ideal) <= reference.C * reference.EPS * ideal
+    assert geometric_accumulation(sc) == fresh["none"].accumulation_linear
+    acc, bound = reference.single_pass(sc, rx, mask.bits)
+    assert abs(fresh["single_pass"].accumulation_linear - acc) <= bound
     assert received_power(sc, "single_pass") == fresh["single_pass"]
     r_t, r_r = distance_grid(geom, feed), distance_grid(geom, rx)
     assert np.array_equal(np.sqrt(f_combine_grid(sc)) / (r_t * r_r), sc._two_hop_terms[0])
@@ -168,27 +148,20 @@ def test_element_grid_is_built_once_and_read_only(board):
 
 def test_hop_distance_is_the_correctly_rounded_norm(cfg):
     # at this height pow(z, 2) is not correctly rounded, so a z**2 moves the
-    # last bit of 102 of the 160 distances; the hop squares z as a product
+    # last bit of 102 of the 160 distances; the hop squares z as a product, and
+    # its distances and boresight cosines are the reference's, bit for bit
     rx = Point3(2.0, 0.072, 6.883345885040325)
     report = received_power(cfg.link.with_rx(rx), "none")
     assert report.received_power_dbm == -41.67761185345033
-    geom = cfg.link.geom
-    r, _, off = node_hop(geom, rx)
-    X, Y = element_grid(geom)
-    c = geom.center()
-    bx, by, bz = c.x - rx.x, c.y - rx.y, c.z - rx.z
-    bn = math.sqrt(bx * bx + by * by + bz * bz)
-    # products only: a float's ** also goes through pow
-    norms, cosines = np.empty(r.shape), np.empty(r.shape)
-    for i, j in np.ndindex(r.shape):
-        dx, dy, dz = float(X[i, j]) - rx.x, float(Y[i, j]) - rx.y, -rx.z
-        norms[i, j] = math.sqrt(dx * dx + dy * dy + dz * dz)
-        cosines[i, j] = (dx * bx + dy * by + dz * bz) / (norms[i, j] * bn)
-    assert np.array_equal(r, norms)
-    assert np.array_equal(off, np.clip(cosines, 0.0, 1.0))
+    r, _, off = node_hop(cfg.link.geom, rx)
+    hops = reference.hop(cfg.link.geom, rx)
+    assert r.ravel().tolist() == [h[0] for h in hops]
+    assert off.ravel().tolist() == [h[2] for h in hops]
 
 
 def test_scenarios_differing_in_one_feed_hop_input_read_in_alternation(cfg):
+    # each scenario's terms, read through caches the others filled, equal the
+    # terms it computes on empty caches
     base = cfg.link
     variants = [
         base,
@@ -197,7 +170,11 @@ def test_scenarios_differing_in_one_feed_hop_input_read_in_alternation(cfg):
         replace(base, feed=replace(base.feed, q_f=5.0)),
         replace(base, cell=replace(base.cell, q_e=0.65)),
     ]
-    expected = [oracle_two_hop(sc) for sc in variants]
+    expected = []
+    for sc in variants:
+        for cache in (geometry.element_grid, feed_hop, feed_taper):
+            cache.cache_clear()
+        expected.append(copy_of(sc)._two_hop_terms)
     for i, (amp, _) in enumerate(expected[1:], 1):
         assert not np.array_equal(amp, expected[0][0]), f"variant {i} changes nothing"
     for _ in range(2):

@@ -5,10 +5,11 @@ Each checkout ("side") has run `python3 perfbench/run.py --workload <w>
 `.perfbench/results/<w>-seed<s>-trace0.json`. For every side and workload
 it reads every seed's untraced result and writes the median and quartiles
 of each end-to-end metric named in BENCHMARK.json, scaled (`metrics`) and
-raw (`raw`), and the state of the side's source: `src/` line count, public
-export count, tier-1 test count, whether `src/risim/__pycache__` exists, and
-per CLI command the `risim.*` modules its process loads and their summed
-source lines (`commands`).
+raw (`raw`), and the state of the side's source: `src/` line count, the
+line count of the `tests/*.py` files, public export count, tier-1 test
+count, whether `src/risim/__pycache__` exists, and per CLI command the
+`risim.*` modules its process loads and their summed source lines
+(`commands`).
 Compiled bytecode alone moves `cli` times by ~25 ms, so only sides in the
 same bytecode state compare.
 With two sides, each workload also gets a paired comparison over the
@@ -86,6 +87,7 @@ def child(root: Path, *args: str, check: bool = True, cwd: Path | None = None) -
 def source_state(root: Path) -> dict:
     bytecode = (root / "src" / "risim" / "__pycache__").is_dir()  # before any child imports risim
     lines = sum(line_count(p) for p in sorted((root / "src").rglob("*.py")))
+    tests_lines = sum(line_count(p) for p in sorted((root / "tests").glob("*.py")))
     collected = child(
         root, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
         "--continue-on-collection-errors", "tests", check=False,  # as the tier-1 run counts
@@ -94,6 +96,7 @@ def source_state(root: Path) -> dict:
     return {
         "src_pycache": bytecode,
         "src_lines": lines,
+        "tests_lines": tests_lines,
         "exports": int(child(root, "-c", COUNT_EXPORTS)),
         "tier1_tests": int(tests.group(1)) if tests else None,
         "commands": command_modules(root),
