@@ -4,7 +4,8 @@ Four workflows: `pattern` (radiation cut CSV + lobe metrics), `localize`
 (codebook sweep traces + estimates), `linkbudget` (received-power report),
 and `export-frame` (shift-chain bitstream). Every command is deterministic
 for fixed config, flags, and seed. Exit codes: 0 success, 2 configuration
-error, 3 domain error.
+error, 3 domain error; a refused run prints one stderr line and leaves no
+output file.
 """
 
 from __future__ import annotations
@@ -48,6 +49,19 @@ def _output_base(out: str, suffix: str = "") -> str:
     if not os.path.basename(base):
         raise ConfigError(f"--out {out!r} gives an empty file name")
     return base
+
+
+def _write_all(writes) -> None:
+    """Call write(path) for each (path, write) pair in turn. When one fails,
+    remove the files the ones before it wrote, then re-raise: a refused run
+    leaves no output."""
+    for done, (path, write) in enumerate(writes):
+        try:
+            write(path)
+        except Exception:
+            for written, _ in writes[:done]:
+                os.remove(written)
+            raise
 
 
 def _metric(value: float, spec: str, unit: str) -> str:
@@ -101,18 +115,20 @@ def cmd_pattern(config_path, mode, steer, out) -> None:
     else:
         cut = array_factor_far(geom, mask, cell, Direction(0.0), 0.0, grid, cfg.wavelength)
     metrics = pattern_metrics(cut)
-    write_pattern_csv(
-        cut,
-        csv_path,
-        {
-            "mode": mode,
-            "steer_deg": steer,
-            "phi_plane_deg": cut.phi_plane_deg,
-            "frequency_hz": cfg.frequency_hz,
-        },
-    )
+    header = {
+        "mode": mode,
+        "steer_deg": steer,
+        "phi_plane_deg": cut.phi_plane_deg,
+        "frequency_hz": cfg.frequency_hz,
+    }
     # metrics a degenerate or delta-like cut leaves undefined are written as null
-    write_json({"mode": mode, "steer_deg": steer, **asdict(metrics)}, json_path)
+    doc = {"mode": mode, "steer_deg": steer, **asdict(metrics)}
+    _write_all(
+        [
+            (csv_path, functools.partial(write_pattern_csv, cut, comments=header)),
+            (json_path, functools.partial(write_json, doc)),
+        ]
+    )
     click.echo(
         f"{mode} cut steered to {steer:g} deg: main lobe {_metric(metrics.main_lobe_deg, 'g', 'deg')}, "
         f"mirror {_metric(metrics.mirror_lobe_db, '.2f', 'dB')}, "
@@ -163,16 +179,6 @@ def cmd_localize(config_path, truths, seed, out) -> None:
         for truth, truth_seed in zip(truth_values, seeds)
     ]
     estimates = [estimate_angle(trace) for trace in traces]
-    for path, truth, truth_seed, trace in zip(trace_paths, truth_values, seeds, traces):
-        write_sweep_csv(
-            trace,
-            path,
-            {
-                "truth_deg": truth,
-                "seed": truth_seed,
-                "noise": f"{noise.kind} (sigma_db={noise.sigma_db:g})",
-            },
-        )
     errors = [e - t for e, t in zip(estimates, truth_values)]
     summary = {
         "truths_deg": truth_values,
@@ -188,7 +194,14 @@ def cmd_localize(config_path, truths, seed, out) -> None:
         "noise": {"kind": noise.kind, "sigma_db": noise.sigma_db},
         "seed": sweep.seed,
     }
-    write_json(summary, f"{out}.summary.json")
+    noise_label = f"{noise.kind} (sigma_db={noise.sigma_db:g})"
+    traces_out = [
+        (path, functools.partial(
+            write_sweep_csv, trace, comments={"truth_deg": truth, "seed": truth_seed, "noise": noise_label}
+        ))
+        for path, truth, truth_seed, trace in zip(trace_paths, truth_values, seeds, traces)
+    ]
+    _write_all(traces_out + [(f"{out}.summary.json", functools.partial(write_json, summary))])
     for truth, est, err in zip(truth_values, estimates, errors):
         click.echo(f"truth {truth:6.2f} deg -> estimate {est:6.2f} deg (error {err:+.2f})")
     click.echo(f"rmse {summary['rmse_deg']:.3f} deg -> {out}.summary.json")
